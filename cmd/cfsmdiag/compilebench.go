@@ -10,8 +10,8 @@ import (
 	"cfsmdiag/internal/experiments"
 )
 
-// cmdCompileBench runs experiment E14 — the compiled-representation
-// before/after record — and writes it as indented JSON, mirroring
+// cmdCompileBench runs experiment E14 — compile cost, the serial sweep and
+// the model-load paths — and writes it as indented JSON, mirroring
 // `cfsmdiag sweep -benchjson` and `cfsmdiag jobs bench`.
 func cmdCompileBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("compilebench", flag.ContinueOnError)
@@ -34,9 +34,8 @@ func cmdCompileBench(args []string, out io.Writer) error {
 	if err := os.WriteFile(*path, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "wrote %s: compile %d ns, sweep %d -> %d ns/mutant (%.1fx, allocs %.1fx down), model load json %d ns / binary %d ns / registry hit %d ns\n",
-		*path, rec.CompileNsPerOp, rec.InterpretedNsPerMutant, rec.CompiledNsPerMutant,
-		rec.SweepSpeedup, rec.SweepAllocReductionRatio,
+	fmt.Fprintf(out, "wrote %s: compile %d ns, sweep %d ns/mutant (%d allocs/op), model load json %d ns / binary %d ns / registry hit %d ns\n",
+		*path, rec.CompileNsPerOp, rec.SweepNsPerMutant, rec.SweepAllocsPerOp,
 		rec.JSONParseNsPerOp, rec.BinaryDecodeNsPerOp, rec.RegistryHitNsPerOp)
 	return nil
 }

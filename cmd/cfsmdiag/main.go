@@ -28,7 +28,7 @@
 //	cfsmdiag record      <system.json> -suite t.json      observation log
 //	cfsmdiag analyze     -spec s.json -suite t.json -obs o.json   offline analysis
 //	cfsmdiag serve       [-addr host:port] [-timeout d] [-pprof] [-tracing=false]
-//	                     [-logjson] [-quiet] [-legacy-api]
+//	                     [-logjson] [-quiet]
 //	                     [-oracle-timeout d] [-oracle-retries N] [-oracle-votes K]
 //	                     [-jobs] [-jobs-dir d] [-jobs-workers N] [-jobs-queue N]
 //	                     [-jobs-tenant-rate R] [-jobs-tenant-burst N]
@@ -53,8 +53,8 @@
 //	cfsmdiag convert     <model.json|model.bin> -o <out>   convert between the
 //	                     JSON and versioned binary model formats
 //	cfsmdiag info        <model.json|model.bin>  header, content hash and shape
-//	cfsmdiag compilebench [-out BENCH_compile.json]  E14: compiled-representation
-//	                     speedup record (interpreted vs compiled hot paths)
+//	cfsmdiag compilebench [-out BENCH_compile.json]  E14: compile cost, serial
+//	                     sweep and model-load record
 //	cfsmdiag clusterbench [-out BENCH_cluster.json] [-workers N] [-sweeps N]
 //	                     E15: multi-process distributed-sweep scaling record;
 //	                     re-execs itself as GOMAXPROCS=1 worker processes and
@@ -825,9 +825,8 @@ func cmdRecord(args []string, out io.Writer) error {
 // With -jobs it also mounts the durable /v1/jobs batch API, with -cluster the
 // /v1/cluster distributed-sweep coordinator, and with -worker the process
 // doubles as a sweep worker that pulls mutant ranges from -coordinator peers
-// (plus POST /v1/cluster/attach for ad-hoc attachment). The unversioned
-// /api/* aliases are sunset (410 Gone) unless -legacy-api restores them. It
-// shuts down gracefully on SIGINT/SIGTERM, draining in-flight requests and
+// (plus POST /v1/cluster/attach for ad-hoc attachment). It shuts down
+// gracefully on SIGINT/SIGTERM, draining in-flight requests and
 // running jobs before persisting the queue.
 func cmdServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -837,7 +836,6 @@ func cmdServe(args []string, out io.Writer) error {
 	tracing := fs.Bool("tracing", true, "honor ?trace=1 on /v1/diagnose (inline structured traces)")
 	logJSON := fs.Bool("logjson", false, "emit access logs as JSON instead of text")
 	quiet := fs.Bool("quiet", false, "disable access logging")
-	legacyAPI := fs.Bool("legacy-api", false, "restore the deprecated unversioned /api/* aliases (default: 410 Gone with a successor Link)")
 	oracleTimeout := fs.Duration("oracle-timeout", 0, "per-execution oracle timeout for diagnoses (0 = none); enables the resilient retry layer")
 	oracleRetries := fs.Int("oracle-retries", 0, "failed oracle executions tolerated per diagnostic query")
 	oracleVotes := fs.Int("oracle-votes", 0, "successful executions majority-voted per diagnostic test (<=1 = no voting)")
@@ -872,7 +870,6 @@ func cmdServe(args []string, out io.Writer) error {
 		EnablePprof:         *pprofOn,
 		EnableTracing:       *tracing,
 		InstrumentSimulator: true,
-		EnableLegacyAPI:     *legacyAPI,
 		OracleTimeout:       *oracleTimeout,
 		OracleRetries:       *oracleRetries,
 		OracleVotes:         *oracleVotes,

@@ -18,9 +18,9 @@
 //	E12 chaos      — extension: localization robustness under injected
 //	                 observation faults (drop/garble/transient) with the
 //	                 resilient retry/vote oracle layer
-//	E14 compile    — extension: the dense compiled representation vs the
-//	                 interpreted engine on the diagnosis hot paths, plus the
-//	                 model-load trio (JSON parse / binary decode / registry hit)
+//	E14 compile    — extension: the dense compiled representation — compile
+//	                 cost, the serial sweep, and the model-load trio (JSON
+//	                 parse / binary decode / registry hit)
 //	E18 distobs    — extension: diagnosis from per-port local projections
 //	                 (distributed observation) vs the global sequence —
 //	                 candidate-set growth, Step 6 recovery, localization cost
@@ -335,18 +335,15 @@ func runCostExp(out io.Writer, stride int) error {
 }
 
 func runCompileExp(out io.Writer) error {
-	fmt.Fprintln(out, "E14: compiled dense representation vs the interpreted engine (Figure 1)")
+	fmt.Fprintln(out, "E14: compiled dense representation (Figure 1)")
 	rec, err := experiments.RunCompileBench()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "compile: %d ns once per sweep (%d symbols, %d global configurations)\n",
 		rec.CompileNsPerOp, rec.NumSymbols, rec.Configurations)
-	fmt.Fprintf(out, "  %-22s %14s %14s %10s\n", "serial sweep", "interpreted", "compiled", "ratio")
-	fmt.Fprintf(out, "  %-22s %14d %14d %9.1fx\n", "ns/mutant",
-		rec.InterpretedNsPerMutant, rec.CompiledNsPerMutant, rec.SweepSpeedup)
-	fmt.Fprintf(out, "  %-22s %14d %14d %9.1fx\n", "allocs/sweep",
-		rec.InterpretedAllocsPerOp, rec.CompiledAllocsPerOp, rec.SweepAllocReductionRatio)
+	fmt.Fprintf(out, "serial sweep: %d ns/mutant, %d allocs/sweep\n",
+		rec.SweepNsPerMutant, rec.SweepAllocsPerOp)
 	fmt.Fprintf(out, "model load: JSON parse %d ns, binary decode %d ns, registry hit %d ns\n",
 		rec.JSONParseNsPerOp, rec.BinaryDecodeNsPerOp, rec.RegistryHitNsPerOp)
 	fmt.Fprintln(out, "(write the machine-readable record with `cfsmdiag compilebench`)")

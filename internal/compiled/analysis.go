@@ -4,45 +4,76 @@ import (
 	"fmt"
 
 	"cfsmdiag/internal/cfsm"
-	"cfsmdiag/internal/core"
 )
 
-// The compiled engine analyzes directly: core.Analyze delegates Steps 1–5B
-// to AnalyzeInto instead of the interpreted path.
-var _ core.AnalyzerEngine = (*Engine)(nil)
+// Analysis is Steps 1–5 of the diagnosis computed on the compiled program,
+// materialized in the reporting shape of internal/core's Analysis, whose
+// fields of the same names it fills: entry presence, slice order and
+// nil-ness equal the interpreted computation's, since core serializes the
+// result byte-for-byte into reports and server responses.
+type Analysis struct {
+	Expected     [][]cfsm.Observation
+	Symptoms     []Symptom
+	FirstSymptom map[int]int
+	UST          *cfsm.Ref
+	USO          cfsm.Symbol
+	Flag         bool
+	Conflicts    map[int][][]cfsm.Ref
+	ITC          [][]cfsm.Ref
+	UstSet       []cfsm.Ref
+	FTCtr        [][]cfsm.Ref
+	FTCco        [][]cfsm.Ref
+	// The verified hypothesis sets; nil maps when Analyze ran without
+	// verification.
+	EndStates map[cfsm.Ref][]cfsm.State
+	Outputs   map[cfsm.Ref][]cfsm.Symbol
+	StatOut   map[cfsm.Ref][]StateOutput
+}
 
-// AnalyzeInto runs Steps 1–5B of the diagnosis on the compiled program:
-// symptom extraction against the precompiled expected observations, conflict
-// sets as first-execution prefixes, the Step-5A intersection as a bitset AND
-// over transition indices, and hypothesis verification through overlays
-// synthesized without per-hypothesis fault construction. The exported
-// Analysis fields are materialized in exactly the interpreted order and
-// shape (the AnalyzerEngine contract); the differential tests pin the
-// equality byte-for-byte.
+// Symptom locates one expected/observed difference: the step of a test
+// case and the specification transition that produced the expected output
+// there (nil when none did).
+type Symptom struct {
+	Case       int
+	Step       int
+	Transition *cfsm.Ref
+}
+
+// StateOutput is one combined (next state, output) hypothesis
+// (core.StateOutput's shape).
+type StateOutput struct {
+	State  cfsm.State
+	Output cfsm.Symbol
+}
+
+// Analyze runs Steps 1–5 of the diagnosis on the compiled program: symptom
+// extraction against the precompiled expected observations, conflict sets
+// as first-execution prefixes, the Step-5A intersection as a bitset AND over
+// transition indices, the Step-5B candidate split and — when verify is set —
+// hypothesis verification by exact observation equality through overlays
+// synthesized without per-hypothesis fault construction. Callers comparing
+// observations through another relation verify the candidates themselves.
 //
-// It declines (done=false) when the Analysis targets a different
-// specification than the engine's program.
-func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
+// Errors are the interpreted analysis failures (simulation failure,
+// observation-count mismatch) with identical messages.
+func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, verify bool) (Analysis, error) {
 	p := e.p
-	if p.src != a.Spec {
-		return false, nil
-	}
-	s := e.suiteFor(a.Suite)
+	s := e.suiteFor(suite)
 
 	// Step 1: expected outputs, reproducing the interpreted error order
 	// (simulation failure before the observation-count check, in case order).
 	for i := range s.cases {
 		c := &s.cases[i]
 		if c.simErr != nil {
-			return true, fmt.Errorf("core: simulate %s on specification: %w", a.Suite[i].Name, c.simErr)
+			return Analysis{}, fmt.Errorf("core: simulate %s on specification: %w", suite[i].Name, c.simErr)
 		}
-		if len(a.Observed[i]) != len(c.exp) {
-			return true, fmt.Errorf("core: %s: %d observations for %d inputs", a.Suite[i].Name, len(a.Observed[i]), len(c.exp))
+		if len(observed[i]) != len(c.exp) {
+			return Analysis{}, fmt.Errorf("core: %s: %d observations for %d inputs", suite[i].Name, len(observed[i]), len(c.exp))
 		}
 	}
-	a.Expected = s.expected
-	e.compileObserved(a.Observed)
-	observed := e.observed
+	a := Analysis{Expected: s.expected}
+	e.compileObserved(observed)
+	obsC := e.observed
 
 	// Steps 2–3: symptoms, first symptom per case, unique symptom
 	// transition and flag, on compiled observation equality (foreign
@@ -56,18 +87,13 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	a.FirstSymptom = make(map[int]int, len(s.cases))
 	for i := range s.cases {
 		c := &s.cases[i]
-		obsC := observed[i]
+		got := obsC[i]
 		firstSeen := false
 		for j := range c.expC {
-			if c.expC[j] == obsC[j] {
+			if c.expC[j] == got[j] {
 				continue
 			}
-			sym := core.Symptom{
-				Case:     i,
-				Step:     j,
-				Expected: c.exp[j],
-				Observed: a.Observed[i][j],
-			}
+			sym := Symptom{Case: i, Step: j}
 			tIdx := c.symTrans[j]
 			if tIdx >= 0 {
 				r := p.Ref(tIdx)
@@ -82,7 +108,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 				if !ustKnown {
 					ustKnown = true
 					ustIdx = tIdx
-					uso = sym.Observed.Sym
+					uso = observed[i][j].Sym
 				} else if ustIdx < 0 || tIdx < 0 || ustIdx != tIdx {
 					ustUnique = false
 				}
@@ -99,7 +125,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 		ustIdx = -1
 	}
 	if len(a.Symptoms) == 0 {
-		return true, nil
+		return a, nil
 	}
 
 	// Step 4: conflict sets — the precomputed first-execution prefix of each
@@ -108,11 +134,11 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	n := p.N()
 	inter, cur := e.analysisBits()
 	inter.Reset()
-	a.Conflicts = make(map[int]core.MachineSets, len(symCases))
+	a.Conflicts = make(map[int][][]cfsm.Ref, len(symCases))
 	for k, i := range symCases {
 		c := &s.cases[i]
 		prefix := c.conflictPrefix(stops[k])
-		sets := make(core.MachineSets, n)
+		sets := make([][]cfsm.Ref, n)
 		for x := 0; x < prefix; x++ {
 			idx := c.firstExec[x]
 			sets[p.trans[idx].Machine] = append(sets[p.trans[idx].Machine], p.Ref(idx))
@@ -133,7 +159,7 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 
 	// Step 5A: materialize the intersection in the first symptomatic case's
 	// conflict order (the interpreted tie-break), kept as indices for 5B.
-	a.ITC = make(core.MachineSets, n)
+	a.ITC = make([][]cfsm.Ref, n)
 	e.anITC = scratchSets(e.anITC, n)
 	c0 := &s.cases[symCases[0]]
 	for x, prefix0 := 0, c0.conflictPrefix(stops[0]); x < prefix0; x++ {
@@ -149,8 +175,8 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	// Step 5B, split: the unique symptom transition forms the ustset; every
 	// other ITC member is a transfer candidate, internal ones additionally
 	// output candidates.
-	a.FTCtr = make(core.MachineSets, n)
-	a.FTCco = make(core.MachineSets, n)
+	a.FTCtr = make([][]cfsm.Ref, n)
+	a.FTCco = make([][]cfsm.Ref, n)
 	e.anFTCtr = scratchSets(e.anFTCtr, n)
 	e.anFTCco = scratchSets(e.anFTCco, n)
 	for m := 0; m < n; m++ {
@@ -167,11 +193,15 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 			}
 		}
 	}
+	if !verify {
+		return a, nil
+	}
 
 	// Step 5B, verify: findendingstates over FTCtr and the ust (the DESIGN
 	// §3 amendment), ustprocessing, and inttransproc over FTCco. Map entries
 	// are assigned for every candidate — nil when no hypothesis survives —
-	// matching the interpreted entry-presence semantics.
+	// matching the interpreted entry-presence semantics; the map the flag
+	// leaves unused stays empty but non-nil, as interpreted.
 	nTr, nCo := len(a.UstSet), 0
 	for m := 0; m < n; m++ {
 		nTr += len(e.anFTCtr[m])
@@ -179,35 +209,37 @@ func (e *Engine) AnalyzeInto(a *core.Analysis) (bool, error) {
 	}
 	a.EndStates = make(map[cfsm.Ref][]cfsm.State, nTr)
 	if a.Flag {
-		a.StatOut = make(map[cfsm.Ref][]core.StateOutput, nCo+len(a.UstSet))
+		a.StatOut = make(map[cfsm.Ref][]StateOutput, nCo+len(a.UstSet))
+		a.Outputs = make(map[cfsm.Ref][]cfsm.Symbol)
 	} else {
+		a.StatOut = make(map[cfsm.Ref][]StateOutput)
 		a.Outputs = make(map[cfsm.Ref][]cfsm.Symbol, nCo+len(a.UstSet))
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCtr[m] {
-			a.EndStates[p.Ref(idx)] = e.endStates(s, observed, idx)
+			a.EndStates[p.Ref(idx)] = e.endStates(s, obsC, idx)
 		}
 	}
 	if len(a.UstSet) > 0 {
 		r := a.UstSet[0]
-		a.EndStates[r] = e.endStates(s, observed, ustIdx)
+		a.EndStates[r] = e.endStates(s, obsC, ustIdx)
 		if a.Flag {
-			a.StatOut[r] = e.ustStatOut(s, observed, ustIdx, uso)
+			a.StatOut[r] = e.ustStatOut(s, obsC, ustIdx, uso)
 		} else {
-			a.Outputs[r] = e.ustOutputs(s, observed, ustIdx, uso)
+			a.Outputs[r] = e.ustOutputs(s, obsC, ustIdx, uso)
 		}
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCco[m] {
 			r := p.Ref(idx)
 			if a.Flag {
-				a.StatOut[r] = e.coStatOut(s, observed, idx)
+				a.StatOut[r] = e.coStatOut(s, obsC, idx)
 			} else {
-				a.Outputs[r] = e.coOutputs(s, observed, idx)
+				a.Outputs[r] = e.coOutputs(s, obsC, idx)
 			}
 		}
 	}
-	return true, nil
+	return a, nil
 }
 
 // analysisBits returns the engine's two transition-indexed bitset scratch
@@ -273,7 +305,7 @@ func (e *Engine) ustOutputs(s *Suite, observed [][]cobs, idx int32, uso cfsm.Sym
 // ustStatOut computes statout(ust) for the single candidate faulty output
 // uso: couples (s, uso) over every state of the machine, the s = NextState
 // couple degenerating to the pure output hypothesis (same overlay).
-func (e *Engine) ustStatOut(s *Suite, observed [][]cobs, idx int32, uso cfsm.Symbol) []core.StateOutput {
+func (e *Engine) ustStatOut(s *Suite, observed [][]cobs, idx int32, uso cfsm.Symbol) []StateOutput {
 	p := e.p
 	t := p.trans[idx]
 	oid, ok := e.legalAltOutput(idx, uso)
@@ -281,10 +313,10 @@ func (e *Engine) ustStatOut(s *Suite, observed [][]cobs, idx int32, uso cfsm.Sym
 		return nil
 	}
 	mp := &p.machines[t.Machine]
-	var out []core.StateOutput
+	var out []StateOutput
 	for sid := int32(0); sid < mp.numStates; sid++ {
 		if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: sid, dest: t.Dest}) {
-			out = append(out, core.StateOutput{State: mp.states[sid], Output: p.syms[oid]})
+			out = append(out, StateOutput{State: mp.states[sid], Output: p.syms[oid]})
 		}
 	}
 	return out
@@ -332,18 +364,18 @@ func (e *Engine) coOutputs(s *Suite, observed [][]cobs, idx int32) []cfsm.Symbol
 // coStatOut computes statout(T_k) for an internal-output candidate: couples
 // (s, o) over the class alphabet and every state of the machine, in the
 // interpreted output-major order.
-func (e *Engine) coStatOut(s *Suite, observed [][]cobs, idx int32) []core.StateOutput {
+func (e *Engine) coStatOut(s *Suite, observed [][]cobs, idx int32) []StateOutput {
 	p := e.p
 	t := p.trans[idx]
 	mp := &p.machines[t.Machine]
-	var out []core.StateOutput
+	var out []StateOutput
 	for _, oid := range t.altOuts {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}
 		for sid := int32(0); sid < mp.numStates; sid++ {
 			if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: sid, dest: t.Dest}) {
-				out = append(out, core.StateOutput{State: mp.states[sid], Output: p.syms[oid]})
+				out = append(out, StateOutput{State: mp.states[sid], Output: p.syms[oid]})
 			}
 		}
 	}

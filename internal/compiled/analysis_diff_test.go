@@ -1,4 +1,4 @@
-// Differential tests for the compiled analysis path (Engine.AnalyzeInto):
+// Differential tests for the compiled analysis path (Engine.Analyze):
 // the exported Analysis must serialize byte-for-byte identically under the
 // compiled and the interpreted engine, and engines sharing one Program (the
 // sweep's worker layout) must stay independent under the race detector.
@@ -76,7 +76,7 @@ func TestAnalysisMatchesInterpreted(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				iA, iErr := core.Analyze(fx.sys, suite, observed)
+				iA, iErr := core.Analyze(fx.sys, suite, observed, reference)
 				cA, cErr := core.Analyze(fx.sys, suite, observed, core.WithEngine(eng))
 				if (iErr == nil) != (cErr == nil) ||
 					(iErr != nil && iErr.Error() != cErr.Error()) {
@@ -98,7 +98,7 @@ func TestAnalysisMatchesInterpreted(t *testing.T) {
 // contract — one goroutine per Engine over a shared, immutable Program and
 // Suite — exactly as the sweep's worker pool shares them. Run under -race it
 // proves the sharing touches no unsynchronized state; the per-worker verdicts
-// must also agree with a serial reference diagnosis.
+// must also agree with the interpreted reference diagnosis.
 func TestEngineSharingAcrossWorkers(t *testing.T) {
 	fx := fixtures(t)[0] // figure1
 	prog, err := compiled.Compile(fx.sys)
@@ -108,21 +108,14 @@ func TestEngineSharingAcrossWorkers(t *testing.T) {
 	csuite := compiled.NewSuite(prog, fx.suite)
 	faults := fault.Enumerate(fx.sys)
 
-	// Serial reference verdicts.
+	// Reference verdicts.
 	want := make([]core.Verdict, len(faults))
-	refEng, err := compiled.EngineFor(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refEng.SetSuite(csuite)
-	refOracle := prog.NewRunner()
 	for i, f := range faults {
-		ov, ok := prog.OverlayFor(f)
-		if !ok {
-			t.Fatalf("no overlay for %s", f.Describe(fx.sys))
+		mut, err := f.Apply(fx.sys)
+		if err != nil {
+			t.Fatalf("apply %s: %v", f.Describe(fx.sys), err)
 		}
-		refOracle.SetOverlay(ov)
-		loc, err := core.Diagnose(fx.sys, fx.suite, &compiled.Oracle{R: refOracle}, core.WithEngine(refEng))
+		loc, err := core.Diagnose(fx.sys, fx.suite, &core.SystemOracle{Sys: mut}, reference)
 		if err != nil {
 			t.Fatalf("diagnose %s: %v", f.Describe(fx.sys), err)
 		}
@@ -165,11 +158,10 @@ func TestEngineSharingAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAnalyzeIntoDeclinesForeignSpec pins the decline path: an engine handed
-// an Analysis targeting a different specification must answer done=false
-// without touching the Analysis, so core.Analyze falls back to the
-// interpreted path instead of misanalyzing against the wrong program.
-func TestAnalyzeIntoDeclinesForeignSpec(t *testing.T) {
+// TestWithEngineIgnoresForeignSpec pins the guard on WithEngine: an engine
+// built for a different specification must not analyze this one — core
+// builds the right engine instead, so the Analysis equals the reference.
+func TestWithEngineIgnoresForeignSpec(t *testing.T) {
 	fxs := fixtures(t)
 	figure1, abp := fxs[0], fxs[1]
 	eng, err := compiled.NewEngine(abp.sys)
@@ -185,15 +177,15 @@ func TestAnalyzeIntoDeclinesForeignSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &core.Analysis{Spec: figure1.sys, Suite: figure1.suite, Observed: observed}
-	done, err := eng.AnalyzeInto(a)
+	got, err := core.Analyze(figure1.sys, figure1.suite, observed, core.WithEngine(eng))
 	if err != nil {
-		t.Fatalf("AnalyzeInto: %v", err)
+		t.Fatalf("Analyze: %v", err)
 	}
-	if done {
-		t.Fatal("AnalyzeInto accepted an Analysis for a foreign specification")
+	want, err := core.Analyze(figure1.sys, figure1.suite, observed, reference)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Expected != nil || a.Symptoms != nil || a.FirstSymptom != nil {
-		t.Errorf("AnalyzeInto modified the declined Analysis: %+v", viewAnalysis(a))
+	if gv, wv := viewAnalysis(got), viewAnalysis(want); !reflect.DeepEqual(gv, wv) {
+		t.Errorf("foreign engine changed the analysis:\ngot  %+v\nwant %+v", gv, wv)
 	}
 }

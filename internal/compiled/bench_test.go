@@ -9,10 +9,10 @@ import (
 	"cfsmdiag/internal/testgen"
 )
 
-// The before/after pair backing BENCH_compile.json: the same serial sweep on
-// the interpreted and the compiled engine. Run with
+// The measurements behind BENCH_compile.json: compile cost and the serial
+// sweep. Run with
 //
-//	go test ./internal/compiled -bench Sweep -benchmem
+//	go test ./internal/compiled -bench 'Compile|Sweep' -benchmem
 //
 // or regenerate the committed record with `cfsmdiag compilebench`.
 
@@ -26,20 +26,19 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-func benchmarkSweep(b *testing.B, interpreted bool) {
+// BenchmarkSweepCompiled is the serial Figure 1 sweep with the Table 1
+// suite, the sweep row of BENCH_compile.json.
+func BenchmarkSweepCompiled(b *testing.B) {
 	spec := paper.MustFigure1()
 	suite := paper.TestSuite()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunSweepOpts(spec, suite,
-			experiments.SweepOptions{Workers: 1, Interpreted: interpreted}); err != nil {
+			experiments.SweepOptions{Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkSweepInterpreted(b *testing.B) { benchmarkSweep(b, true) }
-func BenchmarkSweepCompiled(b *testing.B)   { benchmarkSweep(b, false) }
 
 // BenchmarkSweepTour is the workload behind the workers=1 row of
 // BENCH_sweep.json (`cfsmdiag sweep -paper -benchjson`): the Figure 1 sweep

@@ -8,10 +8,10 @@
 // reporting layer; a Program is a read-only view of one. Fault hypotheses
 // are realized as one-cell table overlays (Overlay) instead of deep system
 // copies, which removes the clone-and-revalidate cost that dominates the
-// interpreted sweep. The Engine type plugs the compiled substrate into
-// internal/core via core.WithEngine; its contract is byte-for-byte verdict
-// equality with the interpreted engine, pinned by the differential tests in
-// this package.
+// interpreted sweep. internal/core runs every diagnosis of a packable
+// specification on an Engine; its contract is byte-for-byte verdict
+// equality with core's interpreted reference engine, pinned by the
+// differential tests in this package.
 //
 // The package also defines the versioned binary on-disk codec for systems
 // (codec.go) used by `cfsmdiag convert`/`cfsmdiag info` and the server's
@@ -221,15 +221,6 @@ func (p *Program) Packable() bool { return p.configs > 0 }
 // Ref returns the compiled transition's global reference.
 func (p *Program) Ref(idx int32) cfsm.Ref {
 	return cfsm.Ref{Machine: int(p.trans[idx].Machine), Name: p.trans[idx].Name}
-}
-
-// Trans returns the compiled transition table entry at idx.
-func (p *Program) Trans(idx int32) Trans { return p.trans[idx] }
-
-// TransIndex resolves a transition reference to its compiled index.
-func (p *Program) TransIndex(r cfsm.Ref) (int32, bool) {
-	idx, ok := p.refIdx[r]
-	return idx, ok
 }
 
 // Symbol decodes a symbol ID; out-of-range IDs decode to Epsilon, which only

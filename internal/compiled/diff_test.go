@@ -1,7 +1,10 @@
 // Differential tests pinning the compiled substrate to the interpreted
 // semantics: overlay legality must match fault.Validate, runner observations
 // must match the string-keyed simulator on every mutant, and full diagnoses
-// must be byte-for-byte identical under either engine.
+// must be byte-for-byte identical under either engine. Every comparison
+// names its interpreted side explicitly — core.WithEngine(nil), the
+// reference engine — since core otherwise runs a packable specification on
+// the compiled engine.
 package compiled_test
 
 import (
@@ -19,6 +22,9 @@ import (
 	"cfsmdiag/internal/randgen"
 	"cfsmdiag/internal/testgen"
 )
+
+// reference names core's interpreted reference engine.
+var reference = core.WithEngine(nil)
 
 type fixture struct {
 	name  string
@@ -275,7 +281,7 @@ func TestDiagnosisMatchesInterpreted(t *testing.T) {
 					t.Fatalf("apply %s: %v", f.Describe(fx.sys), err)
 				}
 				iOracle := &core.SystemOracle{Sys: mut}
-				iLoc, iErr := core.Diagnose(fx.sys, fx.suite, iOracle)
+				iLoc, iErr := core.Diagnose(fx.sys, fx.suite, iOracle, reference)
 
 				ov, ok := p.OverlayFor(f)
 				if !ok {
@@ -322,8 +328,8 @@ func TestEquivalencePredicatesMatchInterpreted(t *testing.T) {
 					t.Fatalf("apply: %v", err)
 				}
 				want := testgen.SystemsEquivalent(fx.sys, mut)
-				if got := eng.FaultEquivalentToSpec(f); got != want {
-					t.Errorf("FaultEquivalentToSpec(%s) = %v, interpreted %v", f.Describe(fx.sys), got, want)
+				if got := eng.Equivalent(nil, &f); got != want {
+					t.Errorf("Equivalent(spec, %s) = %v, interpreted %v", f.Describe(fx.sys), got, want)
 				}
 			}
 			// Pairwise equivalence on a deterministic sample of fault pairs.
@@ -340,8 +346,8 @@ func TestEquivalencePredicatesMatchInterpreted(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := testgen.SystemsEquivalent(sa, sb)
-				if got := eng.FaultsEquivalent(a, b); got != want {
-					t.Errorf("FaultsEquivalent(%s, %s) = %v, interpreted %v",
+				if got := eng.Equivalent(&a, &b); got != want {
+					t.Errorf("Equivalent(%s, %s) = %v, interpreted %v",
 						a.Describe(fx.sys), b.Describe(fx.sys), got, want)
 				}
 			}

@@ -4,14 +4,15 @@ import (
 	"fmt"
 
 	"cfsmdiag/internal/cfsm"
-	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/testgen"
 )
 
-// Engine executes the diagnosis hot paths against a compiled Program,
-// implementing core.Engine. Verdict-level behaviour is byte-for-byte
-// identical to the interpreted engine (core.NewSystemEngine); only the
+// Engine executes the diagnosis hot paths against a compiled Program: the
+// Steps 1–5 analysis (Analyze), hypothesis verification (Explains),
+// behavioural variants and the Step-6 searches. internal/core builds one per
+// diagnosis of a packable specification. Verdict-level behaviour is
+// byte-for-byte identical to core's interpreted reference engine; only the
 // representation differs — dense tables, one-cell overlays and packed
 // integer configurations instead of string-keyed maps and system clones.
 //
@@ -70,12 +71,10 @@ func (e *Engine) overlayFor(f fault.Fault) (Overlay, bool) {
 	return e.p.overlayAt(e.memoIdx, f)
 }
 
-var _ core.Engine = (*Engine)(nil)
-
 // NewEngine compiles the system and returns an engine over it. It fails
 // when the global configuration space cannot be packed into the integer
-// keys the searches require (see Program.Packable); callers should fall
-// back to the interpreted engine in that case.
+// keys the searches require (see Program.Packable); internal/core then runs
+// its interpreted reference engine instead.
 func NewEngine(sys *cfsm.System) (*Engine, error) {
 	p, err := Compile(sys)
 	if err != nil {
@@ -210,34 +209,35 @@ func (e *Engine) explainsOverlay(s *Suite, observed [][]cobs, ov Overlay) bool {
 	return true
 }
 
-// variant is a compiled behavioural hypothesis: the program under one
-// overlay.
-type variant struct {
+// Variant is a compiled behavioural hypothesis: the engine's program under
+// one overlay. It shares the engine's scratch runner, so it follows the
+// engine's one-goroutine contract.
+type Variant struct {
 	e  *Engine
 	ov Overlay
 }
 
-// NewVariant returns the executable handle for the specification rewired
-// with f (or the specification itself for nil). Validation failures return
-// the interpreted fault.Validate error so callers see identical messages.
-func (e *Engine) NewVariant(f *fault.Fault) (core.Variant, error) {
+// Variant returns the executable handle for the specification rewired with
+// f (or the specification itself for nil). Validation failures return the
+// interpreted fault.Validate error so callers see identical messages.
+func (e *Engine) Variant(f *fault.Fault) (Variant, error) {
 	if f == nil {
-		return variant{e: e, ov: None()}, nil
+		return Variant{e: e, ov: None()}, nil
 	}
 	ov, ok := e.overlayFor(*f)
 	if !ok {
 		if err := f.Validate(e.p.src); err != nil {
-			return nil, err
+			return Variant{}, err
 		}
 		// An overlay/Validate disagreement would be a compiler defect; the
 		// differential tests pin this branch closed.
-		return nil, fmt.Errorf("compiled: fault %s has no overlay", f.Describe(e.p.src))
+		return Variant{}, fmt.Errorf("compiled: fault %s has no overlay", f.Describe(e.p.src))
 	}
-	return variant{e: e, ov: ov}, nil
+	return Variant{e: e, ov: ov}, nil
 }
 
 // Run executes a test case for the variant from the initial configuration.
-func (v variant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
+func (v Variant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
 	r := v.e.r
 	r.ov = v.ov
 	r.restart()
@@ -245,12 +245,12 @@ func (v variant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
 }
 
 // RunInputs executes the inputs from the initial configuration and returns
-// the reached configuration packed as the engine's Position.
-func (v variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, core.Position, error) {
+// the reached configuration, packed, for use with Engine.Distinguish.
+func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, uint64, error) {
 	e := v.e
 	cis, err := e.p.compileInputs(inputs, e.inBuf)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	e.inBuf = cis
 	r := e.r
@@ -261,7 +261,7 @@ func (v variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, core.Positi
 	for _, ci := range cis {
 		o, _, _, err := r.step(ci)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
 		obs = append(obs, e.p.decodeObs(o))
 	}
@@ -280,41 +280,33 @@ func (e *Engine) TransferToState(machine int, target cfsm.State, avoid testgen.R
 }
 
 // Distinguish finds a shortest avoid-respecting input sequence separating
-// the two variant positions (testgen.Distinguish over the overlaid
-// programs). Both positions must come from this engine's variants.
-func (e *Engine) Distinguish(a, b core.VariantPos, avoid testgen.RefSet) ([]cfsm.Input, bool) {
-	va, okA := a.V.(variant)
-	vb, okB := b.V.(variant)
-	pa, okPA := a.Pos.(uint64)
-	pb, okPB := b.Pos.(uint64)
-	if !okA || !okB || !okPA || !okPB {
-		return nil, false
-	}
-	return e.distinguishSearch(va.ov, pa, vb.ov, pb, avoid)
+// two variants from the packed configurations they reached (RunInputs):
+// testgen.Distinguish over the overlaid programs, or, when projected is set,
+// testgen.ProjectionDistinguish — only a difference at which some side
+// emits a non-silent output counts, and globalOnly reports that a
+// silence-only difference was seen instead. Both variants must come from
+// this engine.
+func (e *Engine) Distinguish(a Variant, pa uint64, b Variant, pb uint64, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
+	return e.distinguishSearch(a.ov, pa, b.ov, pb, avoid, projected)
 }
 
-// FaultEquivalentToSpec reports whether the mutant realized by f is
-// observationally equivalent to the specification — the compiled form of
-// testgen.SystemsEquivalent(spec, mutant). Faults with no legal overlay are
-// not equivalent (they realize no mutant).
-func (e *Engine) FaultEquivalentToSpec(f fault.Fault) bool {
-	ov, ok := e.overlayFor(f)
-	if !ok {
-		return false
+// Equivalent reports whether the mutants realized by two faults — nil
+// standing for the specification itself — are observationally equivalent:
+// the compiled form of testgen.SystemsEquivalent over the applied systems.
+// A fault with no legal overlay realizes no mutant and is equivalent to
+// nothing.
+func (e *Engine) Equivalent(a, b *fault.Fault) bool {
+	ovs := [2]Overlay{None(), None()}
+	for i, f := range [2]*fault.Fault{a, b} {
+		if f == nil {
+			continue
+		}
+		ov, ok := e.overlayFor(*f)
+		if !ok {
+			return false
+		}
+		ovs[i] = ov
 	}
-	_, distinguishable := e.distinguishSearch(None(), e.p.initialP, ov, e.p.initialP, nil)
-	return !distinguishable
-}
-
-// FaultsEquivalent reports whether the mutants realized by two faults are
-// observationally equivalent, the compiled form of the sweep's
-// diagnosed-equivalence check.
-func (e *Engine) FaultsEquivalent(a, b fault.Fault) bool {
-	ovA, okA := e.overlayFor(a)
-	ovB, okB := e.overlayFor(b)
-	if !okA || !okB {
-		return false
-	}
-	_, distinguishable := e.distinguishSearch(ovA, e.p.initialP, ovB, e.p.initialP, nil)
+	_, distinguishable, _ := e.distinguishSearch(ovs[0], e.p.initialP, ovs[1], e.p.initialP, nil, false)
 	return !distinguishable
 }

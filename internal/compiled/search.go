@@ -187,8 +187,11 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 // distinguishSearch is the compiled testgen.DistinguishOver: breadth-first
 // over pairs of packed configurations, one side per overlay, returning the
 // first input sequence whose observations differ (checked before the
-// visited test, exactly as interpreted).
-func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint64, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+// visited test, exactly as interpreted). With projected set it is the
+// compiled testgen.ProjectionDistinguishOver: a difference where both sides
+// stay silent (ε or Null) is invisible to every local observer, so it only
+// sets globalOnly and the search explores through it.
+func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint64, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
 	p := e.p
 	s := e.initSearch(true)
 	mask := e.avoidMask(avoid)
@@ -221,7 +224,10 @@ func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint6
 				continue
 			}
 			if oA != oB {
-				return e.path(s, int32(head), int32(ii)), true
+				if !projected || !p.silent(oA) || !p.silent(oB) {
+					return e.path(s, int32(head), int32(ii)), true, false
+				}
+				globalOnly = true
 			}
 			na, nb := p.pack(s.curA), p.pack(s.curB)
 			if s.visit(pairKey(na, nb)) {
@@ -231,5 +237,9 @@ func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint6
 			s.nodes = append(s.nodes, snode{a: na, b: nb, parent: int32(head), in: int32(ii)})
 		}
 	}
-	return nil, false
+	return nil, false, globalOnly
 }
+
+// silent reports an observation no local observer records: ε or the Null
+// reset output (ports.Silent on the compiled form).
+func (p *Program) silent(o cobs) bool { return o.sym == p.epsID || o.sym == p.nullID }

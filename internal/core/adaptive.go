@@ -159,8 +159,8 @@ func Localize(a *Analysis, oracle Oracle, opts ...Option) (*Localization, error)
 func localize(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings) (*Localization, error) {
 	m := newMetrics(cfg.registry)
 	oracle = wrapOracle(oracle, ctx, m)
-	if cfg.engine != nil {
-		a.eng = cfg.engine
+	if a.eng == nil {
+		a.eng = cfg.engineFor(a.Spec)
 	}
 	loc, err := localizeOnce(ctx, a, oracle, cfg, m)
 	if err != nil {
@@ -370,7 +370,7 @@ func groupDiagnoses(a *Analysis) ([]cfsm.Ref, map[cfsm.Ref][]fault.Fault) {
 // the engine-executable handle that realizes it.
 type variant struct {
 	fault *fault.Fault
-	h     Variant
+	h     variantRunner
 }
 
 // candidateOutcome is the result of testing one candidate transition.
@@ -389,13 +389,13 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 	}
 
 	eng := a.engine()
-	specVar, err := eng.NewVariant(nil)
+	specVar, err := eng.variant(nil)
 	if err != nil {
 		return candidateOutcome{}, fmt.Errorf("core: specification variant: %w", err)
 	}
 	variants := []variant{{fault: nil, h: specVar}}
 	for i := range hyps {
-		h, err := eng.NewVariant(&hyps[i])
+		h, err := eng.variant(&hyps[i])
 		if err != nil {
 			return candidateOutcome{}, fmt.Errorf("core: apply hypothesis %s: %w", hyps[i].Describe(a.Spec), err)
 		}
@@ -408,7 +408,7 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 	// the search — TransferToState only reads the set.
 	hadSelf := avoid[ref]
 	avoid[ref] = true
-	transferInputs, ok := eng.TransferToState(ref.Machine, t.From, avoid)
+	transferInputs, ok := eng.transferToState(ref.Machine, t.From, avoid)
 	if !hadSelf {
 		delete(avoid, ref)
 	}
@@ -531,22 +531,23 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 // live variants: the fixed prefix, extended — when the prefix alone does not
 // already separate some pair — by a distinguishing suffix for the first
 // still-separable pair. Observation sequences are compared through the
-// matcher when one is installed, so a test only counts as discriminating
-// when its difference is visible to the (possibly distributed) observers;
+// matcher when one is installed, and the suffix search then asks for a
+// difference visible to local observers, so a test only counts as
+// discriminating when the (possibly distributed) observers can see it;
 // globalOnly then reports the honest failure mode where some pair remains
 // separable by a global observer but not through the matcher.
-func nextDiscriminatingTest(eng Engine, live []variant, prefix []cfsm.Input, avoid testgen.RefSet, m ObsMatcher) (tc cfsm.TestCase, ok, globalOnly bool) {
+func nextDiscriminatingTest(eng engine, live []variant, prefix []cfsm.Input, avoid testgen.RefSet, m ObsMatcher) (tc cfsm.TestCase, ok, globalOnly bool) {
 	type run struct {
+		at  variantAt
 		obs []cfsm.Observation
-		pos Position
 	}
 	runs := make([]run, len(live))
 	for i, v := range live {
-		obs, pos, err := v.h.RunInputs(prefix)
+		obs, pos, err := v.h.runInputs(prefix)
 		if err != nil {
 			return cfsm.TestCase{}, false, false
 		}
-		runs[i] = run{obs: obs, pos: pos}
+		runs[i] = run{at: variantAt{v: v.h, pos: pos}, obs: obs}
 	}
 	// If the prefix already separates a pair of variants, it is the test.
 	for i := 0; i < len(live); i++ {
@@ -559,48 +560,13 @@ func nextDiscriminatingTest(eng Engine, live []variant, prefix []cfsm.Input, avo
 	// Otherwise search for a distinguishing suffix for some pair.
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
-			a := VariantPos{V: live[i].h, Pos: runs[i].pos}
-			b := VariantPos{V: live[j].h, Pos: runs[j].pos}
-			if m == nil {
-				suffix, ok := eng.Distinguish(a, b, avoid)
-				if !ok {
-					continue
-				}
+			suffix, found, global := eng.distinguish(runs[i].at, runs[j].at, avoid, m != nil)
+			if found {
 				inputs := append([]cfsm.Input(nil), prefix...)
 				inputs = append(inputs, suffix...)
 				return cfsm.TestCase{Inputs: inputs}, true, false
 			}
-			// Matcher mode: prefer an engine that searches for a visibly
-			// distinguishing suffix directly (the interpreted engine, via
-			// testgen.ProjectionDistinguish). Engines without the extension
-			// fall back to the global search plus a matcher check on the
-			// full predictions — sound, but it may miss visible suffixes
-			// the global BFS stops short of.
-			if pd, okPD := eng.(ProjectionDistinguisher); okPD {
-				suffix, found, global := pd.DistinguishProjected(a, b, avoid)
-				if found {
-					inputs := append([]cfsm.Input(nil), prefix...)
-					inputs = append(inputs, suffix...)
-					return cfsm.TestCase{Inputs: inputs}, true, false
-				}
-				globalOnly = globalOnly || global
-				continue
-			}
-			suffix, found := eng.Distinguish(a, b, avoid)
-			if !found {
-				continue
-			}
-			inputs := append([]cfsm.Input(nil), prefix...)
-			inputs = append(inputs, suffix...)
-			pa, _, errA := live[i].h.RunInputs(inputs)
-			pb, _, errB := live[j].h.RunInputs(inputs)
-			if errA != nil || errB != nil {
-				continue
-			}
-			if !m.Equal(pa, pb) {
-				return cfsm.TestCase{Inputs: inputs}, true, false
-			}
-			globalOnly = true
+			globalOnly = globalOnly || global
 		}
 	}
 	return cfsm.TestCase{}, false, globalOnly

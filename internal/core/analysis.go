@@ -57,7 +57,9 @@ type StateOutput struct {
 // machine.
 type MachineSets [][]cfsm.Ref
 
-// Analysis is the result of Steps 1–5.
+// Analysis is the result of Steps 1–5. It carries the execution engine
+// Localize continues on, whose scratch state makes an Analysis unsafe for
+// concurrent use.
 type Analysis struct {
 	Spec  *cfsm.System
 	Suite []cfsm.TestCase
@@ -111,10 +113,10 @@ type Analysis struct {
 	// hypothesis space. See DESIGN.md §3.
 	Escalated bool
 
-	// eng is the execution engine for the hot inner operations (explains,
-	// variants, Step-6 searches); nil resolves to the interpreted default via
-	// Analysis.engine. See WithEngine.
-	eng Engine
+	// eng is the execution engine Analyze resolved for this analysis and
+	// Localize reuses; nil (a hand-built Analysis) is resolved on first use
+	// by Analysis.engine.
+	eng engine
 	// matcher generalizes predicted-vs-observed comparison; nil means exact
 	// equality. See WithObsMatcher.
 	matcher ObsMatcher
@@ -125,9 +127,12 @@ func (a *Analysis) HasSymptoms() bool { return len(a.Symptoms) > 0 }
 
 // Analyze performs Steps 1–5 for the given specification, test suite and
 // observed outputs (one observation sequence per test case, as produced by
-// executing the suite on the implementation under test). Options other than
-// WithRegistry and WithEngine are ignored here; they configure the Step-6
-// entry points.
+// executing the suite on the implementation under test). The analysis runs
+// on the compiled engine when the specification's configuration space
+// packs and on the interpreted one otherwise (see engine); Localize reuses
+// the engine through the returned Analysis. Options other than WithRegistry,
+// WithTrace, WithObsMatcher and WithEngine are ignored here; they configure
+// the Step-6 entry points.
 func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation, opts ...Option) (*Analysis, error) {
 	cfg := defaultSettings()
 	for _, opt := range opts {
@@ -142,7 +147,7 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 		Spec:         spec,
 		Suite:        suite,
 		Observed:     observed,
-		eng:          cfg.engine,
+		eng:          cfg.engineFor(spec),
 		matcher:      cfg.matcher,
 		FirstSymptom: make(map[int]int),
 		Conflicts:    make(map[int]MachineSets),
@@ -152,25 +157,8 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 		Addresses:    make(map[cfsm.Ref][]int),
 	}
 
-	// Steps 1–5B run either on the engine, when it analyzes directly
-	// (AnalyzerEngine, the compiled path), or on the interpreted
-	// specification. The compiled path engages only with structured tracing
-	// off — the interpreted simulation additionally emits sim.* step events
-	// that the compiled one does not reproduce — and with no observation
-	// matcher installed: AnalyzeInto verifies hypotheses by exact equality
-	// on its own representation, which a matcher must override.
-	analyzed := false
-	if ae, ok := cfg.engine.(AnalyzerEngine); ok && !cfg.trace.Enabled() && cfg.matcher == nil {
-		done, err := ae.AnalyzeInto(a)
-		if err != nil {
-			return nil, err
-		}
-		analyzed = done
-	}
-	if !analyzed {
-		if err := a.analyzeInterpreted(cfg.trace); err != nil {
-			return nil, err
-		}
+	if err := a.eng.analyze(a, cfg.trace); err != nil {
+		return nil, err
 	}
 
 	m.analyses.Inc()
@@ -204,9 +192,9 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 
 // analyzeInterpreted runs Steps 1–5B against the string-keyed specification:
 // simulate the suite, extract symptoms, build and intersect conflict sets,
-// split the candidate sets and verify every hypothesis. It is the default
-// body of Analyze; AnalyzerEngine implementations replace it with an
-// equivalent computation on their own representation.
+// split the candidate sets and verify every hypothesis. It is the
+// interpreted engine's analysis; compiled.Engine.Analyze computes the same
+// fields on dense tables.
 func (a *Analysis) analyzeInterpreted(tr *trace.Tracer) error {
 	// Steps 1–3: expected outputs, symptoms, unique symptom transition, flag.
 	traces := make([][][]cfsm.Executed, len(a.Suite))

@@ -2,128 +2,185 @@ package core
 
 import (
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/trace"
 )
 
-// Engine abstracts the execution substrate behind the diagnosis pipeline's
-// hot inner operations: hypothesis verification (explains), behavioural
-// variant execution, and the Step-6 transfer/distinguishing searches. The
-// pipeline's control flow — symptom extraction, conflict and candidate set
-// construction, the refinement rounds, escalations and verdicts — never
-// depends on which engine runs underneath, so two engines over the same
-// specification must produce byte-for-byte identical Analyses and
+// engine is the execution substrate behind the pipeline: Steps 1–5B of the
+// analysis, hypothesis verification (explains), behavioural variant
+// execution, and the Step-6 transfer/distinguishing searches. The pipeline's
+// control flow — Step 5C, the refinement rounds, escalations and verdicts —
+// never depends on which engine runs underneath, so both engines over the
+// same specification produce byte-for-byte identical Analyses and
 // Localizations.
 //
-// The default engine interprets the string-keyed cfsm.System directly. The
-// compiled engine (internal/compiled) lowers the system into dense integer
-// tables once and patches single table cells per fault hypothesis; the
-// differential tests in internal/compiled pin the equivalence.
+// Every diagnosis of a specification whose global configuration space packs
+// (compiled.Program.Packable) runs on the compiled engine: dense tables,
+// one-cell fault overlays and packed configurations. The interpreted engine
+// runs the string-keyed cfsm.System directly; it is the documented fallback
+// for specifications that do not pack, and the reference the differential
+// tests compare the compiled engine against (named with WithEngine(nil)).
 //
-// An Engine is bound to one specification at construction; passing it to a
-// diagnosis of a different specification is a programming error.
-type Engine interface {
-	// Explains reports whether injecting f into the specification makes
+// An engine is bound to one specification and, like compiled.Engine, to one
+// goroutine at a time.
+type engine interface {
+	// analyze runs Steps 1–5B into a, which Analyze has initialized (Spec,
+	// Suite, Observed, matcher and empty non-nil maps).
+	analyze(a *Analysis, tr *trace.Tracer) error
+	// explains reports whether injecting f into the specification makes
 	// every test case of the suite reproduce the matching observation
-	// sequence. Faults that fail validation explain nothing.
-	Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool
-	// NewVariant returns an executable handle for the specification rewired
+	// sequence exactly. Faults that fail validation explain nothing.
+	explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool
+	// variant returns an executable handle for the specification rewired
 	// with f, or for the specification itself when f is nil. The error
 	// mirrors fault.Fault.Apply's validation.
-	NewVariant(f *fault.Fault) (Variant, error)
-	// TransferToState finds a shortest avoid-respecting input sequence from
+	variant(f *fault.Fault) (variantRunner, error)
+	// transferToState finds a shortest avoid-respecting input sequence from
 	// the initial configuration to any global configuration in which the
-	// given machine is in the target state (testgen.TransferToState
-	// semantics, including the search limit).
-	TransferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool)
-	// Distinguish finds a shortest avoid-respecting input sequence whose
-	// observation sequences differ between the two variant positions
-	// (testgen.Distinguish semantics). Both positions must come from this
-	// engine's variants.
-	Distinguish(a, b VariantPos, avoid testgen.RefSet) ([]cfsm.Input, bool)
+	// given machine is in the target state (testgen.TransferToState).
+	transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool)
+	// distinguish finds a shortest avoid-respecting input sequence whose
+	// observation sequences differ between two variants from the positions
+	// they reached (testgen.Distinguish); with projected set the difference
+	// must be visible to local observers and globalOnly reports a
+	// silence-only one (testgen.ProjectionDistinguish).
+	distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool)
 }
 
-// ProjectionDistinguisher is an optional Engine extension used by the
-// observation-matcher (distributed observation) mode of Step 6: it searches
-// for a shortest avoid-respecting suffix whose observation difference is
-// *visible* — at least one of the two differing observations is non-silent,
-// so some local observer records the difference (silence carries no port
-// information; two runs differing only in where their ε slots fall project
-// identically at every port). globalOnly reports that no visible difference
-// was found although a silence-only (global-observer) difference exists.
-type ProjectionDistinguisher interface {
-	DistinguishProjected(a, b VariantPos, avoid testgen.RefSet) (seq []cfsm.Input, ok, globalOnly bool)
-}
-
-// AnalyzerEngine is an optional Engine extension: an engine that can run
-// Steps 1–5B of the analysis on its own representation instead of the
-// interpreted default (Analysis.analyzeInterpreted). The compiled engine
-// implements it with integer/bitset structures over its transition indices.
-//
-// Analyze calls AnalyzeInto with the Analysis pre-initialized (Spec, Suite,
-// Observed, engine, and empty non-nil maps). The implementation must fill
-// Expected, Symptoms, FirstSymptom, UST/USO/Flag, Conflicts, ITC, UstSet,
-// FTCtr, FTCco and the verified EndStates/Outputs/StatOut sets exactly as
-// the interpreted path would — including entry presence, slice order and
-// nil-ness, since the Analysis is serialized byte-for-byte into reports and
-// server responses. Step 5C (emitDiagnoses), metrics and trace emission stay
-// in Analyze and are shared by both paths.
-//
-// AnalyzeInto returns done=false (and no error) to decline — e.g. when the
-// Analysis targets a different specification than the engine was built for —
-// in which case Analyze falls back to the interpreted path. Errors are
-// returned only for the analysis failures the interpreted path would also
-// report (simulation failure, observation-count mismatch), with identical
-// messages.
-type AnalyzerEngine interface {
-	Engine
-	AnalyzeInto(a *Analysis) (done bool, err error)
-}
-
-// Variant is one behavioural hypothesis — the specification or a rewired
-// copy — executable from its initial configuration.
-type Variant interface {
-	// Run executes a test case from the initial configuration and returns
-	// the observation sequence (cfsm.System.Run semantics).
+// variantRunner is one behavioural hypothesis — the specification or a
+// rewired copy — executable from its initial configuration.
+type variantRunner interface {
+	// Run executes a test case (cfsm.System.Run semantics).
 	Run(tc cfsm.TestCase) ([]cfsm.Observation, error)
-	// RunInputs executes the inputs from the initial configuration and
-	// additionally returns the reached position for use with
-	// Engine.Distinguish.
-	RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, Position, error)
+	// runInputs executes the inputs and additionally returns the reached
+	// position, in the engine's own encoding, for distinguish.
+	runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error)
 }
 
-// Position is an engine-specific encoding of a variant's reached global
-// configuration. The interpreted engine uses cfsm.Config; the compiled
-// engine packs the configuration into an integer.
-type Position any
-
-// VariantPos pairs a variant with a position it reached.
-type VariantPos struct {
-	V   Variant
-	Pos Position
+// variantAt pairs a variant with a position it reached.
+type variantAt struct {
+	v   variantRunner
+	pos any
 }
 
-// engine resolves the analysis' execution engine, defaulting to the
-// interpreted one so hand-built Analyses (tests, replay) keep working.
-func (a *Analysis) engine() Engine {
+// newEngine builds the engine for a specification: compiled when its
+// configuration space packs, interpreted otherwise.
+func newEngine(spec *cfsm.System) engine {
+	if e, err := compiled.NewEngine(spec); err == nil {
+		return compiledEngine{e}
+	}
+	return systemEngine{spec: spec}
+}
+
+// engine resolves the analysis' execution engine, building it from the
+// specification for hand-built Analyses (tests, replay).
+func (a *Analysis) engine() engine {
 	if a.eng == nil {
-		a.eng = systemEngine{spec: a.Spec}
+		a.eng = newEngine(a.Spec)
 	}
 	return a.eng
 }
 
-// systemEngine is the interpreted default: every operation runs against the
-// string-keyed cfsm.System exactly as the pipeline historically did.
+// compiledEngine runs the pipeline on a compiled.Engine.
+type compiledEngine struct {
+	e *compiled.Engine
+}
+
+// analyze runs Steps 1–5 on the compiled tables. The compiled simulation
+// emits no sim.* step events, so with tracing on the specification is
+// additionally run through cfsm.System.RunTraced, case by case up to the
+// first failure, exactly as the interpreted analysis does. Under an
+// observation matcher the compiled verification (exact equality) is skipped
+// and core's verification runs over compiled variants instead.
+func (c compiledEngine) analyze(a *Analysis, tr *trace.Tracer) error {
+	if tr.Enabled() {
+		for i, tc := range a.Suite {
+			exp, _, err := a.Spec.RunTraced(tc, tr)
+			if err != nil || len(a.Observed[i]) != len(exp) {
+				break
+			}
+		}
+	}
+	r, err := c.e.Analyze(a.Suite, a.Observed, a.matcher == nil)
+	if err != nil {
+		return err
+	}
+	a.Expected, a.FirstSymptom, a.UST, a.USO, a.Flag = r.Expected, r.FirstSymptom, r.UST, r.USO, r.Flag
+	if len(r.Symptoms) == 0 {
+		return nil
+	}
+	a.Symptoms = make([]Symptom, len(r.Symptoms))
+	for i, s := range r.Symptoms {
+		a.Symptoms[i] = Symptom{Case: s.Case, Step: s.Step, Transition: s.Transition,
+			Expected: a.Expected[s.Case][s.Step], Observed: a.Observed[s.Case][s.Step]}
+	}
+	for i, sets := range r.Conflicts {
+		a.Conflicts[i] = sets
+	}
+	a.ITC, a.UstSet, a.FTCtr, a.FTCco = r.ITC, r.UstSet, r.FTCtr, r.FTCco
+	if a.matcher != nil {
+		a.verifyHypotheses()
+		return nil
+	}
+	a.EndStates, a.Outputs = r.EndStates, r.Outputs
+	for ref, sos := range r.StatOut {
+		var conv []StateOutput
+		if sos != nil {
+			conv = make([]StateOutput, len(sos))
+			for i, so := range sos {
+				conv[i] = StateOutput(so)
+			}
+		}
+		a.StatOut[ref] = conv
+	}
+	return nil
+}
+
+func (c compiledEngine) explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
+	return c.e.Explains(suite, observed, f)
+}
+
+func (c compiledEngine) variant(f *fault.Fault) (variantRunner, error) {
+	v, err := c.e.Variant(f)
+	if err != nil {
+		return nil, err
+	}
+	return compiledVariant{v}, nil
+}
+
+func (c compiledEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+	return c.e.TransferToState(machine, target, avoid)
+}
+
+func (c compiledEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
+	return c.e.Distinguish(a.v.(compiledVariant).Variant, a.pos.(uint64),
+		b.v.(compiledVariant).Variant, b.pos.(uint64), avoid, projected)
+}
+
+// compiledVariant is a compiled.Variant; its position is the packed
+// configuration.
+type compiledVariant struct {
+	compiled.Variant
+}
+
+func (v compiledVariant) runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error) {
+	obs, pos, err := v.RunInputs(inputs)
+	return obs, pos, err
+}
+
+// systemEngine is the interpreted engine: every operation runs against the
+// string-keyed cfsm.System, rewiring a clone per hypothesis.
 type systemEngine struct {
 	spec *cfsm.System
 }
 
-// NewSystemEngine returns the interpreted engine for a specification. It is
-// what the pipeline uses when no WithEngine option is given; the constructor
-// exists so differential tests can name the baseline explicitly.
-func NewSystemEngine(spec *cfsm.System) Engine { return systemEngine{spec: spec} }
+func (e systemEngine) analyze(a *Analysis, tr *trace.Tracer) error {
+	return a.analyzeInterpreted(tr)
+}
 
-func (e systemEngine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
+func (e systemEngine) explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
 	mutant, err := f.Apply(e.spec)
 	if err != nil {
 		return false
@@ -140,7 +197,7 @@ func (e systemEngine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observat
 	return true
 }
 
-func (e systemEngine) NewVariant(f *fault.Fault) (Variant, error) {
+func (e systemEngine) variant(f *fault.Fault) (variantRunner, error) {
 	if f == nil {
 		return systemVariant{sys: e.spec}, nil
 	}
@@ -151,25 +208,19 @@ func (e systemEngine) NewVariant(f *fault.Fault) (Variant, error) {
 	return systemVariant{sys: sys}, nil
 }
 
-func (e systemEngine) TransferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+func (e systemEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
 	res, ok := testgen.TransferToState(e.spec, machine, target, avoid)
 	return res.Inputs, ok
 }
 
-func (e systemEngine) Distinguish(a, b VariantPos, avoid testgen.RefSet) ([]cfsm.Input, bool) {
-	return testgen.Distinguish(
-		testgen.Variant{Sys: a.V.(systemVariant).sys, Cfg: a.Pos.(cfsm.Config)},
-		testgen.Variant{Sys: b.V.(systemVariant).sys, Cfg: b.Pos.(cfsm.Config)},
-		avoid,
-	)
-}
-
-func (e systemEngine) DistinguishProjected(a, b VariantPos, avoid testgen.RefSet) ([]cfsm.Input, bool, bool) {
-	return testgen.ProjectionDistinguish(
-		testgen.Variant{Sys: a.V.(systemVariant).sys, Cfg: a.Pos.(cfsm.Config)},
-		testgen.Variant{Sys: b.V.(systemVariant).sys, Cfg: b.Pos.(cfsm.Config)},
-		avoid,
-	)
+func (e systemEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
+	va := testgen.Variant{Sys: a.v.(systemVariant).sys, Cfg: a.pos.(cfsm.Config)}
+	vb := testgen.Variant{Sys: b.v.(systemVariant).sys, Cfg: b.pos.(cfsm.Config)}
+	if projected {
+		return testgen.ProjectionDistinguish(va, vb, avoid)
+	}
+	seq, ok := testgen.Distinguish(va, vb, avoid)
+	return seq, ok, false
 }
 
 // systemVariant executes one hypothesis against its interpreted system.
@@ -181,7 +232,7 @@ func (v systemVariant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
 	return v.sys.Run(tc)
 }
 
-func (v systemVariant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, Position, error) {
+func (v systemVariant) runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error) {
 	cfg := v.sys.InitialConfig()
 	var obs []cfsm.Observation
 	for _, in := range inputs {
@@ -193,4 +244,17 @@ func (v systemVariant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, Posit
 		cfg = next
 	}
 	return obs, cfg, nil
+}
+
+// engineFor resolves the engine a diagnosis of spec runs on: the interpreted
+// reference when WithEngine(nil) named it, the caller's compiled engine when
+// it was built for spec, and otherwise a fresh one (newEngine).
+func (s *settings) engineFor(spec *cfsm.System) engine {
+	switch {
+	case s.reference:
+		return systemEngine{spec: spec}
+	case s.engine != nil && s.engine.Program().System() == spec:
+		return compiledEngine{s.engine}
+	}
+	return newEngine(spec)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/trace"
 )
@@ -14,10 +15,11 @@ type settings struct {
 	combinedEscalation bool // widen to combined faults before giving up
 	addressEscalation  bool // widen to addressing faults before giving up
 	tracer             Tracer
-	registry           *obs.Registry // nil = observability disabled
-	trace              *trace.Tracer // nil = structured tracing disabled
-	engine             Engine        // nil = interpreted systemEngine
-	matcher            ObsMatcher    // nil = exact observation equality
+	registry           *obs.Registry    // nil = observability disabled
+	trace              *trace.Tracer    // nil = structured tracing disabled
+	engine             *compiled.Engine // nil = built per Analyze (engineFor)
+	reference          bool             // WithEngine(nil): interpreted engine
+	matcher            ObsMatcher       // nil = exact observation equality
 }
 
 func defaultSettings() settings {
@@ -92,11 +94,17 @@ func WithObsMatcher(m ObsMatcher) Option {
 	return func(s *settings) { s.matcher = m }
 }
 
-// WithEngine selects the execution engine for the hot inner operations
-// (hypothesis verification, variant runs, Step-6 searches). The engine must
-// have been built for the same specification passed to Analyze/Diagnose; the
-// verdicts are engine-independent by contract (see Engine). A nil engine —
-// the default — uses the interpreted system directly.
-func WithEngine(e Engine) Option {
-	return func(s *settings) { s.engine = e }
+// WithEngine runs the diagnosis on a prebuilt compiled engine instead of
+// one built per Analyze call — a sweep worker reuses one engine, with its
+// compiled suite installed, across every mutant. The engine must have been
+// built for the specification passed to Analyze/Diagnose; one built for
+// another specification is ignored. A nil engine names the interpreted
+// reference engine, which the differential tests compare the compiled one
+// against. The engine never changes a verdict: every engine produces
+// byte-identical Analyses and Localizations.
+func WithEngine(e *compiled.Engine) Option {
+	return func(s *settings) {
+		s.engine = e
+		s.reference = e == nil
+	}
 }

@@ -60,13 +60,13 @@ func planCandidateTest(a *Analysis, ref cfsm.Ref, hyps []fault.Fault, avoid test
 		return PlannedTest{}, false
 	}
 	eng := a.engine()
-	specVar, err := eng.NewVariant(nil)
+	specVar, err := eng.variant(nil)
 	if err != nil {
 		return PlannedTest{}, false
 	}
 	variants := []variant{{fault: nil, h: specVar}}
 	for i := range hyps {
-		h, err := eng.NewVariant(&hyps[i])
+		h, err := eng.variant(&hyps[i])
 		if err != nil {
 			continue
 		}
@@ -77,7 +77,7 @@ func planCandidateTest(a *Analysis, ref cfsm.Ref, hyps []fault.Fault, avoid test
 	}
 	avoidWithSelf := avoid.Clone()
 	avoidWithSelf[ref] = true
-	transferInputs, ok := eng.TransferToState(ref.Machine, t.From, avoidWithSelf)
+	transferInputs, ok := eng.transferToState(ref.Machine, t.From, avoidWithSelf)
 	if !ok {
 		return PlannedTest{}, false
 	}

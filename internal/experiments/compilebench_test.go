@@ -3,9 +3,8 @@ package experiments
 import "testing"
 
 // TestRunCompileBench runs experiment E14 end to end: the record must carry
-// a real measurement for every field, and the built-in equivalence gate
-// (identical sweep outcomes on both engines) must hold. Skipped in -short
-// mode: the measurement loops take several seconds by design.
+// a real measurement for every field. Skipped in -short mode: the
+// measurement loops take several seconds by design.
 func TestRunCompileBench(t *testing.T) {
 	if testing.Short() {
 		t.Skip("E14 runs benchmark loops; skipped in -short mode")
@@ -21,20 +20,16 @@ func TestRunCompileBench(t *testing.T) {
 		t.Fatalf("compile stats missing: %+v", rec)
 	}
 	for name, v := range map[string]int64{
-		"interpreted_sweep_ns_per_op": rec.InterpretedSweepNsPerOp,
-		"compiled_sweep_ns_per_op":    rec.CompiledSweepNsPerOp,
-		"interpreted_ns_per_mutant":   rec.InterpretedNsPerMutant,
-		"compiled_ns_per_mutant":      rec.CompiledNsPerMutant,
-		"json_parse_ns_per_op":        rec.JSONParseNsPerOp,
-		"binary_decode_ns_per_op":     rec.BinaryDecodeNsPerOp,
-		"registry_hit_ns_per_op":      rec.RegistryHitNsPerOp,
+		"sweep_ns_per_op":         rec.SweepNsPerOp,
+		"sweep_ns_per_mutant":     rec.SweepNsPerMutant,
+		"sweep_allocs_per_op":     rec.SweepAllocsPerOp,
+		"json_parse_ns_per_op":    rec.JSONParseNsPerOp,
+		"binary_decode_ns_per_op": rec.BinaryDecodeNsPerOp,
+		"registry_hit_ns_per_op":  rec.RegistryHitNsPerOp,
 	} {
 		if v <= 0 {
 			t.Errorf("%s = %d, want > 0", name, v)
 		}
-	}
-	if rec.SweepSpeedup <= 1 {
-		t.Errorf("compiled sweep is not faster than interpreted (speedup %.2f)", rec.SweepSpeedup)
 	}
 	if rec.RegistryHitNsPerOp >= rec.JSONParseNsPerOp {
 		t.Errorf("registry hit (%d ns) not cheaper than a JSON parse (%d ns)",

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/jobs"
 	"cfsmdiag/internal/obs"
@@ -96,6 +97,13 @@ func RunJobsBench(opts JobsBenchOptions) (JobsBenchRecord, error) {
 		Seed:       opts.Seed,
 	}
 
+	// Executors run concurrently: they share the compiled program and suite
+	// and build their own worker state per job.
+	prog, err := compiled.Compile(spec)
+	if err != nil {
+		return rec, err
+	}
+	csuite := compiled.NewSuite(prog, suite)
 	exec := func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		var p jobsBenchPayload
 		if err := json.Unmarshal(payload, &p); err != nil {
@@ -104,12 +112,13 @@ func RunJobsBench(opts JobsBenchOptions) (JobsBenchRecord, error) {
 		if p.Mutant < 0 || p.Mutant >= len(faults) {
 			return nil, fmt.Errorf("mutant index %d out of range [0,%d)", p.Mutant, len(faults))
 		}
-		sys, err := faults[p.Mutant].Apply(spec)
-		if err != nil {
-			return nil, err
+		f := faults[p.Mutant]
+		ov, ok := prog.OverlayFor(f)
+		if !ok {
+			return nil, fmt.Errorf("fault %s has no overlay", f.Describe(spec))
 		}
 		budget := int64(0)
-		report, err := diagnoseMutant(ctx, spec, suite, fault.Mutant{Fault: faults[p.Mutant], System: sys}, SweepOptions{}, &budget)
+		report, err := newSweepWorker(prog, csuite, nil).diagnose(ctx, spec, suite, f, ov, SweepOptions{}, &budget)
 		if err != nil {
 			return nil, err
 		}

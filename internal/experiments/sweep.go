@@ -124,15 +124,6 @@ type SweepOptions struct {
 	// TraceFailures caps how many failing mutants are traced. Zero with a
 	// non-nil Trace means 1.
 	TraceFailures int
-	// Interpreted forces the historical string-keyed execution path. By
-	// default the sweep compiles the specification into the dense table
-	// representation (internal/compiled) once, shares the immutable program
-	// across workers, and diagnoses every mutant against a one-cell table
-	// overlay instead of a cloned system. The two paths produce byte-
-	// identical SweepResults (pinned by differential tests); the sweep falls
-	// back to the interpreted path automatically when the system's global
-	// state space cannot be packed for the compiled searches.
-	Interpreted bool
 }
 
 // Metric families of the sweep engine.
@@ -289,72 +280,41 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 	sweepStart := time.Now()
 	defer func() { met.duration.Observe(time.Since(sweepStart).Seconds()) }()
 
-	// Lower the specification once; every worker shares the immutable program
-	// and realizes mutants as one-cell overlays. A nil prog selects the
-	// interpreted path (forced, or state space too large to pack). The test
-	// suite is likewise compiled once per sweep — expected observations,
-	// symptom transitions and conflict prefixes precomputed — and the
-	// immutable result shared by every worker engine, so no mutant ever
-	// re-simulates the specification.
-	var prog *compiled.Program
-	var csuite *compiled.Suite
-	if !opts.Interpreted {
-		if p, err := compiled.Compile(spec); err == nil && p.Packable() {
-			prog = p
-			csuite = compiled.NewSuite(p, suite)
-		}
+	// Lower the specification and the test suite once — expected
+	// observations, symptom transitions and conflict prefixes precomputed —
+	// and share the immutable results across workers; every mutant is a
+	// one-cell table overlay on the worker's oracle runner, never a cloned
+	// system, and no mutant re-simulates the specification.
+	prog, err := compiled.Compile(spec)
+	if err != nil {
+		return res, err
 	}
+	csuite := compiled.NewSuite(prog, suite)
 
 	if workers == 1 {
-		if prog != nil {
-			eng, err := compiled.EngineFor(prog)
-			if err != nil {
-				return res, err // unreachable: Packable checked above
+		w := newSweepWorker(prog, csuite, opts.Registry)
+		for _, f := range faults {
+			ov, ok := prog.OverlayFor(f)
+			if !ok {
+				continue // mirrors fault.ForEachMutant's apply-skip
 			}
-			eng.SetSuite(csuite)
-			oracleR := prog.NewRunner()
-			for _, f := range faults {
-				ov, ok := prog.OverlayFor(f)
-				if !ok {
-					continue // mirrors fault.ForEachMutant's apply-skip
-				}
-				if err := ctx.Err(); err != nil {
-					return res, err
-				}
-				met.busy.Inc()
-				start := time.Now()
-				report, err := diagnoseMutantCompiled(ctx, spec, suite, eng, oracleR, f, ov, opts, &traceBudget)
-				met.busy.Dec()
-				if err != nil {
-					if ctxErr := ctx.Err(); ctxErr != nil {
-						return res, ctxErr
-					}
-					return res, err
-				}
-				met.observe(report, time.Since(start))
-				res.add(report)
-			}
-			return res, nil
-		}
-		err := fault.ForEachMutantOf(spec, faults, func(m fault.Mutant) error {
 			if err := ctx.Err(); err != nil {
-				return err
+				return res, err
 			}
 			met.busy.Inc()
 			start := time.Now()
-			report, err := diagnoseMutant(ctx, spec, suite, m, opts, &traceBudget)
+			report, err := w.diagnose(ctx, spec, suite, f, ov, opts, &traceBudget)
 			met.busy.Dec()
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
-					return ctxErr
+					return res, ctxErr
 				}
-				return err
+				return res, err
 			}
 			met.observe(report, time.Since(start))
 			res.add(report)
-			return nil
-		})
-		return res, err
+		}
+		return res, nil
 	}
 
 	type outcome struct {
@@ -383,53 +343,19 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 		go func() {
 			defer wg.Done()
 			// Per-worker engine and oracle runner over the shared program:
-			// both reuse scratch buffers and must not cross goroutines. The
-			// compiled suite is immutable and shared by all workers.
-			var eng *compiled.Engine
-			var oracleR *compiled.Runner
-			if prog != nil {
-				var err error
-				if eng, err = compiled.EngineFor(prog); err != nil {
-					eng = nil // unreachable: Packable checked at selection
-				} else {
-					eng.SetSuite(csuite)
-					oracleR = prog.NewRunner()
-				}
-			}
+			// both reuse scratch buffers and must not cross goroutines.
+			w := newSweepWorker(prog, csuite, opts.Registry)
 			for idx := range jobs {
-				var report MutantReport
-				var err error
-				if eng != nil {
-					ov, ok := prog.OverlayFor(faults[idx])
-					if !ok {
-						// Mirrors the skip in fault.ForEachMutant; cannot
-						// happen for Enumerate's output.
-						results[idx] = outcome{done: true, skipped: true}
-						continue
-					}
-					met.busy.Inc()
-					start := time.Now()
-					report, err = diagnoseMutantCompiled(wctx, spec, suite, eng, oracleR, faults[idx], ov, opts, &traceBudget)
-					met.busy.Dec()
-					results[idx] = outcome{done: true, report: report, err: err}
-					if err != nil {
-						cancel()
-						return
-					}
-					met.observe(report, time.Since(start))
-					continue
-				}
-				sys, err := faults[idx].Apply(spec)
-				if err != nil {
+				ov, ok := prog.OverlayFor(faults[idx])
+				if !ok {
 					// Mirrors the skip in fault.ForEachMutant; cannot happen
 					// for Enumerate's output.
 					results[idx] = outcome{done: true, skipped: true}
 					continue
 				}
-				m := fault.Mutant{Fault: faults[idx], System: sys}
 				met.busy.Inc()
 				start := time.Now()
-				report, err = diagnoseMutant(wctx, spec, suite, m, opts, &traceBudget)
+				report, err := w.diagnose(wctx, spec, suite, faults[idx], ov, opts, &traceBudget)
 				met.busy.Dec()
 				// Each worker writes only its own index; no lock needed.
 				results[idx] = outcome{done: true, report: report, err: err}
@@ -485,67 +411,84 @@ func (res *SweepResult) add(report MutantReport) {
 	res.Reports = append(res.Reports, report)
 }
 
-// diagnoseMutant runs the full Steps 1–6 diagnosis of one mutant against the
-// specification and classifies the outcome. It is pure with respect to
-// shared state — spec and suite are read-only — and therefore safe to call
-// from concurrent sweep workers.
-func diagnoseMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
-	report := MutantReport{Fault: m.Fault}
-	oracle := &core.SystemOracle{Sys: m.System}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry))
-	if err != nil {
-		return report, fmt.Errorf("diagnose %s: %w", m.Fault.Describe(spec), err)
-	}
-	report.AdditionalTests = oracle.Tests - len(suite)
-	report.AdditionalIn = oracle.Inputs
-	classifyOutcome(loc, m.Fault, &report, opts.CheckEquivalence,
-		func() bool { return testgen.SystemsEquivalent(spec, m.System) },
-		func(diagnosed fault.Fault) bool { return diagnosedEquivalent(spec, diagnosed, m.System) })
-	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
-		traceMutant(ctx, spec, suite, m, report.Outcome, opts.Trace)
-	}
-	return report, nil
+// sweepWorker is one worker's execution state over the shared program: a
+// compiled engine with the shared suite installed, and the oracle runner
+// that realizes each mutant as an overlay. eng is nil when the
+// specification's configuration space does not pack; core then diagnoses on
+// its interpreted engine.
+type sweepWorker struct {
+	eng    *compiled.Engine
+	oracle *compiled.Runner
+	// engine selects eng for core (empty when eng is nil); opts adds the
+	// sweep's registry.
+	engine []core.Option
+	opts   []core.Option
 }
 
-// diagnoseMutantCompiled is diagnoseMutant on the compiled substrate: the
-// injected fault is realized as a table overlay on the oracle runner instead
-// of a cloned system, and the analysis itself runs on the worker's compiled
-// engine. Verdicts, counts and classification are byte-identical to the
-// interpreted path.
-func diagnoseMutantCompiled(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, eng *compiled.Engine, oracleR *compiled.Runner, f fault.Fault, ov compiled.Overlay, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
+func newSweepWorker(prog *compiled.Program, csuite *compiled.Suite, reg *obs.Registry) sweepWorker {
+	w := sweepWorker{oracle: prog.NewRunner()}
+	if eng, err := compiled.EngineFor(prog); err == nil {
+		eng.SetSuite(csuite)
+		w.eng = eng
+		w.engine = []core.Option{core.WithEngine(eng)}
+	}
+	w.opts = append([]core.Option{core.WithRegistry(reg)}, w.engine...)
+	return w
+}
+
+// diagnose runs the full Steps 1–6 diagnosis of the mutant realized by f
+// (lowered to ov) against the specification and classifies the outcome.
+// spec and suite are read-only, so workers may call it concurrently, each
+// on its own sweepWorker.
+func (w sweepWorker) diagnose(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, f fault.Fault, ov compiled.Overlay, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
 	report := MutantReport{Fault: f}
-	oracleR.SetOverlay(ov)
-	oracle := &compiled.Oracle{R: oracleR}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, core.WithRegistry(opts.Registry), core.WithEngine(eng))
+	w.oracle.SetOverlay(ov)
+	oracle := &compiled.Oracle{R: w.oracle}
+	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, w.opts...)
 	if err != nil {
 		return report, fmt.Errorf("diagnose %s: %w", f.Describe(spec), err)
 	}
 	report.AdditionalTests = oracle.Tests - len(suite)
 	report.AdditionalIn = oracle.Inputs
-	classifyOutcome(loc, f, &report, opts.CheckEquivalence,
-		func() bool { return eng.FaultEquivalentToSpec(f) },
-		func(diagnosed fault.Fault) bool { return eng.FaultsEquivalent(diagnosed, f) })
+	var equiv func(*fault.Fault) bool
+	if opts.CheckEquivalence {
+		equiv = func(diagnosed *fault.Fault) bool { return w.equivalent(spec, diagnosed, f) }
+	}
+	classifyOutcome(loc, f, &report, equiv)
 	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
-		// The traced re-run stays on the interpreted path: it needs a mutant
-		// system for the oracle and is off the hot path by construction.
-		if sys, err := f.Apply(spec); err == nil {
-			traceMutant(ctx, spec, suite, fault.Mutant{Fault: f, System: sys}, report.Outcome, opts.Trace)
-		}
+		w.traceMutant(ctx, spec, suite, f, report.Outcome, opts.Trace)
 	}
 	return report, nil
 }
 
-// classifyOutcome folds a localization verdict into the report, with the
-// equivalence predicates abstracted so the interpreted and compiled paths
-// classify identically: specEquiv decides mutant ≡ specification for
-// undetected mutants, diagEquiv decides diagnosed-fault ≡ injected-fault for
-// wrong localizations.
-func classifyOutcome(loc *core.Localization, injected fault.Fault, report *MutantReport, checkEquivalence bool, specEquiv func() bool, diagEquiv func(diagnosed fault.Fault) bool) {
+// equivalent reports whether the mutants realized by a (nil for the
+// specification itself) and b are observationally equivalent: on the
+// worker's compiled engine, or by the interpreted product search when the
+// specification does not pack.
+func (w sweepWorker) equivalent(spec *cfsm.System, a *fault.Fault, b fault.Fault) bool {
+	if w.eng != nil {
+		return w.eng.Equivalent(a, &b)
+	}
+	sa := spec
+	var errA error
+	if a != nil {
+		sa, errA = a.Apply(spec)
+	}
+	sb, errB := b.Apply(spec)
+	return errA == nil && errB == nil && testgen.SystemsEquivalent(sa, sb)
+}
+
+// classifyOutcome folds a localization verdict into the report. equiv, when
+// non-nil, decides whether the mutant realized by a diagnosed fault (nil:
+// the specification itself) is observationally equivalent to the injected
+// one; it marks undetected mutants equivalent to the specification and
+// wrong localizations equivalent to the truth.
+func classifyOutcome(loc *core.Localization, injected fault.Fault, report *MutantReport, equiv func(diagnosed *fault.Fault) bool) {
 	switch loc.Verdict {
 	case core.VerdictNoFault:
 		report.Outcome = OutcomeUndetected
-		if checkEquivalence {
-			report.EquivalentToSpec = specEquiv()
+		if equiv != nil {
+			report.EquivalentToSpec = equiv(nil)
 		}
 	case core.VerdictLocalized:
 		switch {
@@ -554,7 +497,7 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 			report.ExactFault = *loc.Fault == injected
 		default:
 			report.Outcome = OutcomeLocalizedWrong
-			if checkEquivalence && diagEquiv(*loc.Fault) {
+			if equiv != nil && equiv(loc.Fault) {
 				report.Outcome = OutcomeLocalizedEquivalent
 			}
 		}
@@ -571,25 +514,19 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 	}
 }
 
-// traceMutant re-runs one detected mutant's diagnosis with structured tracing
-// enabled, inside a sweep.mutant span. The diagnosis is deterministic, so the
+// traceMutant re-runs one detected mutant's diagnosis with structured
+// tracing enabled, inside a sweep.mutant span; the worker's oracle runner
+// still carries the mutant's overlay. The diagnosis is deterministic, so the
 // re-run repeats exactly the result just classified; tracing the second pass
 // keeps the tracer entirely off the untraced mutants' path.
-func traceMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, m fault.Mutant, out MutantOutcome, tr *trace.Tracer) {
+func (w sweepWorker) traceMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, f fault.Fault, out MutantOutcome, tr *trace.Tracer) {
 	span := tr.Begin(trace.KindSweepMutant,
-		trace.A("fault", m.Fault.Describe(spec)),
+		trace.A("fault", f.Describe(spec)),
 		trace.A("outcome", out.String()))
-	if _, err := core.DiagnoseContext(ctx, spec, suite, &core.SystemOracle{Sys: m.System}, core.WithTrace(tr)); err != nil {
+	opts := append([]core.Option{core.WithTrace(tr)}, w.engine...)
+	if _, err := core.DiagnoseContext(ctx, spec, suite, &compiled.Oracle{R: w.oracle}, opts...); err != nil {
 		span.End(trace.A("error", err.Error()))
 		return
 	}
 	span.End()
-}
-
-func diagnosedEquivalent(spec *cfsm.System, diagnosed fault.Fault, mutant *cfsm.System) bool {
-	sys, err := diagnosed.Apply(spec)
-	if err != nil {
-		return false
-	}
-	return testgen.SystemsEquivalent(sys, mutant)
 }

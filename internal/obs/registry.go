@@ -247,10 +247,21 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n; negative deltas are ignored (counters are monotone).
+// Add adds n; negative deltas are ignored (counters are monotone). The sum
+// saturates at math.MaxInt64 instead of wrapping negative.
 func (c *Counter) Add(n int64) {
-	if c != nil && n > 0 {
-		c.v.Add(n)
+	if c == nil || n <= 0 {
+		return
+	}
+	for {
+		old := c.v.Load()
+		next := old + n
+		if next < old {
+			next = math.MaxInt64
+		}
+		if c.v.CompareAndSwap(old, next) {
+			return
+		}
 	}
 }
 

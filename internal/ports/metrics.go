@@ -44,8 +44,9 @@ func RegisterMetrics(r *obs.Registry) {
 	newMetrics(r)
 }
 
-// addSaturating adds an interleaving count to a counter, clamping so the
-// saturated MaxInterleavings sentinel cannot overflow the int64 counter.
+// addSaturating adds an interleaving count to a counter, clamping the uint64
+// count to the int64 range; the counter's running sum saturates in turn
+// (obs.Counter.Add), so saturated cases cannot wrap it negative.
 func addSaturating(c *obs.Counter, n uint64) {
 	if n > math.MaxInt64 {
 		n = math.MaxInt64

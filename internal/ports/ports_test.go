@@ -6,12 +6,14 @@ package ports_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/protocols"
@@ -428,5 +430,37 @@ func TestProjectionString(t *testing.T) {
 	s := p.String()
 	if !strings.Contains(s, "site-00") || !strings.Contains(s, "(silent)") {
 		t.Errorf("projection rendering %q misses observers or silence", s)
+	}
+}
+
+// TestInterleavingsCounterSaturates feeds two test cases whose consistent
+// interleavings each saturate at MaxInterleavings: the report and the
+// cfsmdiag_ports_interleavings_explored_total counter must both stay
+// saturated instead of the int64 counter wrapping negative.
+func TestInterleavingsCounterSaturates(t *testing.T) {
+	spec := paper.MustFigure1()
+	pm, err := ports.New(spec, []string{"site-a", "site-b", "site-c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := []cfsm.Input{cfsm.Reset()}
+	for len(long) < 200 {
+		long = append(long, testgen.AllInputs(spec)...)
+	}
+	suite := []cfsm.TestCase{{Name: "long-1", Inputs: long}, {Name: "long-2", Inputs: long}}
+	observed, err := spec.RunSuite(suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	_, rep, err := ports.AnalyzeObserved(spec, suite, observed, pm, ports.WithRegistry(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.InterleavingsExplored != ports.MaxInterleavings {
+		t.Fatalf("report explored %d interleavings; the cases must saturate %d", rep.InterleavingsExplored, uint64(ports.MaxInterleavings))
+	}
+	if got := reg.Counter("cfsmdiag_ports_interleavings_explored_total", "").Value(); got != math.MaxInt64 {
+		t.Errorf("interleavings counter = %d, want saturated at %d", got, int64(math.MaxInt64))
 	}
 }

@@ -20,11 +20,7 @@ const (
 	metricHTTPLatency  = "cfsmdiag_http_request_duration_seconds"
 	metricHTTPInFlight = "cfsmdiag_http_in_flight_requests"
 	metricHTTPPanics   = "cfsmdiag_http_panics_total"
-	metricDeprecated   = "cfsmdiag_deprecated_api_total"
 )
-
-// helpDeprecated is shared by pre-registration and the per-request bump.
-const helpDeprecated = "Requests served on deprecated unversioned /api/* aliases, by route."
 
 type httpMetrics struct {
 	reg      *obs.Registry

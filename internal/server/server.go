@@ -61,17 +61,6 @@
 // merged result is byte-identical to a single-process sweep — zero verdicts
 // lost, zero duplicated (package cluster documents the protocol).
 //
-// # Sunset of the unversioned /api/* aliases
-//
-// The unversioned /api/* paths from the first release reached their
-// announced sunset (one release after the v1 surface shipped) and answer
-// 410 Gone with a Link to the successor /v1 route by default. Operators
-// with straggling clients can re-enable them for one more release with
-// Config.EnableLegacyAPI (`cfsmdiag serve -legacy-api`), which restores the
-// old behavior: the alias serves the request with a "Deprecation: true"
-// header and the successor Link. Either way each hit bumps the
-// cfsmdiag_deprecated_api_total counter so migrations stay measurable.
-//
 // # Errors
 //
 // Every error response carries a single envelope:
@@ -183,13 +172,6 @@ type Config struct {
 	// Tracer receives job.* events (submit, run spans, cache hits, drain);
 	// nil disables job tracing.
 	Tracer *trace.Tracer
-	// EnableLegacyAPI re-enables the deprecated unversioned /api/* aliases
-	// of the first release (off by default). When disabled — the sunset
-	// default — the aliases answer 410 Gone with a successor-version Link
-	// so stragglers learn the /v1 route; either way every hit bumps the
-	// cfsmdiag_deprecated_api_total counter, keeping the migration
-	// measurable right up to removal.
-	EnableLegacyAPI bool
 	// EnableCluster mounts the distributed-sweep coordinator under
 	// /v1/cluster/sweeps (services built with NewService only; New ignores
 	// the flag, as with EnableJobs).
@@ -334,20 +316,7 @@ func NewService(cfg Config) (*Service, error) {
 		"/v1/diagnose": s.handleDiagnose,
 	}
 	for _, path := range v1Paths {
-		h := handlers[path]
-		mux.Handle(path, s.wrap(path, s.post(h)))
-		// Unversioned alias of the first release, past its announced sunset
-		// (one release after v1 shipped). By default it answers 410 Gone with
-		// a successor Link; Config.EnableLegacyAPI restores the old
-		// deprecated-but-working behavior for one more release. Pre-register
-		// the migration counter so /metrics lists the family at zero.
-		alias := "/api" + path[len("/v1"):]
-		cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", alias))
-		if cfg.EnableLegacyAPI {
-			mux.Handle(alias, s.wrap(alias, s.deprecated(path, s.post(h))))
-		} else {
-			mux.Handle(alias, s.wrap(alias, s.gone(path)))
-		}
+		mux.Handle(path, s.wrap(path, s.post(handlers[path])))
 	}
 	// The model registry surface: uploads sniff JSON vs binary themselves,
 	// so they bypass the JSON-only s.post wrapper.
@@ -444,13 +413,6 @@ func RouteList(cfg Config) []string {
 		routes = append(routes, "POST "+p)
 	}
 	routes = append(routes, "POST /v1/models", "GET /v1/models/{hash}")
-	legacyNote := " (sunset: 410)"
-	if cfg.EnableLegacyAPI {
-		legacyNote = " (deprecated)"
-	}
-	for _, p := range v1Paths {
-		routes = append(routes, "POST /api"+p[len("/v1"):]+legacyNote)
-	}
 	if cfg.EnableJobs {
 		routes = append(routes,
 			"POST /v1/jobs", "GET /v1/jobs", "GET /v1/jobs/stats",
@@ -560,28 +522,6 @@ func (s *api) post(h http.HandlerFunc) http.HandlerFunc {
 			}
 		}
 		h(w, r)
-	}
-}
-
-// deprecated marks an unversioned alias: Deprecation and successor-Link
-// headers on every response, plus a log line for migration tracking.
-func (s *api) deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		httpapi.Deprecate(w, successor)
-		s.cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", r.URL.Path)).Inc()
-		s.cfg.Logger.Warn("deprecated route", "route", r.URL.Path, "successor", successor)
-		h(w, r)
-	}
-}
-
-// gone answers for an alias past its sunset: 410, the successor Link, and
-// the same migration counter as the deprecated path, so operators still see
-// which clients have not moved.
-func (s *api) gone(successor string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.cfg.Registry.Counter(metricDeprecated, helpDeprecated, obs.L("route", r.URL.Path)).Inc()
-		s.cfg.Logger.Warn("sunset route", "route", r.URL.Path, "successor", successor)
-		httpapi.Gone(w, r.URL.Path, successor)
 	}
 }
 

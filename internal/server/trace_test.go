@@ -143,7 +143,6 @@ func TestRouteList(t *testing.T) {
 	joined := strings.Join(base, "\n")
 	for _, want := range []string{
 		"POST /v1/diagnose",
-		"POST /api/diagnose (sunset: 410)",
 		"GET /healthz",
 		"GET /metrics",
 	} {
@@ -154,16 +153,15 @@ func TestRouteList(t *testing.T) {
 	if strings.Contains(joined, "pprof") {
 		t.Fatalf("pprof listed without EnablePprof:\n%s", joined)
 	}
+	if strings.Contains(joined, "/api/") {
+		t.Fatalf("removed /api/* aliases listed:\n%s", joined)
+	}
 	if strings.Contains(joined, "/v1/cluster") {
 		t.Fatalf("cluster routes listed without EnableCluster:\n%s", joined)
 	}
 	withPprof := strings.Join(RouteList(Config{EnablePprof: true}), "\n")
 	if !strings.Contains(withPprof, "GET /debug/pprof/") {
 		t.Fatalf("RouteList with pprof lacks the debug route:\n%s", withPprof)
-	}
-	withLegacy := strings.Join(RouteList(Config{EnableLegacyAPI: true}), "\n")
-	if !strings.Contains(withLegacy, "POST /api/diagnose (deprecated)") {
-		t.Fatalf("RouteList with legacy API lacks the deprecated alias:\n%s", withLegacy)
 	}
 	withCluster := strings.Join(RouteList(Config{EnableCluster: true}), "\n")
 	for _, want := range []string{
