@@ -323,7 +323,7 @@ func cmdDiagnose(args []string, out io.Writer) error {
 	suitePath := fs.String("suite", "", "test suite JSON (default: generated transition tour)")
 	usePaper := fs.Bool("paper", false, "diagnose the built-in Figure 1 walkthrough (M3.t\"4 transfer fault) instead of -spec/-iut files")
 	asMarkdown := fs.Bool("report", false, "emit a Markdown diagnosis report instead of the plain walkthrough")
-	narrate := fs.Bool("narrate", false, "narrate the adaptive localization as it runs")
+	narrate := fs.Bool("narrate", false, "narrate the adaptive localization (candidates, diagnostic tests, outcomes)")
 	portsPath := fs.String("ports", "", "port-map JSON assigning machines to named observer sites ({\"M1\": \"site-a\", ...}); diagnosis then reasons over per-port local projections only")
 	tracePath := fs.String("trace", "", "write a structured JSONL trace to this path (replayable with `cfsmdiag replay`)")
 	chromePath := fs.String("chrome", "", "write a Chrome trace-event file to this path (load in Perfetto or chrome://tracing)")
@@ -472,8 +472,13 @@ func cmdDiagnose(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *narrate {
-		opts = append(opts, core.WithTracer(&core.TextTracer{W: out, Spec: spec}))
+	// The narration renders the localization's trace events. Without -trace
+	// or -chrome only Localize is traced: a traced Analyze re-simulates the
+	// specification for its sim.* events, which would move the -stats counts.
+	narration := tr
+	if *narrate && narration == nil {
+		narration = trace.New()
+		opts = append(opts, core.WithTrace(narration))
 	}
 	var loc *core.Localization
 	if usePorts {
@@ -484,6 +489,11 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		}
 	} else {
 		loc, err = core.Localize(a, oracle, opts...)
+	}
+	if *narrate {
+		if werr := trace.WriteNarration(out, narration.Events()); werr != nil {
+			return werr
+		}
 	}
 	if err != nil {
 		return err

@@ -75,6 +75,35 @@ func TestCLIDiagnoseStats(t *testing.T) {
 	}
 }
 
+// TestCLINarrateKeepsStats pins -narrate as a pure renderer: it traces only
+// the localization, so the cost report counts exactly the simulator work of
+// a run without it (a traced analysis would re-simulate the specification),
+// while the narration still shows the conviction.
+func TestCLINarrateKeepsStats(t *testing.T) {
+	plain, err := runCLI(t, "diagnose", "-paper", "-stats")
+	if err != nil {
+		t.Fatalf("diagnose -stats: %v", err)
+	}
+	narrated, err := runCLI(t, "diagnose", "-paper", "-stats", "-narrate")
+	if err != nil {
+		t.Fatalf("diagnose -stats -narrate: %v", err)
+	}
+	if !strings.Contains(narrated, `candidate M3.t"4: convicted`) {
+		t.Errorf("narration missing the conviction:\n%s", narrated)
+	}
+	for _, c := range []struct {
+		label string
+		want  int
+	}{{"simulator steps:", 153}, {"simulator resets:", 16}} {
+		if got := statsValue(t, plain, c.label); got != c.want {
+			t.Errorf("-stats %s %d, want %d", c.label, got, c.want)
+		}
+		if got := statsValue(t, narrated, c.label); got != c.want {
+			t.Errorf("-stats -narrate %s %d, want %d", c.label, got, c.want)
+		}
+	}
+}
+
 func TestCLISweepStats(t *testing.T) {
 	out, err := runCLI(t, "sweep", "-paper", "-workers", "4", "-stats")
 	if err != nil {

@@ -1,8 +1,8 @@
 // Gobackn diagnoses a go-back-N sliding-window protocol (window 2, sequence
-// numbers modulo 4) with the Step 6 narration switched on: the tracer prints
-// each candidate under test, each adaptively generated test with its
-// observation, and each clearing or conviction — the live view of the
-// paper's Figure 2 construction.
+// numbers modulo 4) with the Step 6 narration switched on: the localization
+// is traced and its events rendered as each candidate under test, each
+// adaptively generated test with its observation, and each clearing or
+// conviction — the paper's Figure 2 construction, step by step.
 //
 // The injected bug is a classic one: on a cumulative acknowledgment the
 // sender fails to slide its window (a transfer fault in an ack transition).
@@ -16,7 +16,9 @@ import (
 	"os"
 
 	"cfsmdiag"
+	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/protocols"
+	"cfsmdiag/internal/trace"
 )
 
 func main() {
@@ -64,9 +66,12 @@ func run() error {
 	}
 	fmt.Print(analysis.Report())
 	fmt.Println("\nStep 6, narrated:")
-	result, err := cfsmdiag.LocalizeWith(analysis, oracle,
-		cfsmdiag.WithTracer(&cfsmdiag.TextTracer{W: os.Stdout, Spec: spec}))
+	tr := trace.New()
+	result, err := cfsmdiag.LocalizeWith(analysis, oracle, core.WithTrace(tr))
 	if err != nil {
+		return err
+	}
+	if err := trace.WriteNarration(os.Stdout, tr.Events()); err != nil {
 		return err
 	}
 	fmt.Println()

@@ -63,21 +63,11 @@ func CheckAssumptions(spec *System) []Warning {
 	return core.CheckAssumptions(spec)
 }
 
-// Localization options and observability.
-type (
-	// Option configures Localize/Diagnose behaviour.
-	Option = core.Option
-	// Tracer observes the adaptive localization as it runs.
-	Tracer = core.Tracer
-	// TextTracer narrates the localization to a writer.
-	TextTracer = core.TextTracer
-)
+// Option configures Localize/Diagnose behaviour.
+type Option = core.Option
 
 // WithMaxAdditionalTests bounds the number of additional diagnostic tests.
 func WithMaxAdditionalTests(n int) Option { return core.WithMaxAdditionalTests(n) }
-
-// WithTracer attaches a tracer to the localization.
-func WithTracer(t Tracer) Option { return core.WithTracer(t) }
 
 // WithoutCombinedEscalation restores the paper's literal flag heuristic.
 func WithoutCombinedEscalation() Option { return core.WithoutCombinedEscalation() }
@@ -85,7 +75,7 @@ func WithoutCombinedEscalation() Option { return core.WithoutCombinedEscalation(
 // WithoutAddressEscalation disables the addressing-fault hypothesis tier.
 func WithoutAddressEscalation() Option { return core.WithoutAddressEscalation() }
 
-// LocalizeWith is Localize with options (budget, tracer, escalation control).
+// LocalizeWith is Localize with options (budget, escalation control).
 func LocalizeWith(a *Analysis, oracle Oracle, opts ...Option) (*Localization, error) {
 	return core.Localize(a, oracle, opts...)
 }

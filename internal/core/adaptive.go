@@ -157,12 +157,12 @@ func Localize(a *Analysis, oracle Oracle, opts ...Option) (*Localization, error)
 // oracle with context enforcement and metrics, runs the Step-6 loop and
 // records the localization's cost and verdict.
 func localize(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings) (*Localization, error) {
-	m := newMetrics(cfg.registry)
-	oracle = wrapOracle(oracle, ctx, m)
+	in := newInstruments(cfg.registry, cfg.trace)
+	oracle = in.wrapOracle(oracle, ctx)
 	if a.eng == nil {
 		a.eng = cfg.engineFor(a.Spec)
 	}
-	loc, err := localizeOnce(ctx, a, oracle, cfg, m)
+	loc, err := localizeOnce(ctx, a, oracle, cfg, &in)
 	if err != nil {
 		return nil, err
 	}
@@ -175,25 +175,18 @@ func localize(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings) (*
 		switch {
 		case cfg.combinedEscalation && !a.Escalated:
 			widened = a.EscalateCombined()
-			cfg.tracer.Escalated("combined", len(a.Diagnoses))
-			cfg.trace.Emit(trace.KindEscalation,
-				trace.A("tier", "combined"), trace.A("diagnoses", itoa(len(a.Diagnoses))))
-			m.escalated("combined")
+			in.escalated("combined", len(a.Diagnoses))
 		case cfg.addressEscalation && !a.AddressEscalated:
 			widened = a.EscalateAddress()
-			cfg.tracer.Escalated("address", len(a.Diagnoses))
-			cfg.trace.Emit(trace.KindEscalation,
-				trace.A("tier", "address"), trace.A("diagnoses", itoa(len(a.Diagnoses))))
-			m.escalated("address")
+			in.escalated("address", len(a.Diagnoses))
 		default:
-			m.finish(loc)
-			traceVerdict(cfg, loc)
+			in.verdict(loc)
 			return loc, nil
 		}
 		if !widened {
 			continue
 		}
-		retry, err := localizeOnce(ctx, a, oracle, cfg, m)
+		retry, err := localizeOnce(ctx, a, oracle, cfg, &in)
 		if err != nil {
 			return nil, err
 		}
@@ -201,12 +194,11 @@ func localize(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings) (*
 		retry.Cleared = append(loc.Cleared, retry.Cleared...)
 		loc = retry
 	}
-	m.finish(loc)
-	traceVerdict(cfg, loc)
+	in.verdict(loc)
 	return loc, nil
 }
 
-func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings, m metrics) (*Localization, error) {
+func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings, in *instruments) (*Localization, error) {
 	loc := &Localization{Analysis: a}
 	if !a.HasSymptoms() {
 		loc.Verdict = VerdictNoFault
@@ -233,13 +225,9 @@ func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings
 	avoidAll := testgen.NewRefSet(order...)
 	pending := order
 
-	rounds := 0
-	for progress := true; progress && len(pending) > 0; {
+	for round, progress := 1, true; progress && len(pending) > 0; round++ {
 		progress = false
-		rounds++
-		m.roundCandidates.ObserveInt(len(pending))
-		rspan := cfg.trace.Begin(trace.KindRound,
-			trace.A("round", itoa(rounds)), trace.A("candidates", itoa(len(pending))))
+		rspan := in.roundBegin(round, len(pending))
 		var still []cfsm.Ref
 		for _, ref := range pending {
 			if err := ctx.Err(); err != nil {
@@ -247,34 +235,21 @@ func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings
 				return nil, fmt.Errorf("core: localization aborted: %w", err)
 			}
 			hyps := byRef[ref]
-			cfg.tracer.CandidateStart(ref, len(hyps))
-			cspan := cfg.trace.Begin(trace.KindCandidate,
-				trace.A("target", a.Spec.RefString(ref)), trace.A("hypotheses", itoa(len(hyps))))
-			outcome, err := testCandidate(a, oracle, loc, ref, hyps, avoidAll.Without(ref), cfg)
+			cspan := in.candidateBegin(a, ref, len(hyps))
+			outcome, err := testCandidate(a, oracle, loc, ref, hyps, avoidAll.Without(ref), cfg, in)
 			if err != nil {
 				cspan.End(trace.A("error", err.Error()))
 				rspan.End()
 				return nil, err
 			}
+			in.candidateResolved(a, ref, outcome, cspan)
 			switch {
 			case outcome.localized != nil:
-				cfg.tracer.CandidateResolved(ref, "convicted")
-				cfg.trace.Emit(trace.KindResolved,
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("outcome", "convicted"),
-					trace.A("fault", outcome.localized.Describe(a.Spec)))
-				cspan.End(trace.A("outcome", "convicted"))
 				rspan.End()
 				loc.Verdict = VerdictLocalized
 				loc.Fault = outcome.localized
-				m.rounds.ObserveInt(rounds)
 				return loc, nil
 			case outcome.cleared:
-				cfg.tracer.CandidateResolved(ref, "cleared")
-				cfg.trace.Emit(trace.KindResolved,
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("outcome", "cleared"))
-				cspan.End(trace.A("outcome", "cleared"))
 				progress = true
 				loc.Cleared = append(loc.Cleared, ref)
 				delete(avoidAll, ref) // cleared transitions may appear in later tests
@@ -283,21 +258,9 @@ func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings
 				// this candidate: neither convict nor clear it. The candidate
 				// leaves the refinement loop with its surviving hypotheses
 				// intact and the localization ends inconclusive.
-				m.unreliable.Inc()
-				cfg.tracer.CandidateResolved(ref, "inconclusive")
-				cfg.trace.Emit(trace.KindInconclusive,
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("remaining", itoa(len(outcome.remaining))))
-				cspan.End(trace.A("outcome", "inconclusive"))
 				byRef[ref] = outcome.remaining
 				loc.Inconclusive = append(loc.Inconclusive, ref)
 			default:
-				cfg.tracer.CandidateResolved(ref, "unresolved")
-				cfg.trace.Emit(trace.KindResolved,
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("outcome", "unresolved"),
-					trace.A("remaining", itoa(len(outcome.remaining))))
-				cspan.End(trace.A("outcome", "unresolved"))
 				byRef[ref] = outcome.remaining
 				if len(outcome.remaining) < len(hyps) {
 					progress = true
@@ -308,7 +271,6 @@ func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings
 		rspan.End()
 		pending = still
 	}
-	m.rounds.ObserveInt(rounds)
 	for _, ref := range pending {
 		loc.Remaining = append(loc.Remaining, byRef[ref]...)
 	}
@@ -381,8 +343,22 @@ type candidateOutcome struct {
 	remaining    []fault.Fault
 }
 
+// label names the outcome in narration and trace events.
+func (o candidateOutcome) label() string {
+	switch {
+	case o.localized != nil:
+		return "convicted"
+	case o.cleared:
+		return "cleared"
+	case o.inconclusive:
+		return "inconclusive"
+	default:
+		return "unresolved"
+	}
+}
+
 // testCandidate runs the variant-elimination loop for one candidate.
-func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, hyps []fault.Fault, avoid testgen.RefSet, cfg *settings) (candidateOutcome, error) {
+func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, hyps []fault.Fault, avoid testgen.RefSet, cfg *settings, in *instruments) (candidateOutcome, error) {
 	t, ok := a.Spec.Transition(ref)
 	if !ok {
 		return candidateOutcome{}, fmt.Errorf("core: candidate %s not in specification", a.Spec.RefString(ref))
@@ -445,12 +421,7 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 				// no variant may be eliminated on it. The trace records the
 				// failed test (replay reproduces the inconclusive outcome
 				// from it) and the candidate keeps its surviving hypotheses.
-				cfg.trace.Emit(trace.KindTest,
-					trace.A("name", test.Name),
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("inputs", cfsm.FormatInputs(test.Inputs)),
-					trace.A("unreliable", "true"),
-					trace.A("error", err.Error()))
+				in.testExecuted(a, AdditionalTest{Target: ref, Test: test}, nil, err)
 				var rem []fault.Fault
 				for _, v := range live {
 					if v.fault != nil {
@@ -465,7 +436,6 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 		if err != nil {
 			return candidateOutcome{}, fmt.Errorf("core: predict %s: %w", test.Name, err)
 		}
-		before := len(live)
 		var elims []elimination
 		live, elims = filterVariants(live, test, observed, cfg.matcher)
 		at := AdditionalTest{
@@ -478,23 +448,7 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 			at.Eliminated = append(at.Eliminated, el.describe(a)+" — "+el.reason)
 		}
 		loc.AdditionalTests = append(loc.AdditionalTests, at)
-		cfg.tracer.TestExecuted(at, before-len(live))
-		if cfg.trace.Enabled() {
-			cfg.trace.Emit(trace.KindTest,
-				trace.A("name", test.Name),
-				trace.A("target", a.Spec.RefString(ref)),
-				trace.A("inputs", cfsm.FormatInputs(test.Inputs)),
-				trace.A("expected", cfsm.FormatObs(expected)),
-				trace.A("observed", cfsm.FormatObs(observed)),
-				trace.A("eliminated", itoa(before-len(live))))
-			for _, el := range elims {
-				cfg.trace.Emit(trace.KindEliminate,
-					trace.A("test", test.Name),
-					trace.A("target", a.Spec.RefString(ref)),
-					trace.A("hypothesis", el.describe(a)),
-					trace.A("reason", el.reason))
-			}
-		}
+		in.testExecuted(a, at, elims, nil)
 	}
 
 	switch {

@@ -138,11 +138,11 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	m := newMetrics(cfg.registry)
 	if len(observed) != len(suite) {
 		return nil, fmt.Errorf("core: %d observation sequences for %d test cases", len(observed), len(suite))
 	}
-	tspan := cfg.trace.Begin(trace.KindAnalyze, trace.A("cases", itoa(len(suite))))
+	in := newInstruments(cfg.registry, cfg.trace)
+	span := in.analyzeBegin(len(suite))
 	a := &Analysis{
 		Spec:         spec,
 		Suite:        suite,
@@ -156,37 +156,13 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 		StatOut:      make(map[cfsm.Ref][]StateOutput),
 		Addresses:    make(map[cfsm.Ref][]int),
 	}
-
 	if err := a.eng.analyze(a, cfg.trace); err != nil {
 		return nil, err
 	}
-
-	m.analyses.Inc()
-	m.symptoms.Add(int64(len(a.Symptoms)))
-	a.traceSymptoms(cfg.trace)
-	if !a.HasSymptoms() {
-		m.diagnosisSize.ObserveInt(0)
-		tspan.End(trace.A("symptoms", "0"), trace.A("diagnoses", "0"))
-		return a, nil
+	if a.HasSymptoms() {
+		a.emitDiagnoses() // Step 5C: prune and emit diagnoses
 	}
-	a.traceConflicts(cfg.trace)
-	a.traceCandidateSplit(cfg.trace)
-	a.traceHypotheses(cfg.trace)
-
-	// Step 5C: prune and emit diagnoses.
-	a.emitDiagnoses()
-	a.traceDiagnoses(cfg.trace)
-	for _, sets := range a.Conflicts {
-		size := 0
-		for _, refs := range sets {
-			size += len(refs)
-		}
-		m.conflictSize.ObserveInt(size)
-	}
-	m.diagnosisSize.ObserveInt(len(a.Diagnoses))
-	tspan.End(
-		trace.A("symptoms", itoa(len(a.Symptoms))),
-		trace.A("diagnoses", itoa(len(a.Diagnoses))))
+	in.analyzed(a, span)
 	return a, nil
 }
 

@@ -36,8 +36,8 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	m := newMetrics(cfg.registry)
-	wrapped := wrapOracle(oracle, ctx, m)
+	in := newInstruments(cfg.registry, nil)
+	wrapped := in.wrapOracle(oracle, ctx)
 	observed := make([][]cfsm.Observation, len(suite))
 	for i, tc := range suite {
 		obs, err := wrapped.Execute(tc)
@@ -51,14 +51,4 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 		return nil, err
 	}
 	return localize(ctx, a, oracle, &cfg)
-}
-
-// wrapOracle decorates an oracle with context + metrics exactly once; an
-// already-wrapped oracle is rebound to the current context instead of being
-// double-counted.
-func wrapOracle(o Oracle, ctx context.Context, m metrics) Oracle {
-	if w, ok := o.(obsOracle); ok {
-		return obsOracle{inner: w.inner, ctx: ctx, m: m}
-	}
-	return obsOracle{inner: o, ctx: ctx, m: m}
 }

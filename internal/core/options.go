@@ -11,10 +11,9 @@ import (
 type Option func(*settings)
 
 type settings struct {
-	maxAdditionalTests int  // 0 = unbounded
-	combinedEscalation bool // widen to combined faults before giving up
-	addressEscalation  bool // widen to addressing faults before giving up
-	tracer             Tracer
+	maxAdditionalTests int              // 0 = unbounded
+	combinedEscalation bool             // widen to combined faults before giving up
+	addressEscalation  bool             // widen to addressing faults before giving up
 	registry           *obs.Registry    // nil = observability disabled
 	trace              *trace.Tracer    // nil = structured tracing disabled
 	engine             *compiled.Engine // nil = built per Analyze (engineFor)
@@ -26,7 +25,6 @@ func defaultSettings() settings {
 	return settings{
 		combinedEscalation: true,
 		addressEscalation:  true,
-		tracer:             nopTracer{},
 	}
 }
 
@@ -56,10 +54,24 @@ func WithoutAddressEscalation() Option {
 
 // WithRegistry attaches an observability registry: oracle queries, symptom
 // counts, candidate-set sizes per refinement round and Step-6 verdicts are
-// recorded on it (see metrics.go for the family names). A nil registry — the
-// default — disables instrumentation at no cost to the hot path.
+// recorded on it (see instrument.go for the family names). A nil registry —
+// the default — disables instrumentation at no cost to the hot path.
 func WithRegistry(r *obs.Registry) Option {
 	return func(s *settings) { s.registry = r }
+}
+
+// WithTrace attaches a structured tracer: Analyze emits analyze.* events for
+// Steps 3–5 (symptoms, conflict sets, candidate splits, verified hypotheses,
+// diagnoses) and simulates the specification with sim.* step events, while
+// Localize emits localize.* round/candidate spans, every generated diagnostic
+// test with the oracle's answer, and the elimination reason for every refuted
+// variant. A nil tracer — the default — is a no-op (see internal/trace).
+//
+// The trace is the pipeline's one instrumentation stream: the JSONL, Chrome
+// and narration exporters and the replay mode read it, and every metric
+// WithRegistry records is counted where the matching event is emitted.
+func WithTrace(t *trace.Tracer) Option {
+	return func(s *settings) { s.trace = t }
 }
 
 // ObsMatcher generalizes the pipeline's "predicted equals observed" test.

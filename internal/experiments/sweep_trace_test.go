@@ -4,7 +4,13 @@ import (
 	"bytes"
 	"testing"
 
+	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/core"
+	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
 )
 
@@ -117,5 +123,92 @@ func TestRunSweepTraceDefaultsToOne(t *testing.T) {
 	}
 	if got := trace.CountKind(tr.Events(), trace.KindSweepMutant, trace.PhaseBegin); got != 1 {
 		t.Fatalf("sweep.mutant begin spans = %d, want 1", got)
+	}
+}
+
+// TestSweepMetricsMatchTrace checks that core's metrics and trace events
+// count the same pipeline moments: a sweep records metrics for every mutant
+// and, with TraceFailures covering every detected mutant, traces each
+// detected mutant's diagnosis once, so every per-localization total must
+// equal the matching event count (undetected mutants contribute a no_fault
+// verdict and nothing else).
+func TestSweepMetricsMatchTrace(t *testing.T) {
+	cfg := randgen.DefaultConfig()
+	cfg.Seed = 1
+	rand1 := randgen.MustGenerate(cfg)
+	tour, _ := testgen.Tour(rand1, 0)
+	for _, fx := range []struct {
+		name  string
+		spec  *cfsm.System
+		suite []cfsm.TestCase
+	}{
+		{"figure1", paper.MustFigure1(), paper.TestSuite()},
+		{"rand-1", rand1, tour},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			reg := obs.New()
+			tr := trace.New()
+			res, err := RunSweepOpts(fx.spec, fx.suite, SweepOptions{
+				Workers:       2,
+				Registry:      reg,
+				Trace:         tr,
+				TraceFailures: len(fault.Enumerate(fx.spec)),
+			})
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			events := tr.Events()
+			if got := trace.CountKind(events, trace.KindSweepMutant, trace.PhaseBegin); got != res.Detected {
+				t.Fatalf("traced %d mutants, sweep detected %d", got, res.Detected)
+			}
+			count := func(kind trace.Kind, phase, key, value string) int64 {
+				n := int64(0)
+				for _, e := range events {
+					if e.Kind == kind && e.Phase == phase && (key == "" || e.Attrs[key] == value) {
+						n++
+					}
+				}
+				return n
+			}
+			check := func(what string, metric, events int64) {
+				t.Helper()
+				if metric != events {
+					t.Errorf("%s: metric %d, trace events %d", what, metric, events)
+				}
+			}
+			for _, v := range []struct {
+				verdict core.Verdict
+				label   string
+			}{
+				{core.VerdictLocalized, "localized"},
+				{core.VerdictAmbiguous, "ambiguous"},
+				{core.VerdictInconsistent, "inconsistent"},
+				{core.VerdictInconclusive, "inconclusive_observation"},
+			} {
+				check("verdict "+v.label,
+					reg.Counter("cfsmdiag_localize_verdicts_total", "", obs.L("verdict", v.label)).Value(),
+					count(trace.KindVerdict, "", "verdict", v.verdict.String()))
+			}
+			for _, kind := range []string{"combined", "address"} {
+				check("escalations "+kind,
+					reg.Counter("cfsmdiag_localize_escalations_total", "", obs.L("kind", kind)).Value(),
+					count(trace.KindEscalation, "", "tier", kind))
+			}
+			check("symptoms",
+				reg.Counter("cfsmdiag_symptoms_total", "").Value(),
+				count(trace.KindSymptom, "", "", ""))
+			check("rounds",
+				int64(reg.Histogram("cfsmdiag_localize_rounds", "", obs.DefaultSizeBuckets).Sum()),
+				count(trace.KindRound, trace.PhaseBegin, "", ""))
+			check("additional tests",
+				int64(reg.Histogram("cfsmdiag_localize_additional_tests", "", obs.DefaultSizeBuckets).Sum()),
+				count(trace.KindTest, "", "unreliable", ""))
+			check("unreliable",
+				reg.Counter("cfsmdiag_localize_unreliable_observations_total", "").Value(),
+				count(trace.KindInconclusive, "", "", ""))
+			if got, want := reg.Histogram("cfsmdiag_localize_rounds", "", obs.DefaultSizeBuckets).Count(), uint64(len(res.Reports)); got != want {
+				t.Errorf("rounds observed %d times for %d localizations", got, want)
+			}
+		})
 	}
 }

@@ -227,7 +227,7 @@ func LocalizeContext(ctx context.Context, a *core.Analysis, oracle core.Oracle, 
 		met.locallyUndist.Add(int64(len(loc.LocallyAmbiguous)))
 		for _, r := range loc.LocallyAmbiguous {
 			cfg.tracer.Emit(trace.KindPortsMatch,
-				trace.KV{K: "candidate", V: r.Name},
+				trace.KV{K: "candidate", V: a.Spec.RefString(r)},
 				trace.KV{K: "outcome", V: "locally_ambiguous"})
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/trace"
 )
 
 // analysisView projects every exported Analysis field for deep comparison
@@ -246,4 +247,57 @@ func TestProjectionEnlargesCandidates(t *testing.T) {
 		t.Error("no mutant's candidate set was enlarged by per-machine observation")
 	}
 	t.Logf("%d mutants with strictly larger candidate sets under projection", enlarged)
+}
+
+// TestLocallyAmbiguousEventNamesCandidate drives Step 6 into the
+// locally-ambiguous outcome on the E18 rand-1 system under per-machine
+// observation: readdressing M3.m3t1's external output to M1 or to M2 leaves
+// every observer silent either way (ε at M1 versus ε at M2), so only a
+// global observer can tell the two hypotheses apart. The ports.match event
+// that reports the candidate must name it machine-qualified, as core's
+// target attributes do — transition names are unique only per machine.
+func TestLocallyAmbiguousEventNamesCandidate(t *testing.T) {
+	fx := fixtures(t)[3]
+	if fx.name != "rand-1" {
+		t.Fatalf("fixture %s, want rand-1", fx.name)
+	}
+	pm := perMachineMap(t, fx.sys)
+	ref := cfsm.Ref{Machine: 2, Name: "m3t1"}
+	toM1 := fault.Fault{Ref: ref, Kind: fault.KindAddress, Dest: 0}
+	toM2 := fault.Fault{Ref: ref, Kind: fault.KindAddress, Dest: 1}
+	iut, err := toM1.Apply(fx.sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed, err := iut.RunSuite(fx.suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := ports.AnalyzeObserved(fx.sys, fx.suite, observed, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.HasSymptoms() {
+		t.Fatal("the suite does not reveal the addressing fault")
+	}
+	// Step 6 separates both hypotheses from the specification but not from
+	// each other.
+	a.Diagnoses = []fault.Fault{toM1, toM2}
+	tr := trace.New()
+	loc, _, err := ports.Localize(a, &core.SystemOracle{Sys: iut}, pm, ports.WithTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loc.LocallyAmbiguous, []cfsm.Ref{ref}) {
+		t.Fatalf("LocallyAmbiguous = %v, want [%s]", loc.LocallyAmbiguous, fx.sys.RefString(ref))
+	}
+	var named []string
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindPortsMatch && e.Attrs["outcome"] == "locally_ambiguous" {
+			named = append(named, e.Attrs["candidate"])
+		}
+	}
+	if want := []string{"M3.m3t1"}; !reflect.DeepEqual(named, want) {
+		t.Errorf("locally_ambiguous events name %q, want %q", named, want)
+	}
 }

@@ -22,6 +22,32 @@ func WriteJSONL(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
+// WriteNarration renders the Step-6 localization events as the human-readable
+// narration: each candidate under test with its live hypotheses, each
+// reliable diagnostic test with the oracle's answer and how many variants it
+// eliminated, each candidate's outcome and each hypothesis-space escalation.
+// Every other event is skipped, so a full pipeline trace narrates the same as
+// one recorded around the localization alone.
+func WriteNarration(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	for _, e := range events {
+		a := e.Attrs
+		switch {
+		case e.Kind == KindCandidate && e.Phase == PhaseBegin:
+			fmt.Fprintf(bw, "testing candidate %s (%s hypotheses)\n", a["target"], a["hypotheses"])
+		case e.Kind == KindTest && a["unreliable"] == "":
+			fmt.Fprintf(bw, "  %s: \"%s\" -> \"%s\" (eliminated %s)\n", a["name"], a["inputs"], a["observed"], a["eliminated"])
+		case e.Kind == KindResolved:
+			fmt.Fprintf(bw, "candidate %s: %s\n", a["target"], a["outcome"])
+		case e.Kind == KindInconclusive:
+			fmt.Fprintf(bw, "candidate %s: inconclusive\n", a["target"])
+		case e.Kind == KindEscalation:
+			fmt.Fprintf(bw, "escalated hypothesis space (%s): %s diagnoses\n", a["tier"], a["diagnoses"])
+		}
+	}
+	return bw.Flush()
+}
+
 // ErrTruncatedTrace marks a JSONL trace that ends mid-event or carries no
 // events at all — the signature of an interrupted recording (crashed writer,
 // partial copy).  Callers distinguish it from in-band corruption with

@@ -235,3 +235,26 @@ func TestCountKind(t *testing.T) {
 		t.Fatalf("CountKind tests = %d, want 1", got)
 	}
 }
+
+// TestWriteNarrationSkipsUnrenderedEvents covers the narration lines the
+// core sessions in internal/core do not reach: an unreliable test prints
+// nothing (the candidate's inconclusive outcome says it), and events outside
+// the Step-6 story are skipped.
+func TestWriteNarrationSkipsUnrenderedEvents(t *testing.T) {
+	tr := New()
+	tr.Emit(KindSymptom, A("case", "tc1"))
+	span := tr.Begin(KindCandidate, A("target", "M1.t7"), A("hypotheses", "2"))
+	tr.Emit(KindTest, A("name", "diag-t7-1"), A("inputs", "R, c^1"), A("unreliable", "true"), A("error", "votes disagree"))
+	tr.Emit(KindInconclusive, A("target", "M1.t7"), A("remaining", "2"))
+	span.End(A("outcome", "inconclusive"))
+	tr.Emit(KindEscalation, A("tier", "address"), A("diagnoses", "3"))
+	tr.Emit(KindVerdict, A("verdict", "ambiguous"))
+	var buf strings.Builder
+	if err := WriteNarration(&buf, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	want := "testing candidate M1.t7 (2 hypotheses)\ncandidate M1.t7: inconclusive\nescalated hypothesis space (address): 3 diagnoses\n"
+	if got := buf.String(); got != want {
+		t.Errorf("narration:\n%s\nwant:\n%s", got, want)
+	}
+}
