@@ -362,8 +362,7 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		return fmt.Errorf("usage: cfsmdiag diagnose -spec <spec.json> -iut <iut.json> | -paper  [-suite <suite.json>] [-trace out.jsonl] [-explain]")
 	}
 	var pm ports.Map
-	usePorts := *portsPath != ""
-	if usePorts {
+	if *portsPath != "" {
 		data, err := os.ReadFile(*portsPath)
 		if err != nil {
 			return fmt.Errorf("ports: %w", err)
@@ -399,8 +398,10 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		defer collector.close()
 		opts = append(opts, core.WithRegistry(collector.reg))
 	}
+	// -narrate renders the Step-6 events of the same trace -trace and
+	// -chrome export.
 	var tr *trace.Tracer
-	if *tracePath != "" || *chromePath != "" {
+	if *tracePath != "" || *chromePath != "" || *narrate {
 		tr = trace.New()
 		opts = append(opts, core.WithTrace(tr))
 	}
@@ -431,71 +432,27 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		hardened = resilient.NewRetryOracle(oracle, cfg)
 		oracle = hardened
 	}
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		obs, err := oracle.Execute(tc)
-		if err != nil {
-			if errors.Is(err, core.ErrUnreliableObservation) {
-				// Step 6 can degrade to the inconclusive verdict, but Steps 1–5
-				// need a trusted baseline: without suite observations there is
-				// nothing to analyze.
-				return fmt.Errorf("suite case %s: %w — no trusted baseline for analysis; raise -oracle-retries/-oracle-votes or lower the -chaos-* rates", tc.Name, err)
-			}
-			return err
-		}
-		observed[i] = obs
-	}
-	// The replay header (spec, suite, observed outputs) goes in front of the
-	// analysis events so the JSONL file is a self-contained recorded run.
-	if err := replay.Record(tr, spec, suite, observed); err != nil {
-		return err
-	}
 	// The ports layer composes outside the resilient chain: projections are
-	// taken of whatever the (possibly retried and voted) oracle reports.
-	portsOpts := func() []ports.Option {
-		po := []ports.Option{ports.WithCoreOptions(opts...)}
-		if collector != nil {
-			po = append(po, ports.WithRegistry(collector.reg))
-		}
-		if tr != nil {
-			po = append(po, ports.WithTrace(tr))
-		}
-		return po
+	// taken of whatever the (possibly retried and voted) oracle reports. The
+	// zero map (no -ports) is the classical single observer.
+	po := []ports.Option{ports.WithCoreOptions(opts...), ports.WithTrace(tr)}
+	if collector != nil {
+		po = append(po, ports.WithRegistry(collector.reg))
 	}
-	var a *core.Analysis
-	var prep *ports.Report
-	if usePorts {
-		a, prep, err = ports.AnalyzeObserved(spec, suite, observed, pm, portsOpts()...)
-	} else {
-		a, err = core.Analyze(spec, suite, observed, opts...)
-	}
-	if err != nil {
-		return err
-	}
-	// The narration renders the localization's trace events. Without -trace
-	// or -chrome only Localize is traced: a traced Analyze re-simulates the
-	// specification for its sim.* events, which would move the -stats counts.
-	narration := tr
-	if *narrate && narration == nil {
-		narration = trace.New()
-		opts = append(opts, core.WithTrace(narration))
-	}
-	var loc *core.Localization
-	if usePorts {
-		var lrep *ports.Report
-		loc, lrep, err = ports.Localize(a, oracle, pm, portsOpts()...)
-		if lrep != nil && prep != nil {
-			prep.LocallyAmbiguousCandidates = lrep.LocallyAmbiguousCandidates
-		}
-	} else {
-		loc, err = core.Localize(a, oracle, opts...)
-	}
+	loc, prep, err := ports.DiagnoseContext(context.Background(), spec, suite, oracle, pm, po...)
 	if *narrate {
-		if werr := trace.WriteNarration(out, narration.Events()); werr != nil {
+		if werr := trace.WriteNarration(out, tr.Events()); werr != nil {
 			return werr
 		}
 	}
 	if err != nil {
+		if errors.Is(err, core.ErrUnreliableObservation) {
+			// Step 6 degrades to the inconclusive verdict, so only suite
+			// execution fails this way, and Steps 1–5 need a trusted
+			// baseline: without suite observations there is nothing to
+			// analyze.
+			return fmt.Errorf("%w — no trusted baseline for analysis; raise -oracle-retries/-oracle-votes or lower the -chaos-* rates", err)
+		}
 		return err
 	}
 	if *asMarkdown {
@@ -505,11 +462,11 @@ func cmdDiagnose(args []string, out io.Writer) error {
 		}
 		fmt.Fprint(out, md)
 	} else {
-		fmt.Fprint(out, a.Report())
+		fmt.Fprint(out, loc.Analysis.Report())
 		fmt.Fprint(out, loc.Report())
 		fmt.Fprintf(out, "cost: %d tests, %d inputs (suite: %d tests)\n", base.Tests, base.Inputs, len(suite))
 	}
-	if prep != nil && !prep.Single {
+	if !prep.Single {
 		fmt.Fprintf(out, "ports: %d observers (%s); %d of %d cases ambiguous, %d consistent interleavings considered\n",
 			len(prep.Ports), strings.Join(prep.Ports, ", "),
 			prep.AmbiguousCases, prep.Cases, prep.InterleavingsExplored)

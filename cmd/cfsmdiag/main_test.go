@@ -380,6 +380,36 @@ func TestCLISweep(t *testing.T) {
 	}
 }
 
+// TestCLITraceGolden pins the Figure 1 trace stream byte for byte: the
+// replay header, the sim.* events of the specification runs, the analysis
+// and the Step-6 events. After an intended change to the stream, regenerate
+// the file with
+//
+//	go run ./cmd/cfsmdiag diagnose -paper -trace cmd/cfsmdiag/testdata/figure1-trace.golden.jsonl
+func TestCLITraceGolden(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if _, err := runCLI(t, "diagnose", "-paper", "-trace", path); err != nil {
+		t.Fatalf("diagnose -paper -trace: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "figure1-trace.golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("trace differs from the golden file at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("trace has %d lines, golden file %d", len(gl), len(wl))
+	}
+}
+
 // TestCLITraceAndReplay drives the tracing workflow end to end: a traced
 // -paper diagnosis writes a JSONL trace plus a Chrome export, and the replay
 // subcommand reproduces the localization from the file with zero live oracle

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,31 +76,32 @@ func TestCLIDiagnoseStats(t *testing.T) {
 	}
 }
 
-// TestCLINarrateKeepsStats pins -narrate as a pure renderer: it traces only
-// the localization, so the cost report counts exactly the simulator work of
-// a run without it (a traced analysis would re-simulate the specification),
-// while the narration still shows the conviction.
+// TestCLINarrateKeepsStats: tracing observes the one diagnosis instead of
+// running a second one, so -narrate, -trace and -chrome leave the -stats
+// simulator counts of Figure 1 where the untraced run puts them.
 func TestCLINarrateKeepsStats(t *testing.T) {
-	plain, err := runCLI(t, "diagnose", "-paper", "-stats")
-	if err != nil {
-		t.Fatalf("diagnose -stats: %v", err)
-	}
-	narrated, err := runCLI(t, "diagnose", "-paper", "-stats", "-narrate")
-	if err != nil {
-		t.Fatalf("diagnose -stats -narrate: %v", err)
-	}
-	if !strings.Contains(narrated, `candidate M3.t"4: convicted`) {
-		t.Errorf("narration missing the conviction:\n%s", narrated)
-	}
-	for _, c := range []struct {
-		label string
-		want  int
-	}{{"simulator steps:", 153}, {"simulator resets:", 16}} {
-		if got := statsValue(t, plain, c.label); got != c.want {
-			t.Errorf("-stats %s %d, want %d", c.label, got, c.want)
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		nil,
+		{"-narrate"},
+		{"-trace", filepath.Join(dir, "t.jsonl")},
+		{"-chrome", filepath.Join(dir, "c.json")},
+		{"-narrate", "-trace", filepath.Join(dir, "t2.jsonl"), "-chrome", filepath.Join(dir, "c2.json")},
+	} {
+		out, err := runCLI(t, append([]string{"diagnose", "-paper", "-stats"}, flags...)...)
+		if err != nil {
+			t.Fatalf("diagnose -stats %v: %v", flags, err)
 		}
-		if got := statsValue(t, narrated, c.label); got != c.want {
-			t.Errorf("-stats -narrate %s %d, want %d", c.label, got, c.want)
+		if slices.Contains(flags, "-narrate") && !strings.Contains(out, `candidate M3.t"4: convicted`) {
+			t.Errorf("-stats %v: narration missing the conviction:\n%s", flags, out)
+		}
+		for _, c := range []struct {
+			label string
+			want  int
+		}{{"simulator steps:", 153}, {"simulator resets:", 16}} {
+			if got := statsValue(t, out, c.label); got != c.want {
+				t.Errorf("-stats %v %s %d, want %d", flags, c.label, got, c.want)
+			}
 		}
 	}
 }

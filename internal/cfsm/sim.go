@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"cfsmdiag/internal/trace"
 )
 
 // Input is one step of a test case: a symbol applied at a machine's external
@@ -187,10 +185,9 @@ func (s *System) Apply(cfg Config, in Input) (Config, Observation, []Executed, e
 // A Runner is NOT safe for concurrent use; give each goroutine its own
 // Runner. The System it runs is immutable and may be shared freely.
 type Runner struct {
-	sys    *System
-	cfg    Config
-	trace  [2]Executed
-	tracer *trace.Tracer // nil = tracing off; see SetTracer
+	sys   *System
+	cfg   Config
+	trace [2]Executed
 }
 
 // NewRunner returns a Runner positioned at the system's initial
@@ -218,15 +215,6 @@ func (r *Runner) Config() Config { return r.cfg }
 // Reset (clone it to retain it). After a non-nil error the runner's
 // configuration is unspecified; Reset before reusing it.
 func (r *Runner) Step(in Input) (Observation, []Executed, error) {
-	o, ex, err := r.step(in)
-	if r.tracer != nil {
-		r.traceStep(in, o, ex, err)
-	}
-	return o, ex, err
-}
-
-// step is the untraced hot path behind Step.
-func (r *Runner) step(in Input) (Observation, []Executed, error) {
 	recordStep()
 	s := r.sys
 	if in.IsReset() {
@@ -287,19 +275,16 @@ func (s *System) Run(tc TestCase) ([]Observation, error) {
 
 // RunTrace executes a test case from the initial configuration and returns
 // the observation sequence together with, for each input, the transitions
-// the system executed while processing it.
+// the system executed while processing it. On error the observations and
+// transitions of the inputs before the failing one are returned with it.
 func (s *System) RunTrace(tc TestCase) ([]Observation, [][]Executed, error) {
-	return runTrace(s.NewRunner(), tc)
-}
-
-// runTrace is the shared loop behind RunTrace and RunTraced.
-func runTrace(r *Runner, tc TestCase) ([]Observation, [][]Executed, error) {
+	r := s.NewRunner()
 	obs := make([]Observation, 0, len(tc.Inputs))
 	steps := make([][]Executed, 0, len(tc.Inputs))
 	for i, in := range tc.Inputs {
 		o, ex, err := r.Step(in)
 		if err != nil {
-			return nil, nil, fmt.Errorf("test case %s, step %d (%v): %w", tc.Name, i+1, in, err)
+			return obs, steps, fmt.Errorf("test case %s, step %d (%v): %w", tc.Name, i+1, in, err)
 		}
 		obs = append(obs, o)
 		// The runner's trace buffer is reused on the next Step; copy the

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -172,4 +175,50 @@ func TestCodecRejectsInvalidModel(t *testing.T) {
 			t.Fatalf("model-rule failure misclassified as %v", err)
 		}
 	}
+}
+
+// FuzzDecodeSystem feeds hostile bytes to the binary model decoder, which
+// backs POST /v1/models. Each input is decoded as given (exercising the
+// header checks) and again re-hashed around its payload, so the structural
+// parser is reached despite the content hash. Decoding must never panic,
+// must fail only with a typed sentinel or a model-validation error, and an
+// accepted system must survive an encode/decode round trip unchanged.
+func FuzzDecodeSystem(f *testing.F) {
+	for _, name := range []string{"figure1.json", "figure1-faulty.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		sys, err := cfsm.ParseSystem(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(EncodeSystem(sys))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= headerSize {
+			inputs = append(inputs, rehash(data[headerSize:]))
+		}
+		for _, in := range inputs {
+			sys, err := DecodeSystem(in)
+			if err != nil {
+				typed := errors.Is(err, ErrBadMagic) || errors.Is(err, ErrUnsupportedVersion) ||
+					errors.Is(err, ErrTruncated) || errors.Is(err, ErrHashMismatch)
+				if !typed && !strings.HasPrefix(err.Error(), "compiled: binary model fails validation: ") {
+					t.Fatalf("DecodeSystem: untyped error %v", err)
+				}
+				continue
+			}
+			again, err := DecodeSystem(EncodeSystem(sys))
+			if err != nil {
+				t.Fatalf("re-decode of an accepted system: %v", err)
+			}
+			want, _ := sys.MarshalJSON()
+			got, _ := again.MarshalJSON()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round trip changed the system:\n got %s\nwant %s", got, want)
+			}
+		}
+	})
 }

@@ -168,3 +168,33 @@ func compileSuiteCase(p *Program, r *Runner, tc cfsm.TestCase) suiteCase {
 	c.snap = c.simErr == nil
 	return c
 }
+
+// RunTrace reports the specification run of suite[i] in the shape of
+// cfsm.System.RunTrace: the observations, the transitions each input
+// executed and, when the run failed, the inputs before the failing one with
+// the wrapped simulator error. The transitions are re-stepped from the
+// compiled suite's per-step configuration snapshots, so the run reported is
+// the one the suite compilation simulated and no simulator step is counted
+// again. Only traced analyses call it.
+func (e *Engine) RunTrace(suite []cfsm.TestCase, i int) ([]cfsm.Observation, [][]cfsm.Executed, error) {
+	p := e.p
+	c := &e.suiteFor(suite).cases[i]
+	n := len(p.machines)
+	cfg := make([]int32, n)
+	steps := make([][]cfsm.Executed, len(c.exp))
+	for j := range c.exp {
+		in := c.inputs[j]
+		if in.reset {
+			continue
+		}
+		copy(cfg, c.cfgs[j*n:(j+1)*n])
+		_, e1, e2, _ := p.stepCfg(cfg, None(), stim{port: in.port, sym: in.sym})
+		for _, idx := range [2]int32{e1, e2} {
+			if idx >= 0 {
+				t, _ := p.src.Machine(int(p.trans[idx].Machine)).ByName(p.trans[idx].Name)
+				steps[j] = append(steps[j], cfsm.Executed{Machine: int(p.trans[idx].Machine), Trans: t})
+			}
+		}
+	}
+	return c.exp, steps, c.simErr
+}

@@ -175,7 +175,8 @@ func (a *Analysis) analyzeInterpreted(tr *trace.Tracer) error {
 	// Steps 1–3: expected outputs, symptoms, unique symptom transition, flag.
 	traces := make([][][]cfsm.Executed, len(a.Suite))
 	for i, tc := range a.Suite {
-		exp, steps, err := a.Spec.RunTraced(tc, tr)
+		exp, steps, err := a.Spec.RunTrace(tc)
+		simCase(tr, a.Spec, tc, exp, steps, err)
 		if err != nil {
 			return fmt.Errorf("core: simulate %s on specification: %w", tc.Name, err)
 		}

@@ -17,6 +17,7 @@ import (
 	"cfsmdiag/internal/randgen"
 	"cfsmdiag/internal/server"
 	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/trace"
 )
 
 // reference names the interpreted reference engine.
@@ -217,4 +218,71 @@ func TestMultiPortMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTraceMatchesReference pins the one sim.* emitter: the interpreted
+// reference feeds it the runs its analysis simulates, the compiled engine
+// the runs of its compiled suite, and a traced Analyze + Localize must emit
+// identical events on both for every Figure 1 and randgen seed-1 mutant —
+// and for a suite whose specification run fails part-way (an input at an
+// unknown port) or whose observations fall short of its inputs.
+func TestTraceMatchesReference(t *testing.T) {
+	traced := func(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation, oracle core.Oracle, opts ...core.Option) []trace.Event {
+		tr := trace.New()
+		opts = append(opts, core.WithTrace(tr))
+		if a, err := core.Analyze(spec, suite, observed, opts...); err == nil {
+			if _, err := core.Localize(a, oracle, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr.Events()
+	}
+	check := func(t *testing.T, label string, spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation, oracle core.Oracle) []trace.Event {
+		t.Helper()
+		want := traced(spec, suite, observed, oracle, reference)
+		if got := traced(spec, suite, observed, oracle); !reflect.DeepEqual(got, want) {
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%s: event %d differs:\n  compiled  %+v\n  reference %+v", label, i+1, got[i], want[i])
+				}
+			}
+			t.Fatalf("%s: compiled engine emitted %d events, reference %d", label, len(got), len(want))
+		}
+		return want
+	}
+	for _, sys := range conformanceSystems(t, 1) {
+		t.Run(sys.name, func(t *testing.T) {
+			for _, f := range fault.Enumerate(sys.spec) {
+				iut, err := f.Apply(sys.spec)
+				if err != nil {
+					t.Fatalf("apply %s: %v", f.Describe(sys.spec), err)
+				}
+				observed, err := iut.RunSuite(sys.suite)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, f.Describe(sys.spec), sys.spec, sys.suite, observed, &core.SystemOracle{Sys: iut})
+			}
+		})
+	}
+	t.Run("failing specification run", func(t *testing.T) {
+		spec := paper.MustFigure1()
+		suite := paper.TestSuite()
+		observed, err := spec.RunSuite(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := suite[0].Inputs
+		bad := cfsm.TestCase{Name: "bad-port", Inputs: append(append([]cfsm.Input(nil), first...), cfsm.Input{Port: 7, Sym: "a"}, first[1])}
+		badObserved := make([]cfsm.Observation, len(bad.Inputs))
+		oracle := &core.SystemOracle{Sys: spec}
+		events := check(t, "unknown port", spec, append(suite, bad), append(observed, badObserved), oracle)
+		if last := events[len(events)-2]; last.Kind != trace.KindSimObserve || last.Attrs["error"] != "cfsm: input a^8 addresses unknown port 7" {
+			t.Errorf("failing step reported as %+v", last)
+		}
+		check(t, "unknown port first", spec, append([]cfsm.TestCase{bad}, suite...), append([][]cfsm.Observation{badObserved}, observed...), oracle)
+		short := append([][]cfsm.Observation(nil), observed...)
+		short[0] = short[0][:len(short[0])-1]
+		check(t, "short observations", spec, suite, short, oracle)
+	})
 }

@@ -30,7 +30,8 @@ func LocalizeContext(ctx context.Context, a *Analysis, oracle Oracle, opts ...Op
 
 // DiagnoseContext is Diagnose with cancellation: suite execution, analysis
 // and localization all stop at the next oracle or round boundary once the
-// context is done.
+// context is done. Under WithTrace the replay header (RecordRun) goes into
+// the trace between suite execution and the analysis events.
 func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, oracle Oracle, opts ...Option) (*Localization, error) {
 	cfg := defaultSettings()
 	for _, opt := range opts {
@@ -45,6 +46,9 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 			return nil, fmt.Errorf("core: execute %s: %w", tc.Name, err)
 		}
 		observed[i] = obs
+	}
+	if err := RecordRun(cfg.trace, spec, suite, observed); err != nil {
+		return nil, err
 	}
 	a, err := Analyze(spec, suite, observed, opts...)
 	if err != nil {

@@ -27,7 +27,8 @@ import (
 // goroutine at a time.
 type engine interface {
 	// analyze runs Steps 1–5B into a, which Analyze has initialized (Spec,
-	// Suite, Observed, matcher and empty non-nil maps).
+	// Suite, Observed, matcher and empty non-nil maps), feeding the
+	// specification's runs to simCase when tr is enabled.
 	analyze(a *Analysis, tr *trace.Tracer) error
 	// explains reports whether injecting f into the specification makes
 	// every test case of the suite reproduce the matching observation
@@ -88,16 +89,16 @@ type compiledEngine struct {
 	e *compiled.Engine
 }
 
-// analyze runs Steps 1–5 on the compiled tables. The compiled simulation
-// emits no sim.* step events, so with tracing on the specification is
-// additionally run through cfsm.System.RunTraced, case by case up to the
-// first failure, exactly as the interpreted analysis does. Under an
-// observation matcher the compiled verification (exact equality) is skipped
-// and core's verification runs over compiled variants instead.
+// analyze runs Steps 1–5 on the compiled tables. With tracing on, the
+// compiled suite's specification runs go to the sim.* emitter case by case
+// up to the first failure, exactly as the interpreted analysis reports them.
+// Under an observation matcher the compiled verification (exact equality) is
+// skipped and core's verification runs over compiled variants instead.
 func (c compiledEngine) analyze(a *Analysis, tr *trace.Tracer) error {
 	if tr.Enabled() {
 		for i, tc := range a.Suite {
-			exp, _, err := a.Spec.RunTraced(tc, tr)
+			exp, steps, err := c.e.RunTrace(a.Suite, i)
+			simCase(tr, a.Spec, tc, exp, steps, err)
 			if err != nil || len(a.Observed[i]) != len(exp) {
 				break
 			}

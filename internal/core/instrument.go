@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,6 +114,118 @@ func (v Verdict) label() string {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// RecordRun emits the replay header into tr: the specification snapshot
+// (run.spec), every suite case with its inputs (run.case) and the IUT's
+// observed outputs per case (run.observed). A traced DiagnoseContext calls it
+// between executing the suite and Analyze, so the header precedes the
+// analysis events and the trace replays offline (internal/replay). It is a
+// no-op on a nil tracer.
+func RecordRun(tr *trace.Tracer, spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation) error {
+	if !tr.Enabled() {
+		return nil
+	}
+	if len(observed) != len(suite) {
+		return fmt.Errorf("core: %d observation sequences for %d test cases", len(observed), len(suite))
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Errorf("core: marshal specification: %w", err)
+	}
+	tr.Emit(trace.KindRunSpec, trace.A("system", string(data)))
+	for i, tc := range suite {
+		tr.Emit(trace.KindRunCase,
+			trace.A("index", itoa(i)),
+			trace.A("name", tc.Name),
+			trace.A("inputs", cfsm.FormatInputs(tc.Inputs)))
+	}
+	for i := range observed {
+		tr.Emit(trace.KindRunObserved,
+			trace.A("index", itoa(i)),
+			trace.A("outputs", cfsm.FormatObs(observed[i])))
+	}
+	return nil
+}
+
+// simCase emits the specification run of one suite case: a sim.case span
+// around, per input, a step-clock tick and its sim.step … sim.observe events,
+// rendered from the transitions the input executed. obs, steps and err have
+// cfsm.System.RunTrace's shape: on err they cover the inputs before the
+// failing one. This is the one sim.* emitter; the interpreted engine feeds
+// it the runs its analysis simulates, the compiled engine the runs of its
+// compiled suite, and only when tracing is on.
+func simCase(tr *trace.Tracer, spec *cfsm.System, tc cfsm.TestCase, obs []cfsm.Observation, steps [][]cfsm.Executed, err error) {
+	if !tr.Enabled() {
+		return
+	}
+	span := tr.Begin(trace.KindSimCase,
+		trace.A("case", tc.Name),
+		trace.A("inputs", cfsm.FormatInputs(tc.Inputs)))
+	for j, o := range obs {
+		tr.Tick()
+		simStep(tr, spec, tc.Inputs[j], o, steps[j])
+	}
+	if err != nil {
+		// err wraps the failing step's simulator error with its case and
+		// step; the step's event reports the simulator error itself.
+		failed := tc.Inputs[len(obs)]
+		tr.Tick()
+		tr.Emit(trace.KindSimStep, trace.A("input", failed.String()), trace.A("port", itoa(failed.Port+1)))
+		tr.Emit(trace.KindSimObserve, trace.A("error", errors.Unwrap(err).Error()))
+		span.End(trace.A("error", err.Error()))
+		return
+	}
+	span.End(trace.A("observed", cfsm.FormatObs(obs)))
+}
+
+// simStep emits the events of one input that ran: the input, every fired
+// transition with the internal message it sent and its delivery, and the
+// observation.
+func simStep(tr *trace.Tracer, spec *cfsm.System, in cfsm.Input, o cfsm.Observation, ex []cfsm.Executed) {
+	observe := func() {
+		tr.Emit(trace.KindSimObserve, trace.A("output", o.String()), trace.A("port", itoa(o.Port+1)))
+	}
+	if in.IsReset() {
+		tr.Emit(trace.KindSimStep, trace.A("input", in.String()), trace.A("reset", "true"))
+		observe()
+		return
+	}
+	tr.Emit(trace.KindSimStep, trace.A("input", in.String()), trace.A("port", itoa(in.Port+1)))
+	for i, e := range ex {
+		t := e.Trans
+		machine := spec.Machine(e.Machine).Name()
+		tr.Emit(trace.KindSimFire,
+			trace.A("machine", machine),
+			trace.A("transition", t.Name),
+			trace.A("from", string(t.From)),
+			trace.A("to", string(t.To)),
+			trace.A("on", string(t.Input)),
+			trace.A("output", string(t.Output)))
+		if !t.Internal() {
+			continue
+		}
+		// Under the synchronization assumption the queue holds exactly this
+		// message between the send and the (immediate) receive.
+		dest := spec.Machine(t.Dest).Name()
+		tr.Emit(trace.KindSimSend,
+			trace.A("from", machine),
+			trace.A("to", dest),
+			trace.A("message", string(t.Output)),
+			trace.A("queue", "["+string(t.Output)+"]"))
+		recv := []trace.KV{
+			trace.A("machine", dest),
+			trace.A("message", string(t.Output)),
+			trace.A("queue", "[]"),
+		}
+		if i+1 >= len(ex) {
+			// The receiver had no transition for the symbol in its current
+			// state: the message is consumed silently.
+			recv = append(recv, trace.A("undefined", "true"))
+		}
+		tr.Emit(trace.KindSimRecv, recv...)
+	}
+	observe()
+}
 
 // analyzeBegin opens the analyze span that analyzed closes.
 func (in *instruments) analyzeBegin(cases int) trace.Span {

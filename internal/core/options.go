@@ -60,12 +60,14 @@ func WithRegistry(r *obs.Registry) Option {
 	return func(s *settings) { s.registry = r }
 }
 
-// WithTrace attaches a structured tracer: Analyze emits analyze.* events for
-// Steps 3–5 (symptoms, conflict sets, candidate splits, verified hypotheses,
-// diagnoses) and simulates the specification with sim.* step events, while
-// Localize emits localize.* round/candidate spans, every generated diagnostic
-// test with the oracle's answer, and the elimination reason for every refuted
-// variant. A nil tracer — the default — is a no-op (see internal/trace).
+// WithTrace attaches a structured tracer: DiagnoseContext records the replay
+// header (RecordRun), Analyze emits its specification runs as sim.* step
+// events and analyze.* events for Steps 3–5 (symptoms, conflict sets,
+// candidate splits, verified hypotheses, diagnoses), and Localize emits
+// localize.* round/candidate spans, every generated diagnostic test with the
+// oracle's answer, and the elimination reason for every refuted variant. The
+// traced run is the untraced one: tracing adds no simulation and no oracle
+// query. A nil tracer — the default — is a no-op (see internal/trace).
 //
 // The trace is the pipeline's one instrumentation stream: the JSONL, Chrome
 // and narration exporters and the replay mode read it, and every metric

@@ -456,7 +456,7 @@ func (w sweepWorker) diagnose(ctx context.Context, spec *cfsm.System, suite []cf
 	}
 	classifyOutcome(loc, f, &report, equiv)
 	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
-		w.traceMutant(ctx, spec, suite, f, report.Outcome, opts.Trace)
+		w.traceMutant(ctx, loc, f, report.Outcome, opts.Trace)
 	}
 	return report, nil
 }
@@ -514,17 +514,24 @@ func classifyOutcome(loc *core.Localization, injected fault.Fault, report *Mutan
 	}
 }
 
-// traceMutant re-runs one detected mutant's diagnosis with structured
-// tracing enabled, inside a sweep.mutant span; the worker's oracle runner
-// still carries the mutant's overlay. The diagnosis is deterministic, so the
-// re-run repeats exactly the result just classified; tracing the second pass
-// keeps the tracer entirely off the untraced mutants' path.
-func (w sweepWorker) traceMutant(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, f fault.Fault, out MutantOutcome, tr *trace.Tracer) {
+// traceMutant re-runs one detected mutant's Analyze and Localize with
+// structured tracing enabled, inside a sweep.mutant span, on the suite
+// observations of the untraced diagnosis loc; the worker's oracle runner
+// still carries the mutant's overlay for Step 6. The diagnosis is
+// deterministic, so the re-run repeats exactly the result just classified;
+// tracing the second pass keeps the tracer entirely off the untraced
+// mutants' path.
+func (w sweepWorker) traceMutant(ctx context.Context, loc *core.Localization, f fault.Fault, out MutantOutcome, tr *trace.Tracer) {
+	base := loc.Analysis
 	span := tr.Begin(trace.KindSweepMutant,
-		trace.A("fault", f.Describe(spec)),
+		trace.A("fault", f.Describe(base.Spec)),
 		trace.A("outcome", out.String()))
 	opts := append([]core.Option{core.WithTrace(tr)}, w.engine...)
-	if _, err := core.DiagnoseContext(ctx, spec, suite, &compiled.Oracle{R: w.oracle}, opts...); err != nil {
+	a, err := core.Analyze(base.Spec, base.Suite, base.Observed, opts...)
+	if err == nil {
+		_, err = core.LocalizeContext(ctx, a, &compiled.Oracle{R: w.oracle}, opts...)
+	}
+	if err != nil {
 		span.End(trace.A("error", err.Error()))
 		return
 	}

@@ -15,14 +15,13 @@ import (
 type Option func(*config)
 
 type config struct {
-	registry     *obs.Registry
-	tracer       *trace.Tracer
-	coreOpts     []core.Option
-	closureLimit int
+	registry *obs.Registry
+	tracer   *trace.Tracer
+	coreOpts []core.Option
 }
 
 func newConfig(opts []Option) config {
-	cfg := config{closureLimit: DefaultClosureLimit}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -36,7 +35,8 @@ func WithRegistry(r *obs.Registry) Option {
 	return func(c *config) { c.registry = r }
 }
 
-// WithTrace attaches a structured tracer for the ports.* event kinds.
+// WithTrace attaches a structured tracer for the ports.* event kinds and, on
+// a multi-port DiagnoseContext, the replay header (core.RecordRun).
 func WithTrace(t *trace.Tracer) Option {
 	return func(c *config) { c.tracer = t }
 }
@@ -47,16 +47,6 @@ func WithTrace(t *trace.Tracer) Option {
 // not be supplied here.
 func WithCoreOptions(opts ...core.Option) Option {
 	return func(c *config) { c.coreOpts = append(c.coreOpts, opts...) }
-}
-
-// WithClosureLimit bounds the explicit interleaving enumeration of Closure
-// when it is used for cross-checking. Zero or negative keeps the default.
-func WithClosureLimit(n int) Option {
-	return func(c *config) {
-		if n > 0 {
-			c.closureLimit = n
-		}
-	}
 }
 
 // Matcher returns the core.ObsMatcher realizing distributed observation for
@@ -182,7 +172,7 @@ func AnalyzeObserved(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm
 		// bounded explicit enumeration and record the union conflict set the
 		// symptomatic case implies.
 		if !res.Full && cfg.tracer.Enabled() {
-			if cl, err := Closure(spec, pm, tc, p, cfg.closureLimit); err == nil {
+			if cl, err := Closure(spec, pm, tc, p, DefaultClosureLimit); err == nil {
 				cfg.tracer.Emit(trace.KindPortsClosure,
 					trace.KV{K: "case", V: tc.Name},
 					trace.KV{K: "explored", V: strconv.Itoa(cl.Explored)},
@@ -243,7 +233,9 @@ func Diagnose(spec *cfsm.System, suite []cfsm.TestCase, oracle core.Oracle, pm M
 
 // DiagnoseContext is Diagnose with cancellation: suite execution, analysis
 // and localization all stop at the next oracle or round boundary once the
-// context is done.
+// context is done. A traced multi-port run records the replay header into
+// the WithTrace tracer at the point core.DiagnoseContext does: after the
+// suite, before the analysis.
 func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, oracle core.Oracle, pm Map, opts ...Option) (*core.Localization, *Report, error) {
 	cfg := newConfig(opts)
 	if pm.Single() {
@@ -260,6 +252,9 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 			return nil, nil, fmt.Errorf("ports: execute %s: %w", tc.Name, err)
 		}
 		observed[i] = o
+	}
+	if err := core.RecordRun(cfg.tracer, spec, suite, observed); err != nil {
+		return nil, nil, err
 	}
 	a, rep, err := AnalyzeObserved(spec, suite, observed, pm, opts...)
 	if err != nil {

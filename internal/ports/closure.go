@@ -41,7 +41,7 @@ func Closure(spec *cfsm.System, m Map, tc cfsm.TestCase, p Projection, limit int
 	if limit <= 0 {
 		limit = DefaultClosureLimit
 	}
-	expected, steps, err := spec.RunTraced(tc, nil)
+	expected, steps, err := spec.RunTrace(tc)
 	if err != nil {
 		return ClosureResult{}, err
 	}

@@ -326,7 +326,7 @@ func TestClosureMatchesBruteForce(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, tc := range fx.suite {
-					expected, steps, err := fx.sys.RunTraced(tc, nil)
+					expected, steps, err := fx.sys.RunTrace(tc)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,10 +1,10 @@
 // Package replay turns a recorded diagnosis trace into an offline,
 // reproducible re-run of the localization.
 //
-// A trace recorded with Record (header: specification snapshot, suite,
-// observed outputs) plus the localize.test events that core.Localize emits
-// under core.WithTrace contains everything Step 6 learned from the live
-// implementation.  Load reconstructs that material and Run.Localize re-runs
+// A trace recorded by a traced core.DiagnoseContext (its core.RecordRun
+// header: specification snapshot, suite, observed outputs) plus the
+// localize.test events that core.Localize emits under core.WithTrace
+// contains everything Step 6 learned from the live implementation.  Load reconstructs that material and Run.Localize re-runs
 // Analyze + Localize with a CannedOracle that answers every diagnostic test
 // from the recording — no live oracle, no implementation, and a guaranteed
 // error if the replayed localization ever asks a question the original run
@@ -14,7 +14,6 @@
 package replay
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -24,36 +23,6 @@ import (
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/trace"
 )
-
-// Record emits the replay header into tr: the specification snapshot
-// (run.spec), every suite case with its inputs (run.case) and the IUT's
-// observed outputs per case (run.observed).  Call it before core.Analyze so
-// the header precedes the analysis events in the trace.
-func Record(tr *trace.Tracer, spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation) error {
-	if !tr.Enabled() {
-		return nil
-	}
-	if len(observed) != len(suite) {
-		return fmt.Errorf("replay: %d observation sequences for %d test cases", len(observed), len(suite))
-	}
-	data, err := json.Marshal(spec)
-	if err != nil {
-		return fmt.Errorf("replay: marshal specification: %w", err)
-	}
-	tr.Emit(trace.KindRunSpec, trace.A("system", string(data)))
-	for i, tc := range suite {
-		tr.Emit(trace.KindRunCase,
-			trace.A("index", strconv.Itoa(i)),
-			trace.A("name", tc.Name),
-			trace.A("inputs", cfsm.FormatInputs(tc.Inputs)))
-	}
-	for i := range observed {
-		tr.Emit(trace.KindRunObserved,
-			trace.A("index", strconv.Itoa(i)),
-			trace.A("outputs", cfsm.FormatObs(observed[i])))
-	}
-	return nil
-}
 
 // Run is the material reconstructed from a recorded trace.
 type Run struct {
@@ -78,7 +47,7 @@ type Run struct {
 }
 
 // Load reconstructs a Run from trace events.  The trace must contain the
-// Record header; localization events are optional (a no-fault run has none).
+// core.RecordRun header; localization events are optional (a no-fault run has none).
 func Load(events []trace.Event) (*Run, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("replay: trace contains no events: %w", trace.ErrTruncatedTrace)
@@ -141,7 +110,7 @@ func Load(events []trace.Event) (*Run, error) {
 		}
 	}
 	if r.Spec == nil {
-		return nil, fmt.Errorf("replay: trace has no %s header event — %w, or recorded without replay.Record", trace.KindRunSpec, trace.ErrTruncatedTrace)
+		return nil, fmt.Errorf("replay: trace has no %s header event — %w, or recorded without core.RecordRun", trace.KindRunSpec, trace.ErrTruncatedTrace)
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].index < cases[j].index })
 	for pos, c := range cases {

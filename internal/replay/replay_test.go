@@ -21,26 +21,8 @@ func recordFigure1(t *testing.T) (*core.Localization, *trace.Tracer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := paper.TestSuite()
-
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		obs, err := iut.Run(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		observed[i] = obs
-	}
-
 	tr := trace.New()
-	if err := replay.Record(tr, spec, suite, observed); err != nil {
-		t.Fatal(err)
-	}
-	a, err := core.Analyze(spec, suite, observed, core.WithTrace(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loc, err := core.Localize(a, &core.SystemOracle{Sys: iut}, core.WithTrace(tr))
+	loc, err := core.Diagnose(spec, paper.TestSuite(), &core.SystemOracle{Sys: iut}, core.WithTrace(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +171,7 @@ func TestReplayReproducesInconclusiveRun(t *testing.T) {
 		}
 	}
 	tr := trace.New()
-	if err := replay.Record(tr, spec, suite, observed); err != nil {
+	if err := core.RecordRun(tr, spec, suite, observed); err != nil {
 		t.Fatal(err)
 	}
 	a, err := core.Analyze(spec, suite, observed, core.WithTrace(tr))

@@ -298,7 +298,7 @@ func (s *api) execDiagnose(ctx context.Context, payload json.RawMessage) (json.R
 	if err := s.suiteSizeErr("suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }); err != nil {
 		return nil, err
 	}
-	resp, err := s.runDiagnose(ctx, req)
+	resp, err := s.runDiagnose(ctx, req, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,6 @@ import (
 	"cfsmdiag/internal/jobs"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/ports"
-	"cfsmdiag/internal/replay"
 	"cfsmdiag/internal/resilient"
 	httpapi "cfsmdiag/internal/server/api"
 	"cfsmdiag/internal/testgen"
@@ -483,7 +482,8 @@ func (e invalidPortMapError) Unwrap() error { return e.err }
 
 // writePipelineErr maps a diagnosis-pipeline error onto the envelope:
 // timeouts and client disconnects get their own codes, malformed suites and
-// port maps their typed 422s, everything else is a semantic (unprocessable)
+// port maps their typed 422s, a traced multi-port request its 501,
+// everything else is a semantic (unprocessable)
 // failure.
 func writePipelineErr(w http.ResponseWriter, err error) {
 	var dup duplicateTestCaseError
@@ -499,6 +499,8 @@ func writePipelineErr(w http.ResponseWriter, err error) {
 		writeErr(w, http.StatusUnprocessableEntity, codeDuplicateTestCase, err)
 	case errors.As(err, &pmErr):
 		writeErr(w, http.StatusUnprocessableEntity, codeInvalidPortMap, err)
+	case errors.Is(err, errTraceMultiPort):
+		writeErr(w, http.StatusNotImplemented, codeNotImplemented, err)
 	default:
 		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
 	}
@@ -931,9 +933,17 @@ func encodeLocalization(spec *cfsm.System, suite []cfsm.TestCase, base *core.Sys
 	return resp
 }
 
-// runDiagnose is the untraced diagnosis pipeline end to end: decode, run,
-// encode. The jobs executor calls it directly; errors are pipeline errors.
-func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest) (*diagnoseResponse, error) {
+// errTraceMultiPort refuses ?trace=1 under a genuinely distributed port map:
+// the traced run records a replayable global run, and the global order is
+// exactly what the observers do not have, so the combination is refused
+// rather than recording a trace that overstates what was observed. A
+// degenerate single-observer map is the classical pipeline and traces fine.
+var errTraceMultiPort = errors.New("?trace=1 is not supported with a multi-port observation map; drop the ports field or the trace flag")
+
+// runDiagnose is the diagnosis pipeline end to end: decode, run, encode.
+// With a tracer the run is traced, replay header included; the jobs
+// executor passes none. Errors are pipeline errors.
+func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tracer) (*diagnoseResponse, error) {
 	spec, iut, suite, err := s.prepareDiagnose(req)
 	if err != nil {
 		return nil, err
@@ -942,28 +952,29 @@ func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest) (*diagnoseRe
 	if err != nil {
 		return nil, err
 	}
+	if tr != nil && !pm.Single() {
+		return nil, errTraceMultiPort
+	}
+	opts := s.diagnoseOpts(req)
+	if tr != nil {
+		opts = append(opts, core.WithTrace(tr))
+	}
 	oracle, base := s.oracleFor(iut)
+	loc, rep, err := ports.DiagnoseContext(ctx, spec, suite, oracle, pm,
+		ports.WithCoreOptions(opts...),
+		ports.WithRegistry(s.cfg.Registry))
+	if err != nil {
+		return nil, err
+	}
+	resp := encodeLocalization(spec, suite, base, loc)
 	if hasPorts {
-		loc, rep, err := ports.DiagnoseContext(ctx, spec, suite, oracle, pm,
-			ports.WithCoreOptions(s.diagnoseOpts(req)...),
-			ports.WithRegistry(s.cfg.Registry))
-		if err != nil {
-			return nil, err
-		}
-		resp := encodeLocalization(spec, suite, base, loc)
 		resp.Ports = &portsReportJSON{
 			Observers:             rep.Ports,
 			Cases:                 rep.Cases,
 			AmbiguousCases:        rep.AmbiguousCases,
 			InterleavingsExplored: rep.InterleavingsExplored,
 		}
-		return &resp, nil
 	}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, s.diagnoseOpts(req)...)
-	if err != nil {
-		return nil, err
-	}
-	resp := encodeLocalization(spec, suite, base, loc)
 	return &resp, nil
 }
 
@@ -981,76 +992,25 @@ func (s *api) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSuiteSize(w, "suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }) {
 		return
 	}
+	var tr *trace.Tracer
+	if wantTrace {
+		tr = trace.New()
+	}
 	// The request context carries the configured timeout and the client's
 	// disconnect; a slow adaptive localization stops at the next oracle
 	// boundary once it is done.
-	if !wantTrace {
-		resp, err := s.runDiagnose(r.Context(), req)
-		if err != nil {
-			writePipelineErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	spec, iut, suite, err := s.prepareDiagnose(req)
+	resp, err := s.runDiagnose(r.Context(), req, tr)
 	if err != nil {
 		writePipelineErr(w, err)
 		return
 	}
-	// The traced path records a replayable global run; under a genuinely
-	// distributed port map the global order is exactly what the observers do
-	// not have, so the combination is refused rather than recording a trace
-	// that overstates what was observed. A degenerate single-observer map is
-	// the classical pipeline and traces fine.
-	pm, hasPorts, err := portMapFor(req.Ports, spec)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
+	if tr != nil {
+		s.cfg.Logger.Info("traced diagnosis",
+			"request_id", RequestID(r.Context()),
+			"verdict", resp.Verdict,
+			"trace_events", tr.Len())
+		resp.Trace = tr.Events()
 	}
-	if hasPorts && !pm.Single() {
-		writeErr(w, http.StatusNotImplemented, codeNotImplemented,
-			fmt.Errorf("?trace=1 is not supported with a multi-port observation map; drop the ports field or the trace flag"))
-		return
-	}
-	oracle, base := s.oracleFor(iut)
-	tr := trace.New()
-	opts := append(s.diagnoseOpts(req), core.WithTrace(tr))
-
-	// The traced path executes the suite by hand so the replay header
-	// (run.spec / run.case / run.observed) can be recorded before the
-	// analysis events: the response's trace is then directly replayable.
-	observed := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		if err := r.Context().Err(); err != nil {
-			writePipelineErr(w, err)
-			return
-		}
-		if observed[i], err = oracle.Execute(tc); err != nil {
-			writePipelineErr(w, fmt.Errorf("execute %s: %w", tc.Name, err))
-			return
-		}
-	}
-	if err = replay.Record(tr, spec, suite, observed); err != nil {
-		writeErr(w, http.StatusInternalServerError, codeInternal, err)
-		return
-	}
-	a, err := core.Analyze(spec, suite, observed, opts...)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
-	}
-	loc, err := core.LocalizeContext(r.Context(), a, oracle, opts...)
-	if err != nil {
-		writePipelineErr(w, err)
-		return
-	}
-	s.cfg.Logger.Info("traced diagnosis",
-		"request_id", RequestID(r.Context()),
-		"verdict", loc.Verdict.String(),
-		"trace_events", tr.Len())
-	resp := encodeLocalization(spec, suite, base, loc)
-	resp.Trace = tr.Events()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/replay"
 	"cfsmdiag/internal/trace"
@@ -42,10 +43,23 @@ func TestDiagnoseTraceDisabledAnswers501(t *testing.T) {
 // TestDiagnoseTraceInline: with tracing enabled, "?trace=1" returns the
 // structured trace inline; the events validate against the exporter schema
 // and — because the replay header is recorded first — load as a replayable
-// run that reproduces the verdict offline.
+// run that reproduces the verdict offline. The traced request is the same
+// diagnosis as the plain one, so both add the same oracle query and input
+// counts (Figure 1: 2 suite cases plus 2 diagnostic tests, 20 inputs).
 func TestDiagnoseTraceInline(t *testing.T) {
-	srv := httptest.NewServer(New(Config{EnableTracing: true}))
+	reg := obs.New()
+	srv := httptest.NewServer(New(Config{EnableTracing: true, Registry: reg}))
 	defer srv.Close()
+	var queries, inputs int64
+	checkOracleCounts := func(label string) {
+		t.Helper()
+		q := reg.Counter("cfsmdiag_oracle_queries_total", "").Value()
+		in := reg.Counter("cfsmdiag_oracle_inputs_total", "").Value()
+		if q-queries != 4 || in-inputs != 20 {
+			t.Errorf("%s request counted %d oracle queries and %d inputs, want 4 and 20", label, q-queries, in-inputs)
+		}
+		queries, inputs = q, in
+	}
 
 	iut, err := paper.FaultyImplementation()
 	if err != nil {
@@ -88,6 +102,7 @@ func TestDiagnoseTraceInline(t *testing.T) {
 		t.Fatalf("replay used %d oracle queries, response executed %d additional tests",
 			oracle.Queries, len(dr.AdditionalTests))
 	}
+	checkOracleCounts("traced")
 
 	// A plain request on the same server must stay trace-free.
 	resp, body = post(t, srv, "/v1/diagnose", diagnoseRequest{
@@ -109,6 +124,7 @@ func TestDiagnoseTraceInline(t *testing.T) {
 		t.Fatalf("traced and untraced runs disagree: %q/%q vs %q/%q",
 			dr.Verdict, dr.Fault, plain.Verdict, plain.Fault)
 	}
+	checkOracleCounts("untraced")
 }
 
 // TestDiagnoseTraceKindsKnown: every inline event uses a registered kind, so
