@@ -100,7 +100,11 @@ func Compile(sys *cfsm.System) (*Program, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("compiled: nil system")
 	}
-	p := &Program{src: sys, refIdx: make(map[cfsm.Ref]int32)}
+	p := &Program{
+		src:    sys,
+		trans:  make([]Trans, 0, sys.NumTransitions()),
+		refIdx: make(map[cfsm.Ref]int32, sys.NumTransitions()),
+	}
 
 	// Intern every symbol appearing in the system plus the reserved Null and
 	// Epsilon, in sorted order so symbol-ID order equals string order.
@@ -144,10 +148,15 @@ func Compile(sys *cfsm.System) (*Program, error) {
 	}
 
 	// Transitions in cfsm.System.Refs order: machine index, then (From,
-	// Input) — the canonical enumeration order everywhere else.
+	// Input) — the canonical enumeration order everywhere else. The output-
+	// fault pools (OEO_i, OIO_{i>j}) are per machine and destination, not per
+	// transition, so each is interned once; symbol-ID order is string order,
+	// so the pools stay sorted.
 	for i := 0; i < sys.N(); i++ {
 		m := sys.Machine(i)
 		mp := &p.machines[i]
+		oeo := p.symIDs(sys.OEO(i))
+		oio := make(map[int][]int32)
 		for _, t := range m.Transitions() {
 			ref := cfsm.Ref{Machine: i, Name: t.Name}
 			ct := Trans{
@@ -159,8 +168,19 @@ func Compile(sys *cfsm.System) (*Program, error) {
 				Dest:    int32(t.Dest),
 				Name:    t.Name,
 			}
-			for _, o := range sys.AlternativeOutputs(ref) {
-				ct.altOuts = append(ct.altOuts, p.symID[o])
+			pool := oeo
+			if t.Internal() {
+				var ok bool
+				if pool, ok = oio[t.Dest]; !ok {
+					pool = p.symIDs(sys.OIO(i, t.Dest))
+					oio[t.Dest] = pool
+				}
+			}
+			ct.altOuts = make([]int32, 0, len(pool))
+			for _, o := range pool {
+				if o != ct.Output {
+					ct.altOuts = append(ct.altOuts, o)
+				}
 			}
 			idx := int32(len(p.trans))
 			p.trans = append(p.trans, ct)
@@ -195,6 +215,15 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		}
 	}
 	return p, nil
+}
+
+// symIDs interns a list of symbols.
+func (p *Program) symIDs(syms []cfsm.Symbol) []int32 {
+	ids := make([]int32, len(syms))
+	for i, s := range syms {
+		ids[i] = p.symID[s]
+	}
+	return ids
 }
 
 // System returns the source system the program was compiled from.

@@ -307,7 +307,7 @@ func (s *api) execDiagnose(ctx context.Context, payload json.RawMessage) (json.R
 
 // sweepJobRequest is the "sweep" job kind's request document.
 type sweepJobRequest struct {
-	Spec cfsm.SystemJSON `json:"spec"`
+	Spec json.RawMessage `json:"spec"`
 	// SpecRef names a registered model by content hash instead of an inline
 	// spec document; it wins when both are set.
 	SpecRef string         `json:"specRef,omitempty"`
@@ -342,10 +342,11 @@ func (s *api) execSweep(ctx context.Context, payload json.RawMessage) (json.RawM
 	if err := s.suiteSizeErr("suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }); err != nil {
 		return nil, err
 	}
-	spec, err := s.resolveModel(req.Spec, req.SpecRef)
+	specEntry, err := s.resolveModel(req.Spec, req.SpecRef)
 	if err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
 	}
+	spec := specEntry.sys
 	var suite []cfsm.TestCase
 	if len(req.Suite) > 0 {
 		if suite, err = decodeSuite(req.Suite); err != nil {

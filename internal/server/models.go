@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,24 +14,29 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
+	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/obs"
 )
 
 // The content-addressed model registry. Every endpoint that accepts a system
-// resolves it through the registry, so a model seen once — inline or
-// uploaded — is never re-validated: the parsed *cfsm.System is served from
-// cache, keyed by the content hash of its canonical binary encoding
-// (compiled.ModelHash). Cached systems are immutable after construction, so
-// sharing one across concurrent requests and job workers is safe.
+// resolves it through the registry, so a model is decoded, validated and
+// compiled once per content: an entry holds the validated *cfsm.System and,
+// compiled on first use as a specification, its *compiled.Program. Both are
+// immutable, so one entry is shared across concurrent requests and job
+// workers; each diagnosis builds its own single-goroutine compiled.Engine
+// over the shared program.
 //
-// Two key namespaces share the cache:
+// Two key namespaces share the cache, both naming entries:
 //
-//   - "<hex hash>": the canonical content hash, set on upload and after any
-//     successful inline resolution. Requests reference it via the *Ref
-//     request fields and GET /v1/models/{hash}.
-//   - "doc:<hex hash>": the hash of the inline JSON document, so repeated
-//     inline submissions of the same document skip cfsm.FromJSON without
-//     first constructing the system.
+//   - "<hex hash>": the canonical content hash (compiled.ModelHash), set on
+//     upload and after any successful inline resolution. Requests reference
+//     it via the *Ref request fields and GET /v1/models/{hash}.
+//   - "doc:<hex hash>": the SHA-256 of an inline document's raw bytes, so a
+//     repeated inline submission skips decoding and validation altogether.
+//     Byte-different spellings of one model resolve to the entry already
+//     held under its canonical hash and share its compiled program.
+//
+// The cache is bounded by key count and evicts the least recently used key.
 
 // Model registry metric families.
 const (
@@ -41,12 +47,42 @@ const (
 	metricModelRejects = "cfsmdiag_model_rejects_total"
 )
 
-// modelRegistry is a bounded FIFO cache of validated systems.
+// modelEntry is one registered model.
+type modelEntry struct {
+	sys  *cfsm.System
+	hash string // compiled.ModelHash(sys)
+
+	compileOnce sync.Once
+	prog        *compiled.Program
+}
+
+// program returns the entry's compiled program, compiling it on first use.
+// Only specifications call it, so IUT-only entries never compile.
+func (e *modelEntry) program() *compiled.Program {
+	e.compileOnce.Do(func() {
+		// Compile fails only on a nil system, and a registered one never is.
+		e.prog, _ = compiled.Compile(e.sys)
+	})
+	return e.prog
+}
+
+// engineOpts runs a diagnosis of the entry's system on a fresh engine over
+// the shared program. A specification whose configurations do not pack gets
+// no option, and core falls back exactly as it does without one.
+func (e *modelEntry) engineOpts() []core.Option {
+	eng, err := compiled.EngineFor(e.program())
+	if err != nil {
+		return nil
+	}
+	return []core.Option{core.WithEngine(eng)}
+}
+
+// modelRegistry is a bounded LRU cache of registered models.
 type modelRegistry struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*cfsm.System
-	order   []string // insertion order over keys, for FIFO eviction
+	entries map[string]*list.Element // key -> element of lru
+	lru     *list.List               // of keyedEntry, least recently used first
 
 	hits    *obs.Counter
 	misses  *obs.Counter
@@ -55,10 +91,16 @@ type modelRegistry struct {
 	size    *obs.Gauge
 }
 
+type keyedEntry struct {
+	key   string
+	entry *modelEntry
+}
+
 func newModelRegistry(reg *obs.Registry, capEntries int) *modelRegistry {
 	return &modelRegistry{
 		cap:     capEntries,
-		entries: make(map[string]*cfsm.System),
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
 		hits:    reg.Counter(metricModelHits, "Model resolutions served from the registry cache."),
 		misses:  reg.Counter(metricModelMisses, "Model resolutions that had to parse and validate the model."),
 		uploads: reg.Counter(metricModelUploads, "Models accepted by POST /v1/models."),
@@ -67,81 +109,117 @@ func newModelRegistry(reg *obs.Registry, capEntries int) *modelRegistry {
 	}
 }
 
-// get looks a key up without touching the hit/miss counters.
-func (mr *modelRegistry) get(key string) (*cfsm.System, bool) {
+// get looks a key up without touching the hit/miss counters. A hit marks
+// the key most recently used, and with it the entry's canonical hash, so a
+// model kept hot by its inline document stays resolvable by reference.
+func (mr *modelRegistry) get(key string) (*modelEntry, bool) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
-	sys, ok := mr.entries[key]
-	return sys, ok
+	el, ok := mr.entries[key]
+	if !ok {
+		return nil, false
+	}
+	e := el.Value.(keyedEntry).entry
+	if h, ok := mr.entries[e.hash]; ok && h.Value.(keyedEntry).entry == e {
+		mr.lru.MoveToBack(h)
+	}
+	mr.lru.MoveToBack(el)
+	return e, true
 }
 
-// put stores sys under every key, evicting oldest entries beyond the cap.
-// It reports whether all keys were already present.
-func (mr *modelRegistry) put(sys *cfsm.System, keys ...string) bool {
+// put registers sys under its canonical hash and the extra keys, evicting
+// least recently used keys beyond the cap. A model already held under hash
+// keeps its entry, so every key of one content shares one compile. It
+// returns the entry and whether every key was already present.
+func (mr *modelRegistry) put(sys *cfsm.System, hash string, keys ...string) (*modelEntry, bool) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
+	var e *modelEntry
+	if el, ok := mr.entries[hash]; ok {
+		e = el.Value.(keyedEntry).entry
+	} else {
+		e = &modelEntry{sys: sys, hash: hash}
+	}
 	all := true
-	for _, key := range keys {
-		if _, ok := mr.entries[key]; ok {
+	for _, key := range append([]string{hash}, keys...) {
+		if el, ok := mr.entries[key]; ok {
+			mr.lru.MoveToBack(el)
 			continue
 		}
 		all = false
-		mr.entries[key] = sys
-		mr.order = append(mr.order, key)
+		mr.entries[key] = mr.lru.PushBack(keyedEntry{key: key, entry: e})
 	}
-	for len(mr.order) > mr.cap {
-		delete(mr.entries, mr.order[0])
-		mr.order = mr.order[1:]
+	for mr.lru.Len() > mr.cap {
+		oldest := mr.lru.Remove(mr.lru.Front()).(keyedEntry)
+		delete(mr.entries, oldest.key)
 	}
 	mr.size.Set(int64(len(mr.entries)))
-	return all
+	return e, all
 }
 
 // byHash returns the model stored under a content hash.
-func (mr *modelRegistry) byHash(hash string) (*cfsm.System, bool) {
-	sys, ok := mr.get(hash)
+func (mr *modelRegistry) byHash(hash string) (*modelEntry, bool) {
+	e, ok := mr.get(hash)
 	if ok {
 		mr.hits.Inc()
 	} else {
 		mr.misses.Inc()
 	}
-	return sys, ok
+	return e, ok
 }
 
-// resolveDoc resolves an inline JSON document to a validated system, caching
-// by the document's hash so a repeated submission skips validation entirely.
-func (mr *modelRegistry) resolveDoc(doc cfsm.SystemJSON) (*cfsm.System, error) {
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		// Unreachable for decoded wire documents; resolve without caching.
-		return cfsm.FromJSON(doc)
+// modelDecodeError reports an inline model document that does not decode
+// strictly (malformed JSON, an unknown field, a wrong type): a malformed
+// request, answered 400 like any other body that fails to decode.
+type modelDecodeError struct{ err error }
+
+func (e modelDecodeError) Error() string { return e.err.Error() }
+func (e modelDecodeError) Unwrap() error { return e.err }
+
+// decodeModel strictly decodes and validates a JSON system document.
+func decodeModel(doc []byte) (*cfsm.System, error) {
+	var sj cfsm.SystemJSON
+	if err := strictUnmarshal(doc, &sj); err != nil {
+		return nil, modelDecodeError{err: err}
 	}
-	sum := sha256.Sum256(raw)
+	return cfsm.FromJSON(sj)
+}
+
+// resolveInline resolves an inline JSON document, keyed by its raw bytes: a
+// hit skips decoding and validation, a miss decodes, validates and registers
+// the model under both its document key and its canonical hash.
+func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error) {
+	if len(doc) == 0 {
+		// An omitted document reads as an explicit null: the empty system,
+		// which fails validation.
+		doc = json.RawMessage("null")
+	}
+	sum := sha256.Sum256(doc)
 	docKey := "doc:" + hex.EncodeToString(sum[:])
-	if sys, ok := mr.get(docKey); ok {
+	if e, ok := mr.get(docKey); ok {
 		mr.hits.Inc()
-		return sys, nil
+		return e, nil
 	}
 	mr.misses.Inc()
-	sys, err := cfsm.FromJSON(doc)
+	sys, err := decodeModel(doc)
 	if err != nil {
 		return nil, err
 	}
-	mr.put(sys, docKey, compiled.ModelHash(sys))
-	return sys, nil
+	e, _ := mr.put(sys, compiled.ModelHash(sys), docKey)
+	return e, nil
 }
 
 // resolveModel resolves a request's (inline document, registry reference)
 // pair. A non-empty ref must name an uploaded or previously seen model; it
 // takes precedence over the inline document.
-func (s *api) resolveModel(doc cfsm.SystemJSON, ref string) (*cfsm.System, error) {
+func (s *api) resolveModel(doc json.RawMessage, ref string) (*modelEntry, error) {
 	if ref != "" {
-		if sys, ok := s.models.byHash(ref); ok {
-			return sys, nil
+		if e, ok := s.models.byHash(ref); ok {
+			return e, nil
 		}
 		return nil, fmt.Errorf("model %s is not in the registry; upload it with POST /v1/models", ref)
 	}
-	return s.models.resolveDoc(doc)
+	return s.models.resolveInline(doc)
 }
 
 // --- POST /v1/models and GET /v1/models/{hash} ---
@@ -195,21 +273,13 @@ func (s *api) handleModels(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-	} else {
-		var doc cfsm.SystemJSON
-		if err := strictUnmarshal(data, &doc); err != nil {
-			s.models.rejects.Inc()
-			writeErr(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode request: %w", err))
-			return
-		}
-		if sys, err = cfsm.FromJSON(doc); err != nil {
-			s.models.rejects.Inc()
-			writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
-			return
-		}
+	} else if sys, err = decodeModel(data); err != nil {
+		s.models.rejects.Inc()
+		writePipelineErr(w, err)
+		return
 	}
 	hash := compiled.ModelHash(sys)
-	cached := s.models.put(sys, hash)
+	_, cached := s.models.put(sys, hash)
 	s.models.uploads.Inc()
 	writeJSON(w, http.StatusOK, modelResponse{
 		Hash:        hash,
@@ -238,7 +308,7 @@ func (s *api) handleModelGet(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no such route %s", r.URL.Path))
 		return
 	}
-	sys, ok := s.models.byHash(hash)
+	e, ok := s.models.byHash(hash)
 	if !ok {
 		writeErr(w, http.StatusNotFound, codeNotFound,
 			fmt.Errorf("model %s is not in the registry", hash))
@@ -246,10 +316,10 @@ func (s *api) handleModelGet(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "binary" {
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_, _ = w.Write(compiled.EncodeSystem(sys))
+		_, _ = w.Write(compiled.EncodeSystem(e.sys))
 		return
 	}
-	doc, err := sys.MarshalJSON()
+	doc, err := e.sys.MarshalJSON()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, codeInternal, err)
 		return

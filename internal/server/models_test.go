@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"cfsmdiag/internal/compiled"
+	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/protocols"
@@ -220,8 +221,8 @@ func TestModelRefMisses(t *testing.T) {
 	}
 }
 
-// TestModelRegistryEviction: a tiny cache evicts FIFO; the evicted model is
-// gone, the newest survive.
+// TestModelRegistryEviction: a tiny cache evicts the least recently used
+// model; the evicted model is gone, the newest survive.
 func TestModelRegistryEviction(t *testing.T) {
 	srv := httptest.NewServer(New(Config{ModelCacheEntries: 2}))
 	defer srv.Close()
@@ -258,5 +259,45 @@ func TestModelRegistryEviction(t *testing.T) {
 		if resp, _ := get(t, srv, "/v1/models/"+h); resp.StatusCode != http.StatusOK {
 			t.Errorf("recent model %s evicted (status %d)", h, resp.StatusCode)
 		}
+	}
+}
+
+// TestModelRegistryKeepsHotModels: a specification used on every request
+// stays cached while one-off IUT documents stream past a small cache, so
+// every spec lookup after the first is a hit. A FIFO cache evicts it.
+func TestModelRegistryKeepsHotModels(t *testing.T) {
+	reg := obs.New()
+	srv := httptest.NewServer(New(Config{Registry: reg, ModelCacheEntries: 8}))
+	defer srv.Close()
+	hits := reg.Counter(metricModelHits, "")
+
+	spec := paper.MustFigure1()
+	faults := fault.Enumerate(spec)
+	for i, f := range faults[:20] {
+		iut, err := f.Apply(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := hits.Value()
+		resp, body := post(t, srv, "/v1/diagnose", diagnoseRequest{
+			Spec:  systemDoc(t, spec),
+			IUT:   systemDoc(t, iut),
+			Suite: suiteDoc(paper.TestSuite()),
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		// The IUT is new on every request, so only the spec can hit.
+		want := int64(1)
+		if i == 0 {
+			want = 0
+		}
+		if got := hits.Value() - before; got != want {
+			t.Errorf("request %d: %d registry hits, want %d (the spec lookup)", i, got, want)
+		}
+	}
+	// A hit on the inline document keeps the model's canonical hash too.
+	if resp, body := get(t, srv, "/v1/models/"+compiled.ModelHash(spec)); resp.StatusCode != http.StatusOK {
+		t.Errorf("hot spec no longer resolvable by hash: %d: %s", resp.StatusCode, body)
 	}
 }

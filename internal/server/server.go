@@ -24,7 +24,9 @@
 //
 // Every endpoint that takes a system resolves it through a content-addressed
 // model registry: a model seen once (inline or uploaded) is cached by the
-// content hash of its canonical binary encoding and never re-validated.
+// content hash of its canonical binary encoding, an inline document also by
+// the hash of its raw bytes, and is never decoded or re-validated again; a
+// specification is compiled once and its program shared by every diagnosis.
 // Requests may replace an inline "spec"/"iut" document with a "specRef"/
 // "iutRef" content hash of a registered model. Registry traffic is measured
 // by the cfsmdiag_model_* metric families.
@@ -132,7 +134,7 @@ type Config struct {
 	// MaxCaseInputs caps inputs per test case (default 65536).
 	MaxCaseInputs int
 	// ModelCacheEntries caps the content-addressed model registry (default
-	// 256 cache keys); oldest entries are evicted first.
+	// 256 cache keys); the least recently used keys are evicted first.
 	ModelCacheEntries int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
 	EnablePprof bool
@@ -380,7 +382,11 @@ func NewService(cfg Config) (*Service, error) {
 		}
 		svc.coord = coord
 		ch := coord.Handler(func(ref string) (*cfsm.System, error) {
-			return s.resolveModel(cfsm.SystemJSON{}, ref)
+			e, err := s.resolveModel(nil, ref)
+			if err != nil {
+				return nil, err
+			}
+			return e.sys, nil
 		})
 		mux.Handle(cluster.Prefix+"/sweeps", s.wrap(cluster.Prefix+"/sweeps", ch.ServeHTTP))
 		mux.Handle(cluster.Prefix+"/sweeps/", s.wrap(cluster.Prefix+"/sweeps/{id}", ch.ServeHTTP))
@@ -480,15 +486,18 @@ type invalidPortMapError struct{ err error }
 func (e invalidPortMapError) Error() string { return e.err.Error() }
 func (e invalidPortMapError) Unwrap() error { return e.err }
 
-// writePipelineErr maps a diagnosis-pipeline error onto the envelope:
-// timeouts and client disconnects get their own codes, malformed suites and
-// port maps their typed 422s, a traced multi-port request its 501,
-// everything else is a semantic (unprocessable)
-// failure.
+// writePipelineErr maps a diagnosis-pipeline error onto the envelope: an
+// inline model that does not decode is a bad request, timeouts and client
+// disconnects get their own codes, malformed suites and port maps their
+// typed 422s, a traced multi-port request its 501, everything else is a
+// semantic (unprocessable) failure.
 func writePipelineErr(w http.ResponseWriter, err error) {
 	var dup duplicateTestCaseError
 	var pmErr invalidPortMapError
+	var decErr modelDecodeError
 	switch {
+	case errors.As(err, &decErr):
+		writeErr(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode request: %w", err))
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, codeTimeout, err)
 	case errors.Is(err, context.Canceled):
@@ -590,7 +599,7 @@ func (s *api) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // --- POST /v1/validate ---
 
 type validateRequest struct {
-	Spec cfsm.SystemJSON `json:"spec"`
+	Spec json.RawMessage `json:"spec"`
 }
 
 type validateResponse struct {
@@ -604,13 +613,13 @@ func (s *api) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sys, err := s.models.resolveDoc(req.Spec)
+	spec, err := s.resolveModel(req.Spec, "")
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
+		writePipelineErr(w, err)
 		return
 	}
-	resp := validateResponse{Machines: sys.N(), Transitions: sys.NumTransitions()}
-	for _, warn := range core.CheckAssumptions(sys) {
+	resp := validateResponse{Machines: spec.sys.N(), Transitions: spec.sys.NumTransitions()}
+	for _, warn := range core.CheckAssumptions(spec.sys) {
 		resp.Warnings = append(resp.Warnings, warn.String())
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -691,7 +700,7 @@ func encodeInputs(ins []cfsm.Input) []string {
 // --- POST /v1/suite ---
 
 type suiteRequest struct {
-	Spec cfsm.SystemJSON `json:"spec"`
+	Spec json.RawMessage `json:"spec"`
 	// SpecRef names a registered model by content hash instead of an inline
 	// spec document; it wins when both are set.
 	SpecRef string `json:"specRef,omitempty"`
@@ -714,11 +723,12 @@ func (s *api) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	sys, err := s.resolveModel(req.Spec, req.SpecRef)
+	spec, err := s.resolveModel(req.Spec, req.SpecRef)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
+		writePipelineErr(w, err)
 		return
 	}
+	sys := spec.sys
 	var resp suiteResponse
 	var suite []cfsm.TestCase
 	switch req.Kind {
@@ -758,8 +768,8 @@ func (s *api) handleSuite(w http.ResponseWriter, r *http.Request) {
 // --- POST /v1/diagnose ---
 
 type diagnoseRequest struct {
-	Spec cfsm.SystemJSON `json:"spec"`
-	IUT  cfsm.SystemJSON `json:"iut"`
+	Spec json.RawMessage `json:"spec"`
+	IUT  json.RawMessage `json:"iut"`
 	// SpecRef and IUTRef name registered models by content hash instead of
 	// the inline documents; a ref wins over its inline counterpart.
 	SpecRef string         `json:"specRef,omitempty"`
@@ -840,21 +850,22 @@ func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, bo
 	return pm, true, nil
 }
 
-// prepareDiagnose decodes a diagnosis request's systems and resolves its
-// suite (explicit or generated tour). Shared by the HTTP handler and the
-// "diagnose" job executor.
+// prepareDiagnose resolves a diagnosis request's systems through the model
+// registry and its suite (explicit or generated tour). Shared by the HTTP
+// handler and the "diagnose" job executor.
 // Suite sizes are NOT checked here — the HTTP handler rejects them with
 // the suite_too_large code before calling in, and the job executors call
 // suiteSizeErr themselves.
-func (s *api) prepareDiagnose(req diagnoseRequest) (spec, iut *cfsm.System, suite []cfsm.TestCase, err error) {
+func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.System, suite []cfsm.TestCase, err error) {
 	spec, err = s.resolveModel(req.Spec, req.SpecRef)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("spec: %w", err)
 	}
-	iut, err = s.resolveModel(req.IUT, req.IUTRef)
+	iutEntry, err := s.resolveModel(req.IUT, req.IUTRef)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("iut: %w", err)
 	}
+	iut = iutEntry.sys
 	if len(req.Suite) > 0 {
 		suite, err = decodeSuite(req.Suite)
 		if err != nil {
@@ -867,7 +878,7 @@ func (s *api) prepareDiagnose(req diagnoseRequest) (spec, iut *cfsm.System, suit
 	// initial configuration) the diagnosis would silently run on an empty
 	// suite and report "no fault", so reject the request instead.
 	var uncovered []cfsm.Ref
-	suite, uncovered = testgen.Tour(spec, 0)
+	suite, uncovered = testgen.Tour(spec.sys, 0)
 	if len(suite) == 0 {
 		return nil, nil, nil, fmt.Errorf("suite omitted and the generated transition tour is empty (%d transitions unreachable from the initial configuration); supply an explicit suite", len(uncovered))
 	}
@@ -890,9 +901,11 @@ func (s *api) oracleFor(iut *cfsm.System) (core.Oracle, *core.SystemOracle) {
 	return oracle, base
 }
 
-// diagnoseOpts are the core options shared by every diagnosis entry point.
-func (s *api) diagnoseOpts(req diagnoseRequest) []core.Option {
-	opts := []core.Option{core.WithRegistry(s.cfg.Registry)}
+// diagnoseOpts are the core options shared by every diagnosis entry point:
+// the server's registry and an engine over the specification's cached
+// program.
+func (s *api) diagnoseOpts(spec *modelEntry, req diagnoseRequest) []core.Option {
+	opts := append(spec.engineOpts(), core.WithRegistry(s.cfg.Registry))
 	if req.MaxAdditionalTests > 0 {
 		opts = append(opts, core.WithMaxAdditionalTests(req.MaxAdditionalTests))
 	}
@@ -944,10 +957,11 @@ var errTraceMultiPort = errors.New("?trace=1 is not supported with a multi-port 
 // With a tracer the run is traced, replay header included; the jobs
 // executor passes none. Errors are pipeline errors.
 func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tracer) (*diagnoseResponse, error) {
-	spec, iut, suite, err := s.prepareDiagnose(req)
+	specEntry, iut, suite, err := s.prepareDiagnose(req)
 	if err != nil {
 		return nil, err
 	}
+	spec := specEntry.sys
 	pm, hasPorts, err := portMapFor(req.Ports, spec)
 	if err != nil {
 		return nil, err
@@ -955,7 +969,7 @@ func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tr
 	if tr != nil && !pm.Single() {
 		return nil, errTraceMultiPort
 	}
-	opts := s.diagnoseOpts(req)
+	opts := s.diagnoseOpts(specEntry, req)
 	if tr != nil {
 		opts = append(opts, core.WithTrace(tr))
 	}
@@ -1017,7 +1031,7 @@ func (s *api) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 // --- POST /v1/analyze ---
 
 type analyzeRequest struct {
-	Spec cfsm.SystemJSON `json:"spec"`
+	Spec json.RawMessage `json:"spec"`
 	// SpecRef names a registered model by content hash instead of an inline
 	// spec document; it wins when both are set.
 	SpecRef      string         `json:"specRef,omitempty"`
@@ -1055,11 +1069,12 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSuiteSize(w, "observations", len(req.Observations), func(i int) int { return len(req.Observations[i]) }) {
 		return
 	}
-	spec, err := s.resolveModel(req.Spec, req.SpecRef)
+	specEntry, err := s.resolveModel(req.Spec, req.SpecRef)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, fmt.Errorf("spec: %w", err))
+		writePipelineErr(w, fmt.Errorf("spec: %w", err))
 		return
 	}
+	spec := specEntry.sys
 	suite, err := decodeSuite(req.Suite)
 	if err != nil {
 		writePipelineErr(w, err)
@@ -1079,12 +1094,13 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		a   *core.Analysis
 		rep *ports.Report
 	)
+	opts := append(specEntry.engineOpts(), core.WithRegistry(s.cfg.Registry))
 	if hasPorts {
 		a, rep, err = ports.AnalyzeObserved(spec, suite, observed, pm,
-			ports.WithCoreOptions(core.WithRegistry(s.cfg.Registry)),
+			ports.WithCoreOptions(opts...),
 			ports.WithRegistry(s.cfg.Registry))
 	} else {
-		a, err = core.Analyze(spec, suite, observed, core.WithRegistry(s.cfg.Registry))
+		a, err = core.Analyze(spec, suite, observed, opts...)
 	}
 	if err != nil {
 		writePipelineErr(w, err)

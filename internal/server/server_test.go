@@ -12,17 +12,13 @@ import (
 	"cfsmdiag/internal/paper"
 )
 
-func systemDoc(t *testing.T, sys *cfsm.System) cfsm.SystemJSON {
+func systemDoc(t *testing.T, sys *cfsm.System) json.RawMessage {
 	t.Helper()
 	data, err := sys.MarshalJSON()
 	if err != nil {
 		t.Fatalf("MarshalJSON: %v", err)
 	}
-	var doc cfsm.SystemJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	return doc
+	return data
 }
 
 func post(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, []byte) {
