@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
@@ -112,7 +113,10 @@ func cmdInfo(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "compiled: %d symbols, %d global configurations, packable=%v\n",
-		p.NumSymbols(), p.Configs(), p.Packable())
+	configs := ">=2^64"
+	if n, ok := p.Configs(); ok {
+		configs = strconv.FormatUint(n, 10)
+	}
+	fmt.Fprintf(out, "compiled: %d symbols, %s global configurations\n", p.NumSymbols(), configs)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/randgen"
 )
 
 func writeSystem(t *testing.T, sys *cfsm.System, name string) string {
@@ -508,5 +509,26 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if _, err := runCLI(t, "diagnose", "-spec", "/nonexistent.json", "-iut", "/nope.json"); err == nil {
 		t.Error("want error for missing spec")
+	}
+}
+
+// TestCLIInfoConfigurations pins the configuration count `info` prints:
+// exact while it fits in a uint64 (27 for Figure 1), ">=2^64" past that.
+func TestCLIInfoConfigurations(t *testing.T) {
+	wide := randgen.MustGenerate(randgen.Config{N: 17, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
+	for _, tc := range []struct {
+		sys  *cfsm.System
+		want string
+	}{
+		{paper.MustFigure1(), "compiled: 21 symbols, 27 global configurations\n"},
+		{wide, " >=2^64 global configurations\n"},
+	} {
+		out, err := runCLI(t, "info", writeSystem(t, tc.sys, "sys.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("info output lacks %q:\n%s", tc.want, out)
+		}
 	}
 }

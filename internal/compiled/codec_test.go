@@ -182,7 +182,8 @@ func TestCodecRejectsInvalidModel(t *testing.T) {
 // header checks) and again re-hashed around its payload, so the structural
 // parser is reached despite the content hash. Decoding must never panic,
 // must fail only with a typed sentinel or a model-validation error, and an
-// accepted system must survive an encode/decode round trip unchanged.
+// accepted system must survive an encode/decode round trip unchanged and get
+// an engine, whatever its configuration count.
 func FuzzDecodeSystem(f *testing.F) {
 	for _, name := range []string{"figure1.json", "figure1-faulty.json"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
@@ -209,6 +210,9 @@ func FuzzDecodeSystem(f *testing.F) {
 					t.Fatalf("DecodeSystem: untyped error %v", err)
 				}
 				continue
+			}
+			if _, err := NewEngine(sys); err != nil {
+				t.Fatalf("NewEngine refused an accepted system: %v", err)
 			}
 			again, err := DecodeSystem(EncodeSystem(sys))
 			if err != nil {

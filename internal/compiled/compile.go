@@ -1,17 +1,18 @@
 // Package compiled lowers a validated cfsm.System into a dense, integer-
 // indexed representation — interned state and symbol IDs, flat transition
-// tables, packed global configurations — and executes the diagnosis hot
-// paths against it: test-suite replay (Explains), behavioural variants, and
-// the Step-6 transfer/distinguishing searches.
+// tables, global configurations as vectors of state IDs — and executes the
+// diagnosis hot paths against it: test-suite replay (Explains), behavioural
+// variants, and the Step-6 transfer/distinguishing searches.
 //
 // The string-keyed cfsm.System stays the construction, validation and
 // reporting layer; a Program is a read-only view of one. Fault hypotheses
 // are realized as one-cell table overlays (Overlay) instead of deep system
 // copies, which removes the clone-and-revalidate cost that dominates the
-// interpreted sweep. internal/core runs every diagnosis of a packable
-// specification on an Engine; its contract is byte-for-byte verdict
-// equality with core's interpreted reference engine, pinned by the
-// differential tests in this package.
+// interpreted sweep. internal/core runs every diagnosis on an Engine, which
+// accepts every validated system whatever the size of its configuration
+// space; its contract is byte-for-byte verdict equality with core's
+// interpreted reference engine, pinned by the differential tests in core and
+// by the search-parity tests in this package.
 //
 // The package also defines the versioned binary on-disk codec for systems
 // (codec.go) used by `cfsmdiag convert`/`cfsmdiag info` and the server's
@@ -21,6 +22,7 @@ package compiled
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"cfsmdiag/internal/cfsm"
@@ -66,11 +68,6 @@ type stim struct {
 	sym  int32
 }
 
-// maxPackedConfigs bounds the packed global state space: Engine searches key
-// pairs of configurations into a single uint64, which needs each packed
-// configuration to fit in 31 bits.
-const maxPackedConfigs = uint64(1) << 31
-
 // Program is the compiled, immutable form of a system. A Program may be
 // shared by any number of goroutines; all mutable execution state lives in
 // Runner and Engine instances.
@@ -85,17 +82,20 @@ type Program struct {
 	refIdx   map[cfsm.Ref]int32
 	inputs   []stim // testgen.AllInputs order
 
-	// Mixed-radix packing of global configurations: packed(cfg) equals the
-	// sum of state-ID times stride per machine.
-	strides  []uint64
-	configs  uint64 // total packed configurations; 0 when not packable
-	initialP uint64
+	// Mixed-radix index of a global configuration, or of a pair of them: the
+	// sum of state ID times stride per machine, the second configuration of
+	// a pair weighted by configs. The searches use it for their dense
+	// visited array, which they only choose when the index space is small,
+	// so strides past an overflow are never read.
+	strides []uint64
+	configs uint64  // global configurations, saturating at math.MaxUint64
+	start   []int32 // the initial configuration, one state ID per machine
+	// keyWidth is the number of bytes per state ID in a visited-map key:
+	// the fewest that hold every machine's largest state ID.
+	keyWidth int
 }
 
-// Compile lowers a validated system. The resulting Program supports running
-// and overlays unconditionally; the packed-configuration searches (Engine)
-// additionally require the global state space to fit maxPackedConfigs —
-// see Packable.
+// Compile lowers a validated system.
 func Compile(sys *cfsm.System) (*Program, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("compiled: nil system")
@@ -194,25 +194,28 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		p.inputs = append(p.inputs, stim{port: int32(in.Port), sym: p.symID[in.Sym]})
 	}
 
-	// Configuration packing.
-	p.strides = make([]uint64, sys.N())
-	total := uint64(1)
-	packable := true
+	// Configuration indexing.
+	n := sys.N()
+	p.strides = make([]uint64, 2*n)
+	stride := uint64(1)
+	maxStates := int32(0)
 	for i := range p.machines {
-		p.strides[i] = total
-		n := uint64(p.machines[i].numStates)
-		if total > math.MaxUint64/n {
-			packable = false
-			break
-		}
-		total *= n
+		p.start = append(p.start, p.machines[i].initial)
+		p.strides[i] = stride
+		stride *= uint64(p.machines[i].numStates)
+		maxStates = max(maxStates, p.machines[i].numStates)
 	}
-	if packable && total <= maxPackedConfigs {
-		p.configs = total
-		p.initialP = 0
-		for i := range p.machines {
-			p.initialP += uint64(p.machines[i].initial) * p.strides[i]
-		}
+	p.configs, _ = p.Configs()
+	for i := 0; i < n; i++ {
+		p.strides[n+i] = p.strides[i] * p.configs
+	}
+	switch {
+	case maxStates <= 1<<8:
+		p.keyWidth = 1
+	case maxStates <= 1<<16:
+		p.keyWidth = 2
+	default:
+		p.keyWidth = 4
 	}
 	return p, nil
 }
@@ -239,13 +242,20 @@ func (p *Program) NumTransitions() int { return len(p.trans) }
 // included).
 func (p *Program) NumSymbols() int { return len(p.syms) }
 
-// Configs returns the size of the packed global configuration space, or 0
-// when the space exceeds the packable bound.
-func (p *Program) Configs() uint64 { return p.configs }
-
-// Packable reports whether the global configuration space packs into the
-// integer keys the Engine searches require.
-func (p *Program) Packable() bool { return p.configs > 0 }
+// Configs returns the exact number of global configurations (the product of
+// the machines' state counts). ok is false when that number exceeds
+// math.MaxUint64; n is then math.MaxUint64.
+func (p *Program) Configs() (n uint64, ok bool) {
+	n = 1
+	for i := range p.machines {
+		hi, lo := bits.Mul64(n, uint64(p.machines[i].numStates))
+		if hi != 0 {
+			return math.MaxUint64, false
+		}
+		n = lo
+	}
+	return n, true
+}
 
 // Ref returns the compiled transition's global reference.
 func (p *Program) Ref(idx int32) cfsm.Ref {
@@ -261,8 +271,9 @@ func (p *Program) Symbol(id int32) cfsm.Symbol {
 	return p.syms[id]
 }
 
-// pack encodes an unpacked configuration (state IDs per machine).
-func (p *Program) pack(cfg []int32) uint64 {
+// index is the mixed-radix index of a configuration or a pair of them, valid
+// only when the index space fits in a uint64.
+func (p *Program) index(cfg []int32) uint64 {
 	var k uint64
 	for i, s := range cfg {
 		k += uint64(s) * p.strides[i]
@@ -270,11 +281,15 @@ func (p *Program) pack(cfg []int32) uint64 {
 	return k
 }
 
-// unpack decodes a packed configuration into dst (len = number of machines).
-func (p *Program) unpack(k uint64, dst []int32) {
-	for i := range p.machines {
-		dst[i] = int32(k / p.strides[i] % uint64(p.machines[i].numStates))
+// appendKey appends the visited-map key of a configuration vector — each
+// state ID in keyWidth little-endian bytes — to dst.
+func (p *Program) appendKey(dst []byte, cfg []int32) []byte {
+	for _, s := range cfg {
+		for b := 0; b < p.keyWidth; b++ {
+			dst = append(dst, byte(s>>(8*b)))
+		}
 	}
+	return dst
 }
 
 // decodeInputs converts a compiled input-universe index to the external

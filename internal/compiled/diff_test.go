@@ -1,10 +1,9 @@
 // Differential tests pinning the compiled substrate to the interpreted
 // semantics: overlay legality must match fault.Validate, runner observations
-// must match the string-keyed simulator on every mutant, and full diagnoses
-// must be byte-for-byte identical under either engine. Every comparison
-// names its interpreted side explicitly — core.WithEngine(nil), the
-// reference engine — since core otherwise runs a packable specification on
-// the compiled engine.
+// must match the string-keyed simulator on every mutant, and the equivalence
+// predicate must match the interpreted product search. Whole diagnoses are
+// compared with core's interpreted reference engine in internal/core
+// (TestDiagnosisMatchesInterpreted and its neighbours).
 package compiled_test
 
 import (
@@ -15,16 +14,12 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
-	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/protocols"
 	"cfsmdiag/internal/randgen"
 	"cfsmdiag/internal/testgen"
 )
-
-// reference names core's interpreted reference engine.
-var reference = core.WithEngine(nil)
 
 type fixture struct {
 	name  string
@@ -229,85 +224,6 @@ func TestRunnerErrorParity(t *testing.T) {
 	_, gotErr := p.NewRunner().Run(bad)
 	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 		t.Fatalf("port error mismatch: interpreted %v, compiled %v", wantErr, gotErr)
-	}
-}
-
-// locView projects the engine-independent content of a localization for deep
-// comparison (the Analysis pointer itself holds the engine and is excluded).
-type locView struct {
-	Verdict      core.Verdict
-	Fault        *fault.Fault
-	Remaining    []fault.Fault
-	Cleared      []cfsm.Ref
-	Inconclusive []cfsm.Ref
-	Additional   []core.AdditionalTest
-	Diagnoses    []fault.Fault
-	UST          *cfsm.Ref
-	Flag         bool
-}
-
-func view(l *core.Localization) locView {
-	return locView{
-		Verdict:      l.Verdict,
-		Fault:        l.Fault,
-		Remaining:    l.Remaining,
-		Cleared:      l.Cleared,
-		Inconclusive: l.Inconclusive,
-		Additional:   l.AdditionalTests,
-		Diagnoses:    l.Analysis.Diagnoses,
-		UST:          l.Analysis.UST,
-		Flag:         l.Analysis.Flag,
-	}
-}
-
-// TestDiagnosisMatchesInterpreted diagnoses every mutant of every fixture
-// twice — interpreted engine with a cloned-system oracle, compiled engine
-// with an overlay oracle — and requires byte-identical localizations: the
-// verdict, the convicted fault, surviving hypotheses, cleared transitions,
-// the full additional-test log (names, inputs, observations, elimination
-// evidence) and the oracle's test/input cost.
-func TestDiagnosisMatchesInterpreted(t *testing.T) {
-	for _, fx := range fixtures(t) {
-		t.Run(fx.name, func(t *testing.T) {
-			eng, err := compiled.NewEngine(fx.sys)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			p := eng.Program()
-			oracleR := p.NewRunner()
-			for _, f := range allFaults(fx.sys) {
-				mut, err := f.Apply(fx.sys)
-				if err != nil {
-					t.Fatalf("apply %s: %v", f.Describe(fx.sys), err)
-				}
-				iOracle := &core.SystemOracle{Sys: mut}
-				iLoc, iErr := core.Diagnose(fx.sys, fx.suite, iOracle, reference)
-
-				ov, ok := p.OverlayFor(f)
-				if !ok {
-					t.Fatalf("no overlay for legal fault %s", f.Describe(fx.sys))
-				}
-				oracleR.SetOverlay(ov)
-				cOracle := &compiled.Oracle{R: oracleR}
-				cLoc, cErr := core.Diagnose(fx.sys, fx.suite, cOracle, core.WithEngine(eng))
-
-				if (iErr == nil) != (cErr == nil) ||
-					(iErr != nil && iErr.Error() != cErr.Error()) {
-					t.Fatalf("%s: error mismatch: interpreted %v, compiled %v", f.Describe(fx.sys), iErr, cErr)
-				}
-				if iErr != nil {
-					continue
-				}
-				if iOracle.Tests != cOracle.Tests || iOracle.Inputs != cOracle.Inputs {
-					t.Errorf("%s: oracle cost diverges: interpreted %d tests/%d inputs, compiled %d/%d",
-						f.Describe(fx.sys), iOracle.Tests, iOracle.Inputs, cOracle.Tests, cOracle.Inputs)
-				}
-				if iv, cv := view(iLoc), view(cLoc); !reflect.DeepEqual(iv, cv) {
-					t.Errorf("%s: localization diverges:\ninterpreted %+v\ncompiled    %+v",
-						f.Describe(fx.sys), iv, cv)
-				}
-			}
-		})
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // Engine executes the diagnosis hot paths against a compiled Program: the
 // Steps 1–5 analysis (Analyze), hypothesis verification (Explains),
 // behavioural variants and the Step-6 searches. internal/core builds one per
-// diagnosis of a packable specification. Verdict-level behaviour is
+// diagnosis, for every validated specification. Verdict-level behaviour is
 // byte-for-byte identical to core's interpreted reference engine; only the
-// representation differs — dense tables, one-cell overlays and packed
-// integer configurations instead of string-keyed maps and system clones.
+// representation differs — dense tables, one-cell overlays and vectors of
+// state IDs instead of string-keyed maps and system clones.
 //
 // An Engine is NOT safe for concurrent use: every exported method may read
 // and write the scratch fields below (the runner's configuration buffer, the
@@ -71,10 +71,8 @@ func (e *Engine) overlayFor(f fault.Fault) (Overlay, bool) {
 	return e.p.overlayAt(e.memoIdx, f)
 }
 
-// NewEngine compiles the system and returns an engine over it. It fails
-// when the global configuration space cannot be packed into the integer
-// keys the searches require (see Program.Packable); internal/core then runs
-// its interpreted reference engine instead.
+// NewEngine compiles the system and returns an engine over it. It fails only
+// on a nil system.
 func NewEngine(sys *cfsm.System) (*Engine, error) {
 	p, err := Compile(sys)
 	if err != nil {
@@ -84,11 +82,11 @@ func NewEngine(sys *cfsm.System) (*Engine, error) {
 }
 
 // EngineFor returns an engine over an already-compiled program, sharing the
-// program with any number of sibling engines.
+// program with any number of sibling engines. It fails only on a nil
+// program.
 func EngineFor(p *Program) (*Engine, error) {
-	if !p.Packable() {
-		return nil, fmt.Errorf("compiled: global state space of %d machines exceeds %d packed configurations",
-			p.N(), maxPackedConfigs)
+	if p == nil {
+		return nil, fmt.Errorf("compiled: nil program")
 	}
 	return &Engine{p: p, r: p.NewRunner()}, nil
 }
@@ -245,27 +243,28 @@ func (v Variant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
 }
 
 // RunInputs executes the inputs from the initial configuration and returns
-// the reached configuration, packed, for use with Engine.Distinguish.
-func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, uint64, error) {
+// the reached configuration — one state ID per machine, in a fresh slice —
+// for use with Engine.Distinguish.
+func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int32, error) {
 	e := v.e
 	cis, err := e.p.compileInputs(inputs, e.inBuf)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	e.inBuf = cis
 	r := e.r
 	r.ov = v.ov
 	r.restart()
 	defer r.Flush()
-	var obs []cfsm.Observation
+	obs := make([]cfsm.Observation, 0, len(cis))
 	for _, ci := range cis {
 		o, _, _, err := r.step(ci)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 		obs = append(obs, e.p.decodeObs(o))
 	}
-	return obs, e.p.pack(r.cfg), nil
+	return obs, append([]int32(nil), r.cfg...), nil
 }
 
 // TransferToState finds a shortest avoid-respecting input sequence from the
@@ -280,14 +279,14 @@ func (e *Engine) TransferToState(machine int, target cfsm.State, avoid testgen.R
 }
 
 // Distinguish finds a shortest avoid-respecting input sequence separating
-// two variants from the packed configurations they reached (RunInputs):
+// two variants from the configurations they reached (RunInputs):
 // testgen.Distinguish over the overlaid programs, or, when projected is set,
 // testgen.ProjectionDistinguish — only a difference at which some side
 // emits a non-silent output counts, and globalOnly reports that a
 // silence-only difference was seen instead. Both variants must come from
 // this engine.
-func (e *Engine) Distinguish(a Variant, pa uint64, b Variant, pb uint64, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
-	return e.distinguishSearch(a.ov, pa, b.ov, pb, avoid, projected)
+func (e *Engine) Distinguish(a Variant, ca []int32, b Variant, cb []int32, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
+	return e.distinguishSearch(a.ov, ca, b.ov, cb, avoid, projected)
 }
 
 // Equivalent reports whether the mutants realized by two faults — nil
@@ -307,6 +306,6 @@ func (e *Engine) Equivalent(a, b *fault.Fault) bool {
 		}
 		ovs[i] = ov
 	}
-	_, distinguishable, _ := e.distinguishSearch(ovs[0], e.p.initialP, ovs[1], e.p.initialP, nil, false)
+	_, distinguishable, _ := e.distinguishSearch(ovs[0], e.p.start, ovs[1], e.p.start, nil, false)
 	return !distinguishable
 }

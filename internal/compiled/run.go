@@ -65,11 +65,7 @@ func (r *Runner) SetOverlay(ov Overlay) {
 
 // restart positions the runner at the initial configuration without counting
 // a reset — the compiled equivalent of constructing a fresh cfsm.Runner.
-func (r *Runner) restart() {
-	for i := range r.cfg {
-		r.cfg[i] = r.p.machines[i].initial
-	}
-}
+func (r *Runner) restart() { copy(r.cfg, r.p.start) }
 
 // Reset returns the runner to the initial configuration, counting a reset
 // like cfsm.Runner.Reset.

@@ -1,6 +1,9 @@
 package compiled
 
 import (
+	"math"
+	"math/bits"
+
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/testgen"
 )
@@ -10,84 +13,107 @@ import (
 // (testgen.searchLimit) for verdict parity.
 const searchLimit = 200_000
 
-// stampThreshold is the largest key space for which the searches use an
-// epoch-stamped dense visited array instead of a hash map. 1<<20 entries is
-// 4 MiB, allocated once per engine and reused across searches.
+// stampThreshold is the largest key space (configurations, or pairs of
+// them) for which the searches use an epoch-stamped dense visited array,
+// indexed mixed-radix, instead of a hash map. 1<<20 entries is 4 MiB,
+// allocated once per engine and reused across searches.
 const stampThreshold = uint64(1) << 20
 
-// search holds the engine's reusable search scratch: unpacked configuration
-// buffers, the node arena (the BFS frontier is the arena itself, walked by
-// an index), and the visited structure.
+// search holds the engine's reusable search scratch: the node arena (the BFS
+// frontier is the arena itself, walked by an index) with each node's
+// configuration vector — n state IDs, or 2n for a pair — and the visited
+// structure.
 type search struct {
-	nodeA   []int32 // unpacked configuration of the node being expanded
-	nodeB   []int32
-	curA    []int32 // per-input working copies
-	curB    []int32
-	nodes   []snode
-	stamp   []uint32 // dense visited array (epoch-stamped), nil = use map
-	epoch   uint32
-	seenMap map[uint64]struct{}
+	cur   []int32 // per-input working vector, one node's width
+	vecs  []int32 // arena of node vectors
+	nodes []snode
+
+	dense bool     // visited is the stamp array, else the map
+	stamp []uint32 // dense visited array (epoch-stamped)
+	epoch uint32
+	seen  map[string]struct{} // visited vectors, keyed by appendKey
+	key   []byte
 }
 
-// snode is one search node: the packed configuration (or pair halves) plus
-// the parent arena index and the input-universe index that reached it.
+// snode is one search node: the parent arena index and the input-universe
+// index that reached it. Its vector is the i-th len(cur) ints of vecs.
 type snode struct {
-	a, b   uint64
 	parent int32
 	in     int32
 }
 
 func (e *Engine) initSearch(pair bool) *search {
+	p := e.p
 	s := &e.searchBuf
-	n := len(e.p.machines)
-	if cap(s.nodeA) < n {
-		s.nodeA = make([]int32, n)
-		s.nodeB = make([]int32, n)
-		s.curA = make([]int32, n)
-		s.curB = make([]int32, n)
-	}
-	s.nodes = s.nodes[:0]
-	space := e.p.configs
+	width := len(p.machines)
+	space := p.configs
 	if pair {
-		space = space * space // configs ≤ 2^31, no overflow
+		width *= 2
+		space = satMul(space, space)
 	}
-	if space <= stampThreshold {
+	if cap(s.cur) < width {
+		s.cur = make([]int32, width)
+	}
+	s.cur = s.cur[:width]
+	s.vecs = s.vecs[:0]
+	s.nodes = s.nodes[:0]
+	s.dense = space <= stampThreshold
+	if s.dense {
 		if uint64(len(s.stamp)) < space {
 			s.stamp = make([]uint32, space)
 		}
 		s.epoch++
 		if s.epoch == 0 {
-			for i := range s.stamp {
-				s.stamp[i] = 0
-			}
+			clear(s.stamp)
 			s.epoch = 1
 		}
-		s.seenMap = nil
+	} else if s.seen == nil {
+		s.seen = make(map[string]struct{}, 1024)
 	} else {
-		s.stamp = nil
-		if s.seenMap == nil {
-			s.seenMap = make(map[uint64]struct{}, 1024)
-		} else {
-			clear(s.seenMap)
-		}
+		clear(s.seen)
 	}
 	return s
 }
 
-// visit marks key as seen and reports whether it was already seen.
-func (s *search) visit(key uint64) bool {
-	if s.stamp != nil {
-		if s.stamp[key] == s.epoch {
+// satMul returns a·b, saturating at math.MaxUint64.
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+// visit marks the vector (a configuration, or a pair of them) as seen and
+// reports whether it was already seen.
+func (s *search) visit(p *Program, v []int32) bool {
+	if s.dense {
+		k := p.index(v)
+		if s.stamp[k] == s.epoch {
 			return true
 		}
-		s.stamp[key] = s.epoch
+		s.stamp[k] = s.epoch
 		return false
 	}
-	if _, ok := s.seenMap[key]; ok {
+	s.key = p.appendKey(s.key[:0], v)
+	if _, ok := s.seen[string(s.key)]; ok {
 		return true
 	}
-	s.seenMap[key] = struct{}{}
+	s.seen[string(s.key)] = struct{}{}
 	return false
+}
+
+// push appends a node reached from parent by input in, with vector v.
+func (s *search) push(parent, in int32, v []int32) {
+	s.nodes = append(s.nodes, snode{parent: parent, in: in})
+	s.vecs = append(s.vecs, v...)
+}
+
+// vec returns arena node i's vector. Later pushes may move the arena, but
+// never write an existing entry, so the slice stays valid and unchanged.
+func (s *search) vec(i int) []int32 {
+	w := len(s.cur)
+	return s.vecs[i*w : (i+1)*w : (i+1)*w]
 }
 
 // avoidMask lowers an avoid set to a per-transition mask; refs outside the
@@ -134,8 +160,8 @@ func (e *Engine) path(s *search, i int32, last int32) []cfsm.Input {
 }
 
 // transferSearch is the compiled testgen.TransferToConfig for the goal "the
-// given machine is in state goal": breadth-first over packed configurations
-// of the specification, skipping no-progress inputs and avoided transitions,
+// given machine is in state goal": breadth-first over configurations of the
+// specification, skipping no-progress inputs and avoided transitions,
 // visit-checked before the goal — exactly the interpreted search's order, so
 // the returned sequence is identical. A goal of -1 (undeclared target state)
 // exhausts the search, as the interpreted goal predicate would.
@@ -146,21 +172,20 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 	var steps int64
 	defer func() { cfsm.RecordSimulated(steps, 0) }()
 
-	start := p.initialP
-	p.unpack(start, s.nodeA)
-	if goal >= 0 && s.nodeA[machine] == goal {
+	cur := s.cur
+	copy(cur, p.start)
+	if goal >= 0 && cur[machine] == goal {
 		return nil, true
 	}
-	s.visit(start)
+	s.visit(p, cur)
 	seenCount := 1
-	s.nodes = append(s.nodes, snode{a: start, parent: -1, in: -1})
+	s.push(-1, -1, cur)
 	for head := 0; head < len(s.nodes) && seenCount < searchLimit; head++ {
-		n := s.nodes[head]
-		p.unpack(n.a, s.nodeA)
+		node := s.vec(head)
 		for ii := range p.inputs {
-			copy(s.curA, s.nodeA)
+			copy(cur, node)
 			steps++
-			o, e1, e2, ok := p.stepCfg(s.curA, None(), p.inputs[ii])
+			o, e1, e2, ok := p.stepCfg(cur, None(), p.inputs[ii])
 			if !ok {
 				continue
 			}
@@ -170,53 +195,48 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 			if hitsMask(mask, e1, e2) {
 				continue
 			}
-			key := p.pack(s.curA)
-			if s.visit(key) {
+			if s.visit(p, cur) {
 				continue
 			}
 			seenCount++
-			if goal >= 0 && s.curA[machine] == goal {
+			if goal >= 0 && cur[machine] == goal {
 				return e.path(s, int32(head), int32(ii)), true
 			}
-			s.nodes = append(s.nodes, snode{a: key, parent: int32(head), in: int32(ii)})
+			s.push(int32(head), int32(ii), cur)
 		}
 	}
 	return nil, false
 }
 
 // distinguishSearch is the compiled testgen.DistinguishOver: breadth-first
-// over pairs of packed configurations, one side per overlay, returning the
-// first input sequence whose observations differ (checked before the
-// visited test, exactly as interpreted). With projected set it is the
-// compiled testgen.ProjectionDistinguishOver: a difference where both sides
-// stay silent (ε or Null) is invisible to every local observer, so it only
-// sets globalOnly and the search explores through it.
-func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint64, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
+// over pairs of configurations, one side per overlay, returning the first
+// input sequence whose observations differ (checked before the visited
+// test, exactly as interpreted). With projected set it is the compiled
+// testgen.ProjectionDistinguishOver: a difference where both sides stay
+// silent (ε or Null) is invisible to every local observer, so it only sets
+// globalOnly and the search explores through it.
+func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []int32, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
 	p := e.p
 	s := e.initSearch(true)
 	mask := e.avoidMask(avoid)
 	var steps int64
 	defer func() { cfsm.RecordSimulated(steps, 0) }()
 
-	pairKey := func(a, b uint64) uint64 {
-		if s.stamp != nil {
-			return a*p.configs + b
-		}
-		return a<<32 | b
-	}
-	s.visit(pairKey(pa, pb))
+	n := len(p.machines)
+	cur := s.cur
+	curA, curB := cur[:n], cur[n:]
+	copy(curA, ca)
+	copy(curB, cb)
+	s.visit(p, cur)
 	seenCount := 1
-	s.nodes = append(s.nodes, snode{a: pa, b: pb, parent: -1, in: -1})
+	s.push(-1, -1, cur)
 	for head := 0; head < len(s.nodes) && seenCount < searchLimit; head++ {
-		n := s.nodes[head]
-		p.unpack(n.a, s.nodeA)
-		p.unpack(n.b, s.nodeB)
+		node := s.vec(head)
 		for ii := range p.inputs {
-			copy(s.curA, s.nodeA)
-			copy(s.curB, s.nodeB)
+			copy(cur, node)
 			steps += 2
-			oA, a1, a2, okA := p.stepCfg(s.curA, ovA, p.inputs[ii])
-			oB, b1, b2, okB := p.stepCfg(s.curB, ovB, p.inputs[ii])
+			oA, a1, a2, okA := p.stepCfg(curA, ovA, p.inputs[ii])
+			oB, b1, b2, okB := p.stepCfg(curB, ovB, p.inputs[ii])
 			if !okA || !okB {
 				continue
 			}
@@ -229,12 +249,11 @@ func (e *Engine) distinguishSearch(ovA Overlay, pa uint64, ovB Overlay, pb uint6
 				}
 				globalOnly = true
 			}
-			na, nb := p.pack(s.curA), p.pack(s.curB)
-			if s.visit(pairKey(na, nb)) {
+			if s.visit(p, cur) {
 				continue
 			}
 			seenCount++
-			s.nodes = append(s.nodes, snode{a: na, b: nb, parent: int32(head), in: int32(ii)})
+			s.push(int32(head), int32(ii), cur)
 		}
 	}
 	return nil, false, globalOnly

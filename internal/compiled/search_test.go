@@ -1,0 +1,333 @@
+// Search-parity tests: the compiled Step-6 searches must return exactly what
+// their testgen counterparts return — the same sequence, the same verdict —
+// on configuration spaces small enough for the dense visited array, large
+// enough for the visited map, and past uint64.
+package compiled_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
+	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/testgen"
+)
+
+// parity compares one engine's searches with testgen's over its source
+// system.
+type parity struct {
+	t      *testing.T
+	eng    *compiled.Engine
+	sys    *cfsm.System
+	faults []fault.Fault
+}
+
+func newParity(t *testing.T, sys *cfsm.System) parity {
+	t.Helper()
+	eng, err := compiled.NewEngine(sys)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	return parity{t: t, eng: eng, sys: sys, faults: fault.Enumerate(sys)}
+}
+
+// mutant returns the fault at index i (nil for -1, the specification) and
+// the system it realizes.
+func (p parity) mutant(i int) (*fault.Fault, *cfsm.System) {
+	p.t.Helper()
+	if i < 0 {
+		return nil, p.sys
+	}
+	f := p.faults[i]
+	sys, err := f.Apply(p.sys)
+	if err != nil {
+		p.t.Fatalf("apply %s: %v", f.Describe(p.sys), err)
+	}
+	return &f, sys
+}
+
+// avoidOne is the avoid set holding only the transition at index i of the
+// system's refs, or nil for i < 0.
+func (p parity) avoidOne(i int) testgen.RefSet {
+	if i < 0 {
+		return nil
+	}
+	refs := p.sys.Refs()
+	return testgen.RefSet{refs[i%len(refs)]: true}
+}
+
+// transfer compares TransferToState and returns the compiled verdict.
+func (p parity) transfer(machine int, target cfsm.State, avoid testgen.RefSet) bool {
+	p.t.Helper()
+	got, gotOK := p.eng.TransferToState(machine, target, avoid)
+	want, wantOK := testgen.TransferToState(p.sys, machine, target, avoid)
+	if gotOK != wantOK || !slices.Equal(got, want.Inputs) {
+		p.t.Errorf("TransferToState(%d, %s, avoid %v): compiled %v %v, testgen %v %v",
+			machine, target, avoid, got, gotOK, want.Inputs, wantOK)
+	}
+	return gotOK
+}
+
+// distinguish runs both sides' distinguishing search between mutants a and
+// b (-1: the specification) from the configurations they reach on prefix,
+// and returns the compiled sequence.
+func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid testgen.RefSet, projected bool) []cfsm.Input {
+	p.t.Helper()
+	fa, sa := p.mutant(a)
+	fb, sb := p.mutant(b)
+	va, err := p.eng.Variant(fa)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	vb, err := p.eng.Variant(fb)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	_, ca, errA := va.RunInputs(prefix)
+	_, cb, errB := vb.RunInputs(prefix)
+	cfgA, wantErrA := runPrefix(sa, prefix)
+	cfgB, wantErrB := runPrefix(sb, prefix)
+	if (errA == nil) != (wantErrA == nil) || (errB == nil) != (wantErrB == nil) {
+		p.t.Fatalf("prefix %v: compiled errors %v/%v, interpreted %v/%v", prefix, errA, errB, wantErrA, wantErrB)
+	}
+	if errA != nil || errB != nil {
+		return nil
+	}
+	got, gotOK, gotGlobal := p.eng.Distinguish(va, ca, vb, cb, avoid, projected)
+	tA, tB := testgen.Variant{Sys: sa, Cfg: cfgA}, testgen.Variant{Sys: sb, Cfg: cfgB}
+	var want []cfsm.Input
+	var wantOK, wantGlobal bool
+	if projected {
+		want, wantOK, wantGlobal = testgen.ProjectionDistinguish(tA, tB, avoid)
+	} else {
+		want, wantOK = testgen.Distinguish(tA, tB, avoid)
+	}
+	if gotOK != wantOK || gotGlobal != wantGlobal || !slices.Equal(got, want) {
+		p.t.Errorf("Distinguish(%d, %d, prefix %v, avoid %v, projected %v): compiled %v %v %v, testgen %v %v %v",
+			a, b, prefix, avoid, projected, got, gotOK, gotGlobal, want, wantOK, wantGlobal)
+	}
+	return got
+}
+
+// equivalent compares Equivalent and returns the compiled verdict.
+func (p parity) equivalent(a, b int) bool {
+	p.t.Helper()
+	fa, sa := p.mutant(a)
+	fb, sb := p.mutant(b)
+	got, want := p.eng.Equivalent(fa, fb), testgen.SystemsEquivalent(sa, sb)
+	if got != want {
+		p.t.Errorf("Equivalent(%d, %d): compiled %v, testgen %v", a, b, got, want)
+	}
+	return got
+}
+
+// runPrefix is the interpreted counterpart of Variant.RunInputs.
+func runPrefix(sys *cfsm.System, prefix []cfsm.Input) (cfsm.Config, error) {
+	cfg := sys.InitialConfig()
+	for _, in := range prefix {
+		next, _, _, err := sys.Apply(cfg, in)
+		if err != nil {
+			return nil, err
+		}
+		cfg = next
+	}
+	return cfg, nil
+}
+
+// walk is a deterministic input sequence of length n over the system's
+// input universe.
+func walk(sys *cfsm.System, n, seed int) []cfsm.Input {
+	inputs := testgen.AllInputs(sys)
+	out := make([]cfsm.Input, n)
+	for i := range out {
+		out[i] = inputs[(seed+7*i)%len(inputs)]
+	}
+	return out
+}
+
+func randSpec(t *testing.T, cfg randgen.Config) *cfsm.System {
+	t.Helper()
+	sys, err := randgen.Generate(cfg)
+	if err != nil {
+		t.Fatalf("randgen %+v: %v", cfg, err)
+	}
+	return sys
+}
+
+// initialFaults returns up to k faults of each kind on transitions leaving
+// a machine's initial state: their mutants differ from the specification
+// within a step or two, so even on a wide system the interpreted pair
+// search ends after a handful of nodes.
+func (p parity) initialFaults(k int) []int {
+	var out []int
+	seen := map[fault.Kind]int{}
+	for i, f := range p.faults {
+		t, _ := p.sys.Transition(f.Ref)
+		if t.From == p.sys.Machine(f.Ref.Machine).Initial() && seen[f.Kind] < k {
+			seen[f.Kind]++
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// torus is two machines, each walking a cycle of n states on its own input
+// and emitting "wrap" instead of "out" when it closes the cycle: all n²
+// configurations are reachable, and with no internal messages the
+// interpreted searches stay cheap even at the node limit.
+func torus(t *testing.T, n int) *cfsm.System {
+	t.Helper()
+	var ms []*cfsm.Machine
+	for _, name := range []string{"A", "B"} {
+		states := make([]cfsm.State, n)
+		for i := range states {
+			states[i] = cfsm.State(fmt.Sprintf("%s%04d", name, i))
+		}
+		trans := make([]cfsm.Transition, n)
+		for i := range trans {
+			out := cfsm.Symbol("out" + name)
+			if i == n-1 {
+				out = cfsm.Symbol("wrap" + name)
+			}
+			trans[i] = cfsm.Transition{Name: fmt.Sprintf("t%d", i), From: states[i],
+				Input: cfsm.Symbol("in" + name), Output: out, To: states[(i+1)%n], Dest: cfsm.DestEnv}
+		}
+		m, err := cfsm.NewMachine(name, states[0], states, trans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	sys, err := cfsm.NewSystem(ms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
+// TestSearchParity compares the compiled searches with testgen's on
+// Figure 1 and randgen 4×4 seed 1 (every search on the dense visited array),
+// a 6^4-configuration system (dense for single configurations, the visited
+// map for pairs), and a 2^32- and a 2^68-configuration system (the map
+// throughout, the latter past uint64). Small systems are checked over every
+// machine, state and mutant; the wide ones over a sample of machines and
+// states and over the mutants of their initial transitions.
+func TestSearchParity(t *testing.T) {
+	small := []struct {
+		name  string
+		sys   *cfsm.System
+		every int // check every n-th mutant
+	}{
+		{"figure1", paper.MustFigure1(), 1},
+		{"rand44-1", randSpec(t, randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 1}), 5},
+		{"rand46-1", randSpec(t, randgen.Config{N: 4, States: 6, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.6, Seed: 1}), 17},
+	}
+	for _, fx := range small {
+		t.Run(fx.name, func(t *testing.T) {
+			p := newParity(t, fx.sys)
+			for m := 0; m < fx.sys.N(); m++ {
+				for _, s := range append(fx.sys.Machine(m).States(), "zz-undeclared") {
+					for av := -1; av < 3; av++ {
+						p.transfer(m, s, p.avoidOne(m+av))
+					}
+				}
+			}
+			for i := -1; i < len(p.faults); i += fx.every {
+				projected := i%2 == 0
+				p.distinguish(-1, i, nil, nil, projected)
+				p.distinguish(-1, i, walk(fx.sys, 3, i+1), p.avoidOne(i+1), !projected)
+				p.equivalent(-1, i)
+				p.equivalent(i, (i*7+3)%len(p.faults))
+			}
+		})
+	}
+
+	for _, fx := range []struct {
+		name string
+		cfg  randgen.Config
+	}{
+		{"2^32", randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1}},
+		{"2^68", randgen.Config{N: 17, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1}},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			sys := randSpec(t, fx.cfg)
+			p := newParity(t, sys)
+			if n, ok := p.eng.Program().Configs(); ok && n <= 1<<31 {
+				t.Fatalf("%d configurations; the fixture must exceed 2^31", n)
+			}
+			for m := 0; m < sys.N(); m += 3 {
+				states := sys.Machine(m).States()
+				for _, s := range []cfsm.State{states[1], states[len(states)/2]} {
+					p.transfer(m, s, nil)
+					p.transfer(m, s, p.avoidOne(m))
+				}
+			}
+			muts := p.initialFaults(2)
+			for k, i := range muts {
+				for _, projected := range []bool{false, true} {
+					p.distinguish(-1, i, nil, nil, projected)
+					p.distinguish(-1, i, nil, p.avoidOne(len(p.sys.Refs())-1-k), projected)
+				}
+				p.distinguish(i, muts[(k+1)%len(muts)], nil, nil, false)
+				p.equivalent(-1, i)
+			}
+		})
+	}
+
+	// Deep searches on the torus of 500² configurations (dense visited
+	// array) and 500⁴ pairs (visited map): the output fault on A's 301st
+	// transition is first visible after 301 inputs, some 45,000 pairs into
+	// the search; no machine is ever in an undeclared state, and the
+	// specification never separates from itself, so those two searches give
+	// up at the 200,000-node limit on both sides.
+	t.Run("limit", func(t *testing.T) {
+		p := parity{t: t, sys: torus(t, 500)}
+		var err error
+		if p.eng, err = compiled.NewEngine(p.sys); err != nil {
+			t.Fatal(err)
+		}
+		p.faults = []fault.Fault{{Ref: cfsm.Ref{Machine: 0, Name: "t300"}, Kind: fault.KindOutput, Output: "wrapA"}}
+		if seq := p.distinguish(-1, 0, nil, nil, false); len(seq) != 301 {
+			t.Errorf("distinguishing sequence of %d inputs, want 301", len(seq))
+		}
+		if p.transfer(0, "zz-undeclared", nil) || !p.equivalent(-1, -1) {
+			t.Error("a search past the node limit succeeded")
+		}
+	})
+}
+
+// FuzzSearchParity compares the compiled searches with testgen's on small
+// random systems — up to 5 machines of up to 6 states, so both the dense
+// visited array and the visited map are reached — from random mutants,
+// prefixes and avoid sets.
+func FuzzSearchParity(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), uint8(0), false)
+	f.Add(int64(7), uint8(4), uint8(4), uint8(5), uint8(9), uint8(3), uint8(1), true)
+	f.Add(int64(42), uint8(5), uint8(6), uint8(17), uint8(3), uint8(4), uint8(2), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, states, mutant, other, prefix, avoid uint8, projected bool) {
+		cfg := randgen.Config{
+			N: 1 + int(n)%5, States: 1 + int(states)%6,
+			ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.6, Seed: seed,
+		}
+		sys, err := randgen.Generate(cfg)
+		if err != nil {
+			t.Skip(err)
+		}
+		p := newParity(t, sys)
+		if len(p.faults) == 0 {
+			t.Skip("no faults")
+		}
+		a := int(mutant)%(len(p.faults)+1) - 1
+		b := int(other)%(len(p.faults)+1) - 1
+		av := p.avoidOne(int(avoid) - 1)
+		m := int(mutant) % sys.N()
+		states0 := sys.Machine(m).States()
+		p.transfer(m, states0[int(other)%len(states0)], av)
+		p.distinguish(a, b, walk(sys, int(prefix)%6, int(seed&0xff)), av, projected)
+		p.equivalent(a, b)
+	})
+}

@@ -497,11 +497,11 @@ func nextDiscriminatingTest(eng engine, live []variant, prefix []cfsm.Input, avo
 	}
 	runs := make([]run, len(live))
 	for i, v := range live {
-		obs, pos, err := v.h.runInputs(prefix)
+		obs, cfg, err := v.h.RunInputs(prefix)
 		if err != nil {
 			return cfsm.TestCase{}, false, false
 		}
-		runs[i] = run{at: variantAt{v: v.h, pos: pos}, obs: obs}
+		runs[i] = run{at: variantAt{v: v.h, cfg: cfg}, obs: obs}
 	}
 	// If the prefix already separates a pair of variants, it is the test.
 	for i := 0; i < len(live); i++ {

@@ -25,11 +25,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/trace"
 )
 
 // Symptom is one difference between expected and observed outputs
@@ -128,15 +126,17 @@ func (a *Analysis) HasSymptoms() bool { return len(a.Symptoms) > 0 }
 // Analyze performs Steps 1–5 for the given specification, test suite and
 // observed outputs (one observation sequence per test case, as produced by
 // executing the suite on the implementation under test). The analysis runs
-// on the compiled engine when the specification's configuration space
-// packs and on the interpreted one otherwise (see engine); Localize reuses
-// the engine through the returned Analysis. Options other than WithRegistry,
+// on the compiled engine (see engine), and Localize reuses the engine
+// through the returned Analysis. Options other than WithRegistry,
 // WithTrace, WithObsMatcher and WithEngine are ignored here; they configure
 // the Step-6 entry points.
 func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observation, opts ...Option) (*Analysis, error) {
 	cfg := defaultSettings()
 	for _, opt := range opts {
 		opt(&cfg)
+	}
+	if spec == nil {
+		return nil, fmt.Errorf("core: nil specification")
 	}
 	if len(observed) != len(suite) {
 		return nil, fmt.Errorf("core: %d observation sequences for %d test cases", len(observed), len(suite))
@@ -164,171 +164,4 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 	}
 	in.analyzed(a, span)
 	return a, nil
-}
-
-// analyzeInterpreted runs Steps 1–5B against the string-keyed specification:
-// simulate the suite, extract symptoms, build and intersect conflict sets,
-// split the candidate sets and verify every hypothesis. It is the
-// interpreted engine's analysis; compiled.Engine.Analyze computes the same
-// fields on dense tables.
-func (a *Analysis) analyzeInterpreted(tr *trace.Tracer) error {
-	// Steps 1–3: expected outputs, symptoms, unique symptom transition, flag.
-	traces := make([][][]cfsm.Executed, len(a.Suite))
-	for i, tc := range a.Suite {
-		exp, steps, err := a.Spec.RunTrace(tc)
-		simCase(tr, a.Spec, tc, exp, steps, err)
-		if err != nil {
-			return fmt.Errorf("core: simulate %s on specification: %w", tc.Name, err)
-		}
-		if len(a.Observed[i]) != len(exp) {
-			return fmt.Errorf("core: %s: %d observations for %d inputs", tc.Name, len(a.Observed[i]), len(exp))
-		}
-		a.Expected = append(a.Expected, exp)
-		traces[i] = steps
-	}
-	a.findSymptoms(traces)
-	if !a.HasSymptoms() {
-		return nil
-	}
-
-	// Step 4: conflict sets; Step 5A: initial tentative candidates.
-	a.buildConflictSets(traces)
-	a.intersectConflictSets()
-
-	// Step 5B: split candidate sets and verify hypotheses.
-	a.splitCandidateSets()
-	a.verifyHypotheses()
-	return nil
-}
-
-// findSymptoms implements Step 3 and Definition 4.
-func (a *Analysis) findSymptoms(traces [][][]cfsm.Executed) {
-	ustKnown := false
-	ustUnique := true
-	var ust *cfsm.Ref
-	var uso cfsm.Symbol
-
-	for i := range a.Suite {
-		firstSeen := false
-		for j := range a.Expected[i] {
-			if a.Expected[i][j] == a.Observed[i][j] {
-				continue
-			}
-			sym := Symptom{
-				Case:     i,
-				Step:     j,
-				Expected: a.Expected[i][j],
-				Observed: a.Observed[i][j],
-			}
-			if tr := symptomTransition(traces[i][j]); tr != nil {
-				sym.Transition = tr
-			}
-			a.Symptoms = append(a.Symptoms, sym)
-			if !firstSeen {
-				firstSeen = true
-				a.FirstSymptom[i] = j
-				// Track the unique symptom transition across the first
-				// symptoms of all test cases.
-				if !ustKnown {
-					ustKnown = true
-					ust = sym.Transition
-					uso = sym.Observed.Sym
-				} else if ust == nil || sym.Transition == nil || *ust != *sym.Transition {
-					ustUnique = false
-				}
-			} else {
-				// A mismatch after the first symptom sets the flag (note in
-				// Step 4 of the paper).
-				a.Flag = true
-			}
-		}
-	}
-	if ustKnown && ustUnique && ust != nil {
-		a.UST = ust
-		a.USO = uso
-	}
-}
-
-// symptomTransition extracts the specification transition that generated the
-// observable output at a step: the last external-output transition of the
-// executed chain, if any.
-func symptomTransition(trace []cfsm.Executed) *cfsm.Ref {
-	for k := len(trace) - 1; k >= 0; k-- {
-		if !trace[k].Trans.Internal() {
-			r := trace[k].Ref()
-			return &r
-		}
-	}
-	return nil
-}
-
-// buildConflictSets implements Step 4: for each test case with symptoms and
-// each machine, the set of that machine's transitions executed by the
-// specification up to and including the first symptom's step.
-func (a *Analysis) buildConflictSets(traces [][][]cfsm.Executed) {
-	for caseIdx, stop := range a.FirstSymptom {
-		sets := make(MachineSets, a.Spec.N())
-		seen := make(map[cfsm.Ref]bool)
-		for step := 0; step <= stop; step++ {
-			for _, e := range traces[caseIdx][step] {
-				r := e.Ref()
-				if !seen[r] {
-					seen[r] = true
-					sets[e.Machine] = append(sets[e.Machine], r)
-				}
-			}
-		}
-		a.Conflicts[caseIdx] = sets
-	}
-}
-
-// intersectConflictSets implements Step 5A: per machine, the intersection of
-// the machine's conflict sets across all symptomatic test cases.
-func (a *Analysis) intersectConflictSets() {
-	a.ITC = make(MachineSets, a.Spec.N())
-	var caseIdxs []int
-	for i := range a.Conflicts {
-		caseIdxs = append(caseIdxs, i)
-	}
-	sort.Ints(caseIdxs)
-	for m := 0; m < a.Spec.N(); m++ {
-		counts := make(map[cfsm.Ref]int)
-		for _, i := range caseIdxs {
-			for _, r := range a.Conflicts[i][m] {
-				counts[r]++
-			}
-		}
-		var inter []cfsm.Ref
-		// Preserve the first conflict set's order for determinism.
-		if len(caseIdxs) > 0 {
-			for _, r := range a.Conflicts[caseIdxs[0]][m] {
-				if counts[r] == len(caseIdxs) {
-					inter = append(inter, r)
-				}
-			}
-		}
-		a.ITC[m] = inter
-	}
-}
-
-// splitCandidateSets implements the set construction of Step 5B: the unique
-// symptom transition forms the ustset; every other ITC member is a transfer-
-// fault candidate (FTCtr); internal-output ITC members are additionally
-// output-fault candidates (FTCco).
-func (a *Analysis) splitCandidateSets() {
-	a.FTCtr = make(MachineSets, a.Spec.N())
-	a.FTCco = make(MachineSets, a.Spec.N())
-	for m := 0; m < a.Spec.N(); m++ {
-		for _, r := range a.ITC[m] {
-			if a.UST != nil && r == *a.UST {
-				a.UstSet = append(a.UstSet, r)
-				continue
-			}
-			a.FTCtr[m] = append(a.FTCtr[m], r)
-			t, _ := a.Spec.Transition(r)
-			if t.Internal() {
-				a.FTCco[m] = append(a.FTCco[m], r)
-			}
-		}
-	}
 }

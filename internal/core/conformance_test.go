@@ -21,7 +21,7 @@ import (
 )
 
 // reference names the interpreted reference engine.
-var reference = core.WithEngine(nil)
+var reference = core.Reference
 
 type conformanceSystem struct {
 	name  string

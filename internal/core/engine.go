@@ -12,16 +12,14 @@ import (
 // analysis, hypothesis verification (explains), behavioural variant
 // execution, and the Step-6 transfer/distinguishing searches. The pipeline's
 // control flow — Step 5C, the refinement rounds, escalations and verdicts —
-// never depends on which engine runs underneath, so both engines over the
-// same specification produce byte-for-byte identical Analyses and
-// Localizations.
+// never depends on which engine runs underneath.
 //
-// Every diagnosis of a specification whose global configuration space packs
-// (compiled.Program.Packable) runs on the compiled engine: dense tables,
-// one-cell fault overlays and packed configurations. The interpreted engine
-// runs the string-keyed cfsm.System directly; it is the documented fallback
-// for specifications that do not pack, and the reference the differential
-// tests compare the compiled engine against (named with WithEngine(nil)).
+// Production has one engine: every diagnosis runs on compiled.Engine (dense
+// tables, one-cell fault overlays, configurations as vectors of state IDs),
+// which accepts every validated specification. The interface is the seam
+// that lets core's tests run the same control flow on the interpreted
+// reference engine, which lives in the test files and which the
+// differential tests compare the compiled engine against.
 //
 // An engine is bound to one specification and, like compiled.Engine, to one
 // goroutine at a time.
@@ -43,11 +41,14 @@ type engine interface {
 	// given machine is in the target state (testgen.TransferToState).
 	transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool)
 	// distinguish finds a shortest avoid-respecting input sequence whose
-	// observation sequences differ between two variants from the positions
-	// they reached (testgen.Distinguish); with projected set the difference
+	// observation sequences differ between two variants from the
+	// configurations they reached (testgen.Distinguish); with projected set the difference
 	// must be visible to local observers and globalOnly reports a
 	// silence-only one (testgen.ProjectionDistinguish).
 	distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool)
+	// bind returns the engine that runs a diagnosis of spec, or false when
+	// this engine was built for another specification.
+	bind(spec *cfsm.System) (engine, bool)
 }
 
 // variantRunner is one behavioural hypothesis — the specification or a
@@ -55,24 +56,25 @@ type engine interface {
 type variantRunner interface {
 	// Run executes a test case (cfsm.System.Run semantics).
 	Run(tc cfsm.TestCase) ([]cfsm.Observation, error)
-	// runInputs executes the inputs and additionally returns the reached
-	// position, in the engine's own encoding, for distinguish.
-	runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error)
+	// RunInputs executes the inputs and additionally returns the reached
+	// configuration, for distinguish: per machine, the index of its state
+	// in Machine.States (compiled.Variant.RunInputs).
+	RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int32, error)
 }
 
-// variantAt pairs a variant with a position it reached.
+// variantAt pairs a variant with a configuration it reached.
 type variantAt struct {
 	v   variantRunner
-	pos any
+	cfg []int32
 }
 
-// newEngine builds the engine for a specification: compiled when its
-// configuration space packs, interpreted otherwise.
+// newEngine builds the compiled engine for a specification.
 func newEngine(spec *cfsm.System) engine {
-	if e, err := compiled.NewEngine(spec); err == nil {
-		return compiledEngine{e}
+	e, err := compiled.NewEngine(spec)
+	if err != nil {
+		panic(err) // NewEngine fails only on a nil specification
 	}
-	return systemEngine{spec: spec}
+	return compiledEngine{e}
 }
 
 // engine resolves the analysis' execution engine, building it from the
@@ -148,7 +150,7 @@ func (c compiledEngine) variant(f *fault.Fault) (variantRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compiledVariant{v}, nil
+	return v, nil
 }
 
 func (c compiledEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
@@ -156,106 +158,20 @@ func (c compiledEngine) transferToState(machine int, target cfsm.State, avoid te
 }
 
 func (c compiledEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
-	return c.e.Distinguish(a.v.(compiledVariant).Variant, a.pos.(uint64),
-		b.v.(compiledVariant).Variant, b.pos.(uint64), avoid, projected)
+	return c.e.Distinguish(a.v.(compiled.Variant), a.cfg, b.v.(compiled.Variant), b.cfg, avoid, projected)
 }
 
-// compiledVariant is a compiled.Variant; its position is the packed
-// configuration.
-type compiledVariant struct {
-	compiled.Variant
+func (c compiledEngine) bind(spec *cfsm.System) (engine, bool) {
+	return c, c.e.Program().System() == spec
 }
 
-func (v compiledVariant) runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error) {
-	obs, pos, err := v.RunInputs(inputs)
-	return obs, pos, err
-}
-
-// systemEngine is the interpreted engine: every operation runs against the
-// string-keyed cfsm.System, rewiring a clone per hypothesis.
-type systemEngine struct {
-	spec *cfsm.System
-}
-
-func (e systemEngine) analyze(a *Analysis, tr *trace.Tracer) error {
-	return a.analyzeInterpreted(tr)
-}
-
-func (e systemEngine) explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
-	mutant, err := f.Apply(e.spec)
-	if err != nil {
-		return false
-	}
-	for i, tc := range suite {
-		predicted, err := mutant.Run(tc)
-		if err != nil {
-			return false
-		}
-		if !cfsm.ObsEqual(predicted, observed[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e systemEngine) variant(f *fault.Fault) (variantRunner, error) {
-	if f == nil {
-		return systemVariant{sys: e.spec}, nil
-	}
-	sys, err := f.Apply(e.spec)
-	if err != nil {
-		return nil, err
-	}
-	return systemVariant{sys: sys}, nil
-}
-
-func (e systemEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
-	res, ok := testgen.TransferToState(e.spec, machine, target, avoid)
-	return res.Inputs, ok
-}
-
-func (e systemEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
-	va := testgen.Variant{Sys: a.v.(systemVariant).sys, Cfg: a.pos.(cfsm.Config)}
-	vb := testgen.Variant{Sys: b.v.(systemVariant).sys, Cfg: b.pos.(cfsm.Config)}
-	if projected {
-		return testgen.ProjectionDistinguish(va, vb, avoid)
-	}
-	seq, ok := testgen.Distinguish(va, vb, avoid)
-	return seq, ok, false
-}
-
-// systemVariant executes one hypothesis against its interpreted system.
-type systemVariant struct {
-	sys *cfsm.System
-}
-
-func (v systemVariant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
-	return v.sys.Run(tc)
-}
-
-func (v systemVariant) runInputs(inputs []cfsm.Input) ([]cfsm.Observation, any, error) {
-	cfg := v.sys.InitialConfig()
-	var obs []cfsm.Observation
-	for _, in := range inputs {
-		next, o, _, err := v.sys.Apply(cfg, in)
-		if err != nil {
-			return nil, nil, err
-		}
-		obs = append(obs, o)
-		cfg = next
-	}
-	return obs, cfg, nil
-}
-
-// engineFor resolves the engine a diagnosis of spec runs on: the interpreted
-// reference when WithEngine(nil) named it, the caller's compiled engine when
-// it was built for spec, and otherwise a fresh one (newEngine).
+// engineFor resolves the engine a diagnosis of spec runs on: the caller's
+// engine when it was built for spec, and otherwise a fresh one (newEngine).
 func (s *settings) engineFor(spec *cfsm.System) engine {
-	switch {
-	case s.reference:
-		return systemEngine{spec: spec}
-	case s.engine != nil && s.engine.Program().System() == spec:
-		return compiledEngine{s.engine}
+	if s.engine != nil {
+		if e, ok := s.engine.bind(spec); ok {
+			return e
+		}
 	}
 	return newEngine(spec)
 }

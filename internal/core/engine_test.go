@@ -1,7 +1,12 @@
 package core
 
 import (
+	"cfsmdiag/internal/testgen"
+	"encoding/json"
 	"fmt"
+	"math/rand"
+	"os"
+	"reflect"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -33,11 +38,10 @@ func engineKind(e engine) string {
 }
 
 // TestEngineSelection pins which engine runs a diagnosis: the compiled one
-// for a packable specification under every option combination — no engine
-// option, structured tracing, an observation matcher — through Analyze,
-// Localize and Diagnose; the interpreted one only for a specification whose
-// configuration space does not pack, or when WithEngine(nil) names it as
-// the reference.
+// under every production option combination — no engine option, a nil
+// engine, structured tracing, an observation matcher — through Analyze,
+// Localize and Diagnose; the interpreted one only when the test-only
+// Reference option names it.
 func TestEngineSelection(t *testing.T) {
 	spec := paper.MustFigure1()
 	suite := paper.TestSuite()
@@ -57,7 +61,8 @@ func TestEngineSelection(t *testing.T) {
 		{"default", nil, "compiled"},
 		{"trace", []Option{WithTrace(trace.New())}, "compiled"},
 		{"matcher", []Option{WithObsMatcher(exactMatcher{})}, "compiled"},
-		{"reference", []Option{WithEngine(nil)}, "interpreted"},
+		{"nil engine", []Option{WithEngine(nil)}, "compiled"},
+		{"reference", []Option{Reference}, "interpreted"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, err := Analyze(spec, suite, observed, tc.opts...)
@@ -98,6 +103,12 @@ func TestEngineSelection(t *testing.T) {
 		}
 	})
 
+	t.Run("nil specification", func(t *testing.T) {
+		if _, err := Analyze(nil, nil, nil); err == nil {
+			t.Error("Analyze accepted a nil specification")
+		}
+	})
+
 	t.Run("foreign engine", func(t *testing.T) {
 		other := randgen.MustGenerate(randgen.DefaultConfig())
 		foreign, err := compiled.NewEngine(other)
@@ -114,38 +125,102 @@ func TestEngineSelection(t *testing.T) {
 	})
 }
 
-// TestUnpackableSpecRunsInterpreted builds a specification whose global
-// configuration space (2^32 configurations) exceeds the packed bound and
-// checks that the diagnosis falls back to the interpreted engine.
-func TestUnpackableSpecRunsInterpreted(t *testing.T) {
-	spec := randgen.MustGenerate(randgen.Config{N: 32, States: 2, ExtInputs: 1, Messages: 1, Density: 1, Seed: 1})
-	prog, err := compiled.Compile(spec)
+// wideSpecs are specifications whose configuration spaces are far past
+// the dense visited array: 16^8 = 2^32 configurations with its transition
+// tour (testdata/wide-n8s16-tour.json, the output of testgen.Tour(spec, 0),
+// committed because the interpreted tour search takes about 20 s), and
+// 16^17 = 2^68 — past uint64 — with a short seeded random-walk suite. Each
+// lists mutants (indices into fault.Enumerate) whose analysis leaves
+// several diagnoses, so Step 6 runs its searches on the wide space.
+func wideSpecs(t *testing.T) []struct {
+	name    string
+	spec    *cfsm.System
+	suite   []cfsm.TestCase
+	mutants []int
+} {
+	t.Helper()
+	w32 := randgen.MustGenerate(randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
+	data, err := os.ReadFile("testdata/wide-n8s16-tour.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Packable() {
-		t.Fatalf("%d configurations packed; the test needs an unpackable specification", prog.Configs())
-	}
-	f := fault.Enumerate(spec)[0]
-	iut, err := f.Apply(spec)
-	if err != nil {
+	var tour []cfsm.TestCase
+	if err := json.Unmarshal(data, &tour); err != nil {
 		t.Fatal(err)
 	}
-	var inputs []cfsm.Input
-	for port := 0; port < spec.N(); port++ {
-		for _, sym := range spec.Inputs(port) {
-			inputs = append(inputs, cfsm.Input{Port: port, Sym: sym})
+	w68 := randgen.MustGenerate(randgen.Config{N: 17, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
+	inputs := testgen.AllInputs(w68)
+	rng := rand.New(rand.NewSource(1))
+	var walks []cfsm.TestCase
+	for c := 0; c < 4; c++ {
+		tc := cfsm.TestCase{Name: fmt.Sprintf("walk%d", c), Inputs: []cfsm.Input{cfsm.Reset()}}
+		for k := 0; k < 40; k++ {
+			tc.Inputs = append(tc.Inputs, inputs[rng.Intn(len(inputs))])
 		}
+		walks = append(walks, tc)
 	}
-	suite := []cfsm.TestCase{{Name: "all", Inputs: append([]cfsm.Input{cfsm.Reset()}, inputs...)}}
-	loc, err := Diagnose(spec, suite, &SystemOracle{Sys: iut})
-	if err != nil {
-		t.Fatal(err)
+	return []struct {
+		name    string
+		spec    *cfsm.System
+		suite   []cfsm.TestCase
+		mutants []int
+	}{
+		{"2^32", w32, tour, []int{97, 291}},
+		{"2^68", w68, walks, []int{287, 294}},
 	}
-	if got := engineKind(loc.Analysis.eng); got != "interpreted" {
-		t.Fatalf("unpackable specification ran on the %s engine", got)
+}
+
+// TestWideSpecRunsCompiled diagnoses mutants of the wide specifications and
+// requires the compiled engine to run them — with the same verdict, fault,
+// remaining hypotheses, additional tests and oracle cost as the interpreted
+// reference.
+func TestWideSpecRunsCompiled(t *testing.T) {
+	type outcome struct {
+		Verdict    Verdict
+		Fault      *fault.Fault
+		Remaining  []fault.Fault
+		Diagnoses  int
+		Additional []AdditionalTest
+		Tests      int
+		Inputs     int
 	}
-	if loc.Verdict == VerdictInconsistent {
-		t.Errorf("verdict %v for in-model fault %s", loc.Verdict, f.Describe(spec))
+	for _, w := range wideSpecs(t) {
+		t.Run(w.name, func(t *testing.T) {
+			prog, err := compiled.Compile(w.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, ok := prog.Configs(); ok && n <= 1<<31 {
+				t.Fatalf("%d configurations; the test needs more than 2^31", n)
+			}
+			faults := fault.Enumerate(w.spec)
+			for _, i := range w.mutants {
+				iut, err := faults[i].Apply(w.spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diagnose := func(opts ...Option) (outcome, string) {
+					oracle := &SystemOracle{Sys: iut}
+					loc, err := Diagnose(w.spec, w.suite, oracle, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return outcome{loc.Verdict, loc.Fault, loc.Remaining, len(loc.Analysis.Diagnoses),
+						loc.AdditionalTests, oracle.Tests, oracle.Inputs}, engineKind(loc.Analysis.eng)
+				}
+				got, kind := diagnose()
+				if kind != "compiled" {
+					t.Fatalf("mutant %d ran on the %s engine", i, kind)
+				}
+				if got.Diagnoses < 2 || len(got.Additional) == 0 {
+					t.Errorf("mutant %d: %d diagnoses, %d additional tests; want Step 6 to run",
+						i, got.Diagnoses, len(got.Additional))
+				}
+				if want, _ := diagnose(Reference); !reflect.DeepEqual(got, want) {
+					t.Errorf("mutant %d (%s):\n  compiled  %+v\n  reference %+v",
+						i, faults[i].Describe(w.spec), got, want)
+				}
+			}
+		})
 	}
 }

@@ -151,7 +151,7 @@ func RecordRun(tr *trace.Tracer, spec *cfsm.System, suite []cfsm.TestCase, obser
 // around, per input, a step-clock tick and its sim.step … sim.observe events,
 // rendered from the transitions the input executed. obs, steps and err have
 // cfsm.System.RunTrace's shape: on err they cover the inputs before the
-// failing one. This is the one sim.* emitter; the interpreted engine feeds
+// failing one. This is the one sim.* emitter; the interpreted reference feeds
 // it the runs its analysis simulates, the compiled engine the runs of its
 // compiled suite, and only when tracing is on.
 func simCase(tr *trace.Tracer, spec *cfsm.System, tc cfsm.TestCase, obs []cfsm.Observation, steps [][]cfsm.Executed, err error) {

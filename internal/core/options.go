@@ -11,14 +11,13 @@ import (
 type Option func(*settings)
 
 type settings struct {
-	maxAdditionalTests int              // 0 = unbounded
-	combinedEscalation bool             // widen to combined faults before giving up
-	addressEscalation  bool             // widen to addressing faults before giving up
-	registry           *obs.Registry    // nil = observability disabled
-	trace              *trace.Tracer    // nil = structured tracing disabled
-	engine             *compiled.Engine // nil = built per Analyze (engineFor)
-	reference          bool             // WithEngine(nil): interpreted engine
-	matcher            ObsMatcher       // nil = exact observation equality
+	maxAdditionalTests int           // 0 = unbounded
+	combinedEscalation bool          // widen to combined faults before giving up
+	addressEscalation  bool          // widen to addressing faults before giving up
+	registry           *obs.Registry // nil = observability disabled
+	trace              *trace.Tracer // nil = structured tracing disabled
+	engine             engine        // nil = built per Analyze (engineFor)
+	matcher            ObsMatcher    // nil = exact observation equality
 }
 
 func defaultSettings() settings {
@@ -112,13 +111,13 @@ func WithObsMatcher(m ObsMatcher) Option {
 // one built per Analyze call — a sweep worker reuses one engine, with its
 // compiled suite installed, across every mutant. The engine must have been
 // built for the specification passed to Analyze/Diagnose; one built for
-// another specification is ignored. A nil engine names the interpreted
-// reference engine, which the differential tests compare the compiled one
-// against. The engine never changes a verdict: every engine produces
-// byte-identical Analyses and Localizations.
+// another specification is ignored, and so is a nil engine: either way core
+// builds one, exactly as without the option. The engine never changes a
+// verdict.
 func WithEngine(e *compiled.Engine) Option {
 	return func(s *settings) {
-		s.engine = e
-		s.reference = e == nil
+		if e != nil {
+			s.engine = compiledEngine{e}
+		}
 	}
 }

@@ -57,7 +57,8 @@ func RunCompileBench() (CompileBenchRecord, error) {
 		return rec, err
 	}
 	rec.NumSymbols = prog.NumSymbols()
-	rec.Configurations = int(prog.Configs())
+	configs, _ := prog.Configs()
+	rec.Configurations = int(configs)
 
 	res, err := RunSweepOpts(spec, suite, SweepOptions{Workers: 1})
 	if err != nil {

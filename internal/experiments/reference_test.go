@@ -11,10 +11,12 @@ import (
 	"cfsmdiag/internal/testgen"
 )
 
-// referenceSweep diagnoses every mutant on core's interpreted reference
-// engine (core.WithEngine(nil)) with a cloned-system oracle, and classifies
-// each outcome with the interpreted equivalence search — the sweep as it ran
-// before it moved onto the compiled tables.
+// referenceSweep diagnoses every mutant serially through the library entry
+// point core.Diagnose with a cloned-system oracle, and classifies each
+// outcome with the interpreted equivalence search — the sweep without its
+// worker pool, shared program and suite, or overlay oracle. core's
+// TestLibraryMatchesReference pins core.Diagnose to the interpreted
+// reference engine on the same fixtures.
 func referenceSweep(t *testing.T, spec *cfsm.System, suite []cfsm.TestCase) []MutantReport {
 	t.Helper()
 	var out []MutantReport
@@ -24,7 +26,7 @@ func referenceSweep(t *testing.T, spec *cfsm.System, suite []cfsm.TestCase) []Mu
 			t.Fatalf("apply %s: %v", f.Describe(spec), err)
 		}
 		oracle := &core.SystemOracle{Sys: mut}
-		loc, err := core.Diagnose(spec, suite, oracle, core.WithEngine(nil))
+		loc, err := core.Diagnose(spec, suite, oracle)
 		if err != nil {
 			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
@@ -48,7 +50,7 @@ func referenceSweep(t *testing.T, spec *cfsm.System, suite []cfsm.TestCase) []Mu
 }
 
 // TestSweepMatchesReference compares a sweep, mutant by mutant, with the
-// same sweep on the interpreted reference engine: fault order, outcome,
+// serial library sweep (referenceSweep): fault order, outcome,
 // exact-fault and equivalence flags, and the additional tests and inputs
 // Step 6 spent must all be identical.
 func TestSweepMatchesReference(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/obs"
-	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
 )
 
@@ -413,27 +412,23 @@ func (res *SweepResult) add(report MutantReport) {
 
 // sweepWorker is one worker's execution state over the shared program: a
 // compiled engine with the shared suite installed, and the oracle runner
-// that realizes each mutant as an overlay. eng is nil when the
-// specification's configuration space does not pack; core then diagnoses on
-// its interpreted engine.
+// that realizes each mutant as an overlay. opts selects the engine for core
+// and adds the sweep's registry.
 type sweepWorker struct {
 	eng    *compiled.Engine
 	oracle *compiled.Runner
-	// engine selects eng for core (empty when eng is nil); opts adds the
-	// sweep's registry.
-	engine []core.Option
 	opts   []core.Option
 }
 
 func newSweepWorker(prog *compiled.Program, csuite *compiled.Suite, reg *obs.Registry) sweepWorker {
-	w := sweepWorker{oracle: prog.NewRunner()}
-	if eng, err := compiled.EngineFor(prog); err == nil {
-		eng.SetSuite(csuite)
-		w.eng = eng
-		w.engine = []core.Option{core.WithEngine(eng)}
+	// EngineFor fails only on a nil program, and a compiled spec never is.
+	eng, _ := compiled.EngineFor(prog)
+	eng.SetSuite(csuite)
+	return sweepWorker{
+		eng:    eng,
+		oracle: prog.NewRunner(),
+		opts:   []core.Option{core.WithRegistry(reg), core.WithEngine(eng)},
 	}
-	w.opts = append([]core.Option{core.WithRegistry(reg)}, w.engine...)
-	return w
 }
 
 // diagnose runs the full Steps 1–6 diagnosis of the mutant realized by f
@@ -452,30 +447,13 @@ func (w sweepWorker) diagnose(ctx context.Context, spec *cfsm.System, suite []cf
 	report.AdditionalIn = oracle.Inputs
 	var equiv func(*fault.Fault) bool
 	if opts.CheckEquivalence {
-		equiv = func(diagnosed *fault.Fault) bool { return w.equivalent(spec, diagnosed, f) }
+		equiv = func(diagnosed *fault.Fault) bool { return w.eng.Equivalent(diagnosed, &f) }
 	}
 	classifyOutcome(loc, f, &report, equiv)
 	if opts.Trace != nil && report.Outcome != OutcomeUndetected && atomic.AddInt64(traceBudget, -1) >= 0 {
 		w.traceMutant(ctx, loc, f, report.Outcome, opts.Trace)
 	}
 	return report, nil
-}
-
-// equivalent reports whether the mutants realized by a (nil for the
-// specification itself) and b are observationally equivalent: on the
-// worker's compiled engine, or by the interpreted product search when the
-// specification does not pack.
-func (w sweepWorker) equivalent(spec *cfsm.System, a *fault.Fault, b fault.Fault) bool {
-	if w.eng != nil {
-		return w.eng.Equivalent(a, &b)
-	}
-	sa := spec
-	var errA error
-	if a != nil {
-		sa, errA = a.Apply(spec)
-	}
-	sb, errB := b.Apply(spec)
-	return errA == nil && errB == nil && testgen.SystemsEquivalent(sa, sb)
 }
 
 // classifyOutcome folds a localization verdict into the report. equiv, when
@@ -526,7 +504,7 @@ func (w sweepWorker) traceMutant(ctx context.Context, loc *core.Localization, f 
 	span := tr.Begin(trace.KindSweepMutant,
 		trace.A("fault", f.Describe(base.Spec)),
 		trace.A("outcome", out.String()))
-	opts := append([]core.Option{core.WithTrace(tr)}, w.engine...)
+	opts := []core.Option{core.WithTrace(tr), core.WithEngine(w.eng)}
 	a, err := core.Analyze(base.Spec, base.Suite, base.Observed, opts...)
 	if err == nil {
 		_, err = core.LocalizeContext(ctx, a, &compiled.Oracle{R: w.oracle}, opts...)

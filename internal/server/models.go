@@ -67,13 +67,10 @@ func (e *modelEntry) program() *compiled.Program {
 }
 
 // engineOpts runs a diagnosis of the entry's system on a fresh engine over
-// the shared program. A specification whose configurations do not pack gets
-// no option, and core falls back exactly as it does without one.
+// the shared program.
 func (e *modelEntry) engineOpts() []core.Option {
-	eng, err := compiled.EngineFor(e.program())
-	if err != nil {
-		return nil
-	}
+	// EngineFor fails only on a nil program, and program() never returns one.
+	eng, _ := compiled.EngineFor(e.program())
 	return []core.Option{core.WithEngine(eng)}
 }
 

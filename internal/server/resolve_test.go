@@ -128,8 +128,9 @@ func TestInlineSpellingsShareOneProgram(t *testing.T) {
 
 // TestDiagnoseSharesProgramAcrossRequests posts distinct mutants of one spec
 // from 8 goroutines, so every request runs on its own engine over the one
-// cached program (run it with -race). Each response must equal the
-// interpreted reference diagnosis, and the IUT entries stay uncompiled.
+// cached program (run it with -race). Each response must equal the library
+// diagnosis (core's TestLibraryMatchesReference pins that one to the
+// interpreted reference), and the IUT entries stay uncompiled.
 func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 	s := newTestAPI(Config{})
 	h := s.post(s.handleDiagnose)
@@ -179,7 +180,7 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 					return
 				}
 				oracle := &core.SystemOracle{Sys: iut}
-				loc, err := core.Diagnose(spec, suite, oracle, core.WithEngine(nil))
+				loc, err := core.Diagnose(spec, suite, oracle)
 				if err != nil {
 					t.Error(err)
 					return
@@ -188,7 +189,7 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 				if got.Verdict != want.Verdict || got.Fault != want.Fault ||
 					!slices.Equal(got.Remaining, want.Remaining) ||
 					got.TotalTests != want.TotalTests || got.TotalInputs != want.TotalInputs {
-					t.Errorf("%s: server %+v, reference %+v", f.Describe(spec), got, want)
+					t.Errorf("%s: server %+v, library %+v", f.Describe(spec), got, want)
 				}
 			}
 		}(w)
