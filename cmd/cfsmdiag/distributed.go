@@ -79,7 +79,7 @@ func runDistributedSweep(sys *cfsm.System, suite []cfsm.TestCase, cfg distSweepC
 	}
 	createBody, err := json.Marshal(cluster.CreateRequest{
 		Spec:             specJSON,
-		Suite:            cluster.EncodeCases(suite),
+		Suite:            cfsm.EncodeSuite(suite),
 		RangeSize:        cfg.rangeSize,
 		CheckEquivalence: cfg.equiv,
 	})

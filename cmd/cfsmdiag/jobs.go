@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/paper"
 )
@@ -133,15 +134,7 @@ func buildJobRequest(kind string, usePaper bool, specPath, iutPath, suitePath st
 			if doc["iut"], err = iut.MarshalJSON(); err != nil {
 				return nil, err
 			}
-			var cases []testCaseJSON
-			for _, tc := range paper.TestSuite() {
-				tj := testCaseJSON{Name: tc.Name}
-				for _, in := range tc.Inputs {
-					tj.Inputs = append(tj.Inputs, in.String())
-				}
-				cases = append(cases, tj)
-			}
-			if doc["suite"], err = json.Marshal(cases); err != nil {
+			if doc["suite"], err = json.Marshal(cfsm.EncodeSuite(paper.TestSuite())); err != nil {
 				return nil, err
 			}
 		}
@@ -164,22 +157,12 @@ func buildJobRequest(kind string, usePaper bool, specPath, iutPath, suitePath st
 		}
 	}
 	if suitePath != "" {
-		data, err := os.ReadFile(suitePath)
+		suite, err := readSuite(suitePath)
 		if err != nil {
-			return nil, err
-		}
-		// Suite files wrap the cases as {"testCases": [...]}; the API wants
-		// the bare case list.
-		var wrapper struct {
-			TestCases json.RawMessage `json:"testCases"`
-		}
-		if err := json.Unmarshal(data, &wrapper); err != nil {
 			return nil, fmt.Errorf("suite: %w", err)
 		}
-		if wrapper.TestCases != nil {
-			doc["suite"] = wrapper.TestCases
-		} else {
-			doc["suite"] = data
+		if doc["suite"], err = json.Marshal(cfsm.EncodeSuite(suite)); err != nil {
+			return nil, err
 		}
 	}
 	return json.Marshal(doc)

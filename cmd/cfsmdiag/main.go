@@ -374,22 +374,19 @@ func cmdDiagnose(args []string, out io.Writer) error {
 	var suite []cfsm.TestCase
 	switch {
 	case *suitePath != "":
-		data, err := os.ReadFile(*suitePath)
-		if err != nil {
-			return err
-		}
-		suite, err = parseSuite(data)
+		suite, err = readSuite(*suitePath)
 		if err != nil {
 			return err
 		}
 	case *usePaper:
 		suite = paper.TestSuite()
-	default:
-		var uncovered []cfsm.Ref
-		suite, uncovered = testgen.Tour(spec, 0)
-		if len(uncovered) > 0 {
-			fmt.Fprintf(out, "note: %d unreachable transitions not covered by the generated tour\n", len(uncovered))
-		}
+	}
+	suite, uncovered, err := testgen.SuiteOrTour(spec, suite)
+	if err != nil {
+		return err
+	}
+	if len(uncovered) > 0 {
+		fmt.Fprintf(out, "note: %d unreachable transitions not covered by the generated tour\n", len(uncovered))
 	}
 	var collector *statsCollector
 	var opts []core.Option
@@ -662,11 +659,7 @@ func cmdDetect(args []string, out io.Writer) error {
 	}
 	var suite []cfsm.TestCase
 	if *suitePath != "" {
-		data, err := os.ReadFile(*suitePath)
-		if err != nil {
-			return err
-		}
-		suite, err = parseSuite(data)
+		suite, err = readSuite(*suitePath)
 		if err != nil {
 			return err
 		}
@@ -707,11 +700,7 @@ func cmdAnalyze(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	suiteData, err := os.ReadFile(*suitePath)
-	if err != nil {
-		return err
-	}
-	suite, err := parseSuite(suiteData)
+	suite, err := readSuite(*suitePath)
 	if err != nil {
 		return err
 	}
@@ -767,11 +756,7 @@ func cmdRecord(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	suiteData, err := os.ReadFile(*suitePath)
-	if err != nil {
-		return err
-	}
-	suite, err := parseSuite(suiteData)
+	suite, err := readSuite(*suitePath)
 	if err != nil {
 		return err
 	}

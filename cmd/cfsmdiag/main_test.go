@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +51,7 @@ func TestParseInput(t *testing.T) {
 		{tok: "a^0", wantErr: true},
 	}
 	for _, tc := range tests {
-		got, err := parseInput(tc.tok)
+		got, err := cfsm.ParseInputToken(tc.tok)
 		if tc.wantErr {
 			if err == nil {
 				t.Errorf("parseInput(%q): want error", tc.tok)
@@ -98,6 +100,39 @@ func TestParseAndMarshalSuite(t *testing.T) {
 	}
 	if _, err := parseSuite([]byte(`{"testcases":[]}`)); err == nil {
 		t.Error("want error for empty suite")
+	}
+}
+
+// TestBuildJobRequestSuiteFile: `jobs submit -suite` reads the suite file
+// like every other command and submits the bare case list, unnamed cases
+// named; a suite the shared decoder rejects never leaves the CLI.
+func TestBuildJobRequestSuiteFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, doc string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := write("good.json", `{"testcases":[{"name":"T1","inputs":["R","a^1"]},{"inputs":["R"]}]}`)
+	request, err := buildJobRequest("sweep", true, "", "", good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Suite []cfsm.CaseJSON `json:"suite"`
+	}
+	if err := json.Unmarshal(request, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := []cfsm.CaseJSON{{Name: "T1", Inputs: []string{"R", "a^1"}}, {Name: "tc2", Inputs: []string{"R"}}}
+	if !reflect.DeepEqual(doc.Suite, want) {
+		t.Errorf("submitted suite = %+v, want %+v", doc.Suite, want)
+	}
+	dup := write("dup.json", `{"testcases":[{"name":"T1","inputs":["R"]},{"name":"T1","inputs":["R"]}]}`)
+	if _, err := buildJobRequest("sweep", true, "", "", dup); err == nil || !strings.Contains(err.Error(), "T1") {
+		t.Errorf("duplicate names: err = %v", err)
 	}
 }
 
@@ -509,6 +544,42 @@ func TestCLIErrors(t *testing.T) {
 	}
 	if _, err := runCLI(t, "diagnose", "-spec", "/nonexistent.json", "-iut", "/nope.json"); err == nil {
 		t.Error("want error for missing spec")
+	}
+}
+
+// TestCLIDefaultSuite pins the suite-omitted rule on diagnose and sweep: a
+// partial tour runs with a note, an empty tour is an error, as on the server.
+func TestCLIDefaultSuite(t *testing.T) {
+	system := func(transitions ...cfsm.Transition) string {
+		m, err := cfsm.NewMachine("M1", "s0", []cfsm.State{"s0", "s1"}, transitions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := cfsm.NewSystem(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return writeSystem(t, sys, "sys.json")
+	}
+	island := cfsm.Transition{Name: "t1", From: "s1", Input: "a", Output: "b", To: "s1", Dest: cfsm.DestEnv}
+	loop := cfsm.Transition{Name: "t0", From: "s0", Input: "a", Output: "b", To: "s0", Dest: cfsm.DestEnv}
+	partial, empty := system(loop, island), system(island)
+	for _, args := range [][]string{
+		{"diagnose", "-spec", partial, "-iut", partial},
+		{"sweep", partial},
+	} {
+		out, err := runCLI(t, args...)
+		if err != nil || !strings.Contains(out, "note: 1 unreachable transitions not covered by the generated tour\n") {
+			t.Errorf("%s on a partial tour: %v\n%s", args[0], err, out)
+		}
+	}
+	for _, args := range [][]string{
+		{"diagnose", "-spec", empty, "-iut", empty},
+		{"sweep", empty},
+	} {
+		if _, err := runCLI(t, args...); err == nil || !strings.Contains(err.Error(), "transition tour is empty") {
+			t.Errorf("%s on an empty tour: err = %v", args[0], err)
+		}
 	}
 }
 

@@ -3,92 +3,58 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 
 	"cfsmdiag/internal/cfsm"
 )
 
-// parseInput parses one input token in the notation the library prints.
-func parseInput(tok string) (cfsm.Input, error) {
-	return cfsm.ParseInputToken(tok)
-}
-
-// parseInputs parses a comma-separated input sequence, e.g. "R, a^1, c'^3".
+// parseInputs parses a non-empty comma-separated input sequence, e.g.
+// "R, a^1, c'^3".
 func parseInputs(s string) ([]cfsm.Input, error) {
-	var out []cfsm.Input
-	for _, tok := range strings.Split(s, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		in, err := parseInput(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, in)
+	ins, err := cfsm.ParseInputs(s)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
+	if len(ins) == 0 {
 		return nil, fmt.Errorf("empty input sequence")
 	}
-	return out, nil
+	return ins, nil
 }
 
 // suiteJSON is the on-disk format of a test suite.
 type suiteJSON struct {
-	TestCases []testCaseJSON `json:"testcases"`
+	TestCases []cfsm.CaseJSON `json:"testcases"`
 }
 
-type testCaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
-}
-
-// parseSuite decodes a test-suite file.
+// parseSuite decodes a non-empty test-suite file.
 func parseSuite(data []byte) ([]cfsm.TestCase, error) {
 	var doc suiteJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("decode suite: %w", err)
 	}
-	var out []cfsm.TestCase
-	// Analysis keys its per-case maps by test-case name; a collision would
-	// silently attribute one case's observations to the other, so reject it
-	// here like the server's /v1 decoder does.
-	seen := make(map[string]bool, len(doc.TestCases))
-	for i, tj := range doc.TestCases {
-		tc := cfsm.TestCase{Name: tj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		if seen[tc.Name] {
-			return nil, fmt.Errorf("suite names two test cases %q; test-case names must be unique", tc.Name)
-		}
-		seen[tc.Name] = true
-		for _, tok := range tj.Inputs {
-			in, err := parseInput(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
+	suite, err := cfsm.DecodeSuite(doc.TestCases)
+	if err != nil {
+		return nil, err
 	}
-	if len(out) == 0 {
+	if len(suite) == 0 {
 		return nil, fmt.Errorf("suite contains no test cases")
 	}
-	return out, nil
+	return suite, nil
+}
+
+// readSuite reads and decodes a test-suite file.
+func readSuite(path string) ([]cfsm.TestCase, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parseSuite(data)
 }
 
 // marshalSuite encodes a suite in the on-disk format.
 func marshalSuite(suite []cfsm.TestCase) ([]byte, error) {
-	doc := suiteJSON{}
-	for _, tc := range suite {
-		tj := testCaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			tj.Inputs = append(tj.Inputs, in.String())
-		}
-		doc.TestCases = append(doc.TestCases, tj)
-	}
-	return json.MarshalIndent(doc, "", "  ")
+	return json.MarshalIndent(suiteJSON{TestCases: cfsm.EncodeSuite(suite)}, "", "  ")
 }
 
 // obsJSON is the on-disk format of recorded observations: one sequence of
@@ -97,12 +63,8 @@ type obsJSON struct {
 	Observations [][]string `json:"observations"`
 }
 
-// parseObservation parses one observation token.
-func parseObservation(tok string) (cfsm.Observation, error) {
-	return cfsm.ParseObservationToken(tok)
-}
-
-// parseObservations decodes a recorded-observation file.
+// parseObservations decodes a recorded-observation file with at least one
+// sequence.
 func parseObservations(data []byte) ([][]cfsm.Observation, error) {
 	var doc obsJSON
 	if err := json.Unmarshal(data, &doc); err != nil {
@@ -111,26 +73,14 @@ func parseObservations(data []byte) ([][]cfsm.Observation, error) {
 	if len(doc.Observations) == 0 {
 		return nil, fmt.Errorf("observation file contains no sequences")
 	}
-	out := make([][]cfsm.Observation, len(doc.Observations))
-	for i, seq := range doc.Observations {
-		for _, tok := range seq {
-			o, err := parseObservation(tok)
-			if err != nil {
-				return nil, fmt.Errorf("sequence %d: %w", i+1, err)
-			}
-			out[i] = append(out[i], o)
-		}
-	}
-	return out, nil
+	return cfsm.DecodeObservations(doc.Observations)
 }
 
 // marshalObservations encodes observation sequences in the on-disk format.
 func marshalObservations(obs [][]cfsm.Observation) ([]byte, error) {
 	doc := obsJSON{Observations: make([][]string, len(obs))}
 	for i, seq := range obs {
-		for _, o := range seq {
-			doc.Observations[i] = append(doc.Observations[i], o.String())
-		}
+		doc.Observations[i] = cfsm.EncodeObs(seq)
 	}
 	return json.MarshalIndent(doc, "", "  ")
 }

@@ -64,20 +64,17 @@ func cmdSweep(args []string, out io.Writer) error {
 
 	var suite []cfsm.TestCase
 	if *suitePath != "" {
-		data, err := os.ReadFile(*suitePath)
+		suite, err = readSuite(*suitePath)
 		if err != nil {
 			return err
 		}
-		suite, err = parseSuite(data)
-		if err != nil {
-			return err
-		}
-	} else {
-		var uncovered []cfsm.Ref
-		suite, uncovered = testgen.Tour(sys, 0)
-		if len(uncovered) > 0 {
-			fmt.Fprintf(out, "note: %d unreachable transitions not covered by the generated tour\n", len(uncovered))
-		}
+	}
+	suite, uncovered, err := testgen.SuiteOrTour(sys, suite)
+	if err != nil {
+		return err
+	}
+	if len(uncovered) > 0 {
+		fmt.Fprintf(out, "note: %d unreachable transitions not covered by the generated tour\n", len(uncovered))
 	}
 
 	effective := *workers

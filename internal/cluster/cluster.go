@@ -27,7 +27,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"cfsmdiag/internal/cfsm"
@@ -64,46 +63,6 @@ const (
 )
 
 // --- wire formats ---
-
-// CaseJSON is the wire form of one test case, the same token format as the
-// CLI and the /v1 suite endpoints ("a^1", "R").
-type CaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
-}
-
-// EncodeCases renders a suite in wire form.
-func EncodeCases(suite []cfsm.TestCase) []CaseJSON {
-	out := make([]CaseJSON, len(suite))
-	for i, tc := range suite {
-		cj := CaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			cj.Inputs = append(cj.Inputs, in.String())
-		}
-		out[i] = cj
-	}
-	return out
-}
-
-// DecodeCases parses a wire-form suite.
-func DecodeCases(cases []CaseJSON) ([]cfsm.TestCase, error) {
-	var out []cfsm.TestCase
-	for i, cj := range cases {
-		tc := cfsm.TestCase{Name: cj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		for _, tok := range cj.Inputs {
-			in, err := cfsm.ParseInputToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
-	}
-	return out, nil
-}
 
 // FaultJSON is the wire form of a fault.Fault. Dest carries no omitempty:
 // machine index 0 is a valid faulty destination for the addressing
@@ -183,7 +142,7 @@ type CreateRequest struct {
 	SpecRef string          `json:"specRef,omitempty"`
 	// Suite is the initial test suite; omitted selects the generated
 	// transition tour of the spec.
-	Suite []CaseJSON `json:"suite,omitempty"`
+	Suite []cfsm.CaseJSON `json:"suite,omitempty"`
 	// RangeSize is the number of consecutive mutant indices per shard;
 	// <= 0 selects the coordinator's default.
 	RangeSize        int  `json:"rangeSize,omitempty"`
@@ -207,7 +166,7 @@ type Lease struct {
 	Token     int64           `json:"token"` // fencing token
 	TTLMillis int64           `json:"ttlMillis"`
 	Spec      json.RawMessage `json:"spec"`
-	Suite     []CaseJSON      `json:"suite"`
+	Suite     []cfsm.CaseJSON `json:"suite"`
 	Options   Options         `json:"options"`
 }
 
@@ -236,17 +195,6 @@ type RangeStatus struct {
 	Worker string     `json:"worker,omitempty"` // current/last lease holder
 }
 
-// Summary aggregates a finished sweep like the local sweep's outcome table.
-type Summary struct {
-	Mutants              int            `json:"mutants"`
-	Detected             int            `json:"detected"`
-	Outcomes             map[string]int `json:"outcomes"`
-	UndetectedEquivalent int            `json:"undetectedEquivalent,omitempty"`
-	AdditionalTests      int            `json:"additionalTests"`
-	AdditionalInputs     int            `json:"additionalInputs"`
-	SuiteCases           int            `json:"suiteCases"`
-}
-
 // SweepStatus is a sweep's public status document.
 type SweepStatus struct {
 	ID        string     `json:"id"`
@@ -265,5 +213,5 @@ type SweepStatus struct {
 	Duplicates  int64 `json:"duplicateReports,omitempty"`
 	SuiteCases  int   `json:"suiteCases"`
 	// Result carries the merged outcome once every range is done.
-	Result *Summary `json:"result,omitempty"`
+	Result *experiments.Summary `json:"result,omitempty"`
 }

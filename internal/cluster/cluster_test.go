@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/server/api"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -503,6 +505,101 @@ func TestHandlerRoutes(t *testing.T) {
 		if r.status != 200 {
 			t.Fatalf("lease: %d %s", r.status, r.body)
 		}
+	}
+}
+
+// createSweep posts a creation request to a fresh in-memory coordinator's
+// handler and returns the status, the error detail (if any) and the
+// coordinator's sweep count afterwards.
+func createSweep(t *testing.T, spec *cfsm.System, suite []cfsm.CaseJSON) (int, api.ErrorDetail, int) {
+	t.Helper()
+	c, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := httptest.NewServer(c.Handler(nil))
+	defer srv.Close()
+	doc, err := spec.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sj cfsm.SystemJSON
+	if err := json.Unmarshal(doc, &sj); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(CreateRequest{Spec: sj, Suite: suite})
+	resp := postJSON(t, srv.URL+"/v1/cluster/sweeps", body)
+	var env api.ErrorEnvelope
+	_ = json.Unmarshal(resp.body, &env)
+	return resp.status, env.Error, len(c.List())
+}
+
+// TestCreateDuplicateCaseNames422 holds sweep creation to the rule every
+// other surface applies: a suite naming two cases alike is 422
+// duplicate_test_case, and no sweep starts.
+func TestCreateDuplicateCaseNames422(t *testing.T) {
+	status, detail, sweeps := createSweep(t, paper.MustFigure1(), []cfsm.CaseJSON{
+		{Name: "T1", Inputs: []string{"R", "a^1"}},
+		{Name: "T1", Inputs: []string{"R", "b^1"}},
+	})
+	if status != http.StatusUnprocessableEntity || detail.Code != api.CodeDuplicateTestCase || sweeps != 0 {
+		t.Errorf("duplicate names: %d %+v, %d sweeps", status, detail, sweeps)
+	}
+}
+
+// TestCreateEmptyTour422: a suite-less create whose transition tour is empty
+// is refused with the tour's explanation, as /v1/diagnose refuses it.
+func TestCreateEmptyTour422(t *testing.T) {
+	m, err := cfsm.NewMachine("M1", "s0", []cfsm.State{"s0", "s1"}, []cfsm.Transition{
+		{Name: "t1", From: "s1", Input: "a", Output: "b", To: "s1", Dest: cfsm.DestEnv},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unreachable, err := cfsm.NewSystem(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, detail, sweeps := createSweep(t, unreachable, nil)
+	if status != http.StatusUnprocessableEntity || !strings.Contains(detail.Message, "transition tour is empty") || sweeps != 0 {
+		t.Errorf("empty tour: %d %+v, %d sweeps", status, detail, sweeps)
+	}
+}
+
+// TestJournalDropsDuplicateSuite opens a journal holding a sweep whose suite
+// names two cases alike, as creation once allowed: the coordinator starts
+// without that sweep and never reuses its id.
+func TestJournalDropsDuplicateSuite(t *testing.T) {
+	dir := t.TempDir()
+	doc, err := paper.MustFigure1().MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(journalRecord{
+		Op: opCreate, Sweep: "s1", Spec: doc, RangeSize: 50,
+		Suite: []cfsm.CaseJSON{{Name: "T1", Inputs: []string{"R"}}, {Name: "T1", Inputs: []string{"R"}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(dir), append(rec, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Get("s1"); !errorsIs(err, ErrNotFound) {
+		t.Fatalf("dropped sweep: err = %v", err)
+	}
+	st, err := c.Create(paper.MustFigure1(), paper.TestSuite(), Options{}, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID == "s1" {
+		t.Fatal("new sweep reused the dropped sweep's id")
 	}
 }
 

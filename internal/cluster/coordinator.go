@@ -74,7 +74,7 @@ type sweep struct {
 	spec      *cfsm.System
 	specDoc   json.RawMessage // canonical document handed to workers
 	suite     []cfsm.TestCase
-	suiteWire []CaseJSON
+	suiteWire []cfsm.CaseJSON
 	opts      Options
 	rangeSize int
 	mutants   int
@@ -170,7 +170,7 @@ func (c *Coordinator) Create(spec *cfsm.System, suite []cfsm.TestCase, opts Opti
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sw := c.buildLocked(c.issueIDLocked(), c.cfg.now(), spec, doc, suite, EncodeCases(suite), opts, rangeSize, mutants)
+	sw := c.buildLocked(c.issueIDLocked(), c.cfg.now(), spec, doc, suite, cfsm.EncodeSuite(suite), opts, rangeSize, mutants)
 	if c.jl != nil {
 		if err := c.jl.append(journalRecord{
 			Op: opCreate, Sweep: sw.id, At: sw.createdAt,
@@ -190,7 +190,7 @@ func (c *Coordinator) Create(spec *cfsm.System, suite []cfsm.TestCase, opts Opti
 }
 
 // buildLocked installs a sweep with every range pending.
-func (c *Coordinator) buildLocked(id string, at time.Time, spec *cfsm.System, doc json.RawMessage, suite []cfsm.TestCase, suiteWire []CaseJSON, opts Options, rangeSize, mutants int) *sweep {
+func (c *Coordinator) buildLocked(id string, at time.Time, spec *cfsm.System, doc json.RawMessage, suite []cfsm.TestCase, suiteWire []cfsm.CaseJSON, opts Options, rangeSize, mutants int) *sweep {
 	sw := &sweep{
 		id: id, createdAt: at, state: SweepRunning,
 		spec: spec, specDoc: doc, suite: suite, suiteWire: suiteWire,
@@ -436,26 +436,10 @@ func (c *Coordinator) statusLocked(sw *sweep) SweepStatus {
 		}
 	}
 	if sw.result != nil {
-		st.Result = summarize(sw.result)
+		sum := sw.result.Summary()
+		st.Result = &sum
 	}
 	return st
-}
-
-// summarize renders a merged result as the wire summary.
-func summarize(res *experiments.SweepResult) *Summary {
-	s := &Summary{
-		Mutants:              len(res.Reports),
-		Detected:             res.Detected,
-		Outcomes:             make(map[string]int, len(res.Counts)),
-		UndetectedEquivalent: res.UndetectedEquivalent,
-		AdditionalTests:      res.TotalAdditionalTests,
-		AdditionalInputs:     res.TotalAdditionalInputs,
-		SuiteCases:           len(res.Suite),
-	}
-	for o, n := range res.Counts {
-		s.Outcomes[o.String()] = n
-	}
-	return s
 }
 
 // idNumber extracts the numeric part of "s17"-style ids for stable sorting.
@@ -472,11 +456,22 @@ func (c *Coordinator) replay(records []journalRecord) error {
 	for _, rec := range records {
 		switch rec.Op {
 		case opCreate:
+			if n := idNumber(rec.Sweep); n >= c.nextID {
+				c.nextID = n + 1
+			}
 			spec, err := cfsm.ParseSystem(rec.Spec)
 			if err != nil {
 				return fmt.Errorf("cluster: journal sweep %s: %w", rec.Sweep, err)
 			}
-			suite, err := DecodeCases(rec.Suite)
+			suite, err := cfsm.DecodeSuite(rec.Suite)
+			var dup cfsm.DuplicateCaseError
+			if errors.As(err, &dup) {
+				// Older journals may hold a suite creation now refuses: start
+				// without that sweep; its id stays used, so its results never
+				// attach to a later sweep.
+				c.cfg.Logger.Warn("cluster: journal sweep not recovered", "sweep", rec.Sweep, "err", err)
+				continue
+			}
 			if err != nil {
 				return fmt.Errorf("cluster: journal sweep %s: %w", rec.Sweep, err)
 			}
@@ -486,9 +481,6 @@ func (c *Coordinator) replay(records []journalRecord) error {
 			}
 			mutants := len(fault.Enumerate(spec))
 			c.buildLocked(rec.Sweep, rec.At, spec, rec.Spec, suite, rec.Suite, opts, rec.RangeSize, mutants)
-			if n := idNumber(rec.Sweep); n >= c.nextID {
-				c.nextID = n + 1
-			}
 		case opResult:
 			sw, ok := c.sweeps[rec.Sweep]
 			if !ok {

@@ -117,13 +117,18 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request, resol
 		api.WriteError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err)
 		return
 	}
-	suite, err := DecodeCases(req.Suite)
-	if err != nil {
+	suite, err := cfsm.DecodeSuite(req.Suite)
+	if err == nil {
+		suite, _, err = testgen.SuiteOrTour(spec, suite)
+	}
+	var dup cfsm.DuplicateCaseError
+	switch {
+	case errors.As(err, &dup):
+		api.WriteError(w, http.StatusUnprocessableEntity, api.CodeDuplicateTestCase, err)
+		return
+	case err != nil:
 		api.WriteError(w, http.StatusUnprocessableEntity, api.CodeUnprocessable, err)
 		return
-	}
-	if len(suite) == 0 {
-		suite, _ = testgen.Tour(spec, 0)
 	}
 	st, err := c.Create(spec, suite, Options{CheckEquivalence: req.CheckEquivalence}, req.RangeSize)
 	if err != nil {

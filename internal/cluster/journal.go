@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"cfsmdiag/internal/cfsm"
 )
 
 // Journal operations. Creations record the full sweep inputs; results record
@@ -26,7 +28,7 @@ type journalRecord struct {
 	At    time.Time `json:"at,omitempty"`
 	// create fields
 	Spec      json.RawMessage `json:"spec,omitempty"`
-	Suite     []CaseJSON      `json:"suite,omitempty"`
+	Suite     []cfsm.CaseJSON `json:"suite,omitempty"`
 	Options   *Options        `json:"options,omitempty"`
 	RangeSize int             `json:"rangeSize,omitempty"`
 	// result fields

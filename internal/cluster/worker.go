@@ -342,7 +342,7 @@ func (w *Worker) parse(base string, lease Lease) (*parsedSweep, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lease spec: %w", err)
 	}
-	suite, err := DecodeCases(lease.Suite)
+	suite, err := cfsm.DecodeSuite(lease.Suite)
 	if err != nil {
 		return nil, fmt.Errorf("lease suite: %w", err)
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/replay"
 	"cfsmdiag/internal/server"
 	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
@@ -79,46 +81,115 @@ func postDiagnose(t *testing.T, h http.Handler, path string, spec, iut *cfsm.Sys
 	if err != nil {
 		t.Fatal(err)
 	}
-	type caseDoc struct {
-		Name   string   `json:"name"`
-		Inputs []string `json:"inputs"`
-	}
-	var cases []caseDoc
-	for _, tc := range suite {
-		c := caseDoc{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			c.Inputs = append(c.Inputs, in.String())
-		}
-		cases = append(cases, c)
-	}
 	body, err := json.Marshal(map[string]any{
 		"spec":  json.RawMessage(specDoc),
 		"iut":   json.RawMessage(iutDoc),
-		"suite": cases,
+		"suite": cfsm.EncodeSuite(suite),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body.Bytes())
-	}
 	var o outcome
-	if err := json.Unmarshal(rec.Body.Bytes(), &o); err != nil {
+	call(t, h, http.MethodPost, path, body, http.StatusOK, &o)
+	return o
+}
+
+// call serves one in-process request and decodes the response body into v.
+func call(t *testing.T, h http.Handler, method, path string, body []byte, wantStatus int, v any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if rec.Code != wantStatus {
+		t.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body.Bytes())
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
 		t.Fatalf("decode %s response: %v", path, err)
 	}
-	return o
+}
+
+// submitDiagnoseJob runs one diagnosis through the in-process /v1/jobs
+// queue: submit, wait for the queue to drain, fetch the result.
+func submitDiagnoseJob(t *testing.T, svc *server.Service, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
+	t.Helper()
+	specDoc, err := spec.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iutDoc, err := iut.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(map[string]any{
+		"kind": "diagnose",
+		"request": map[string]any{
+			"spec":  json.RawMessage(specDoc),
+			"iut":   json.RawMessage(iutDoc),
+			"suite": cfsm.EncodeSuite(suite),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		ID string `json:"id"`
+	}
+	call(t, svc.Handler(), http.MethodPost, "/v1/jobs", body, http.StatusAccepted, &job)
+	if err := svc.Jobs().WaitIdle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		State  string  `json:"state"`
+		Error  string  `json:"error"`
+		Result outcome `json:"result"`
+	}
+	call(t, svc.Handler(), http.MethodGet, "/v1/jobs/"+job.ID+"/result", nil, http.StatusOK, &res)
+	if res.State != "succeeded" {
+		t.Fatalf("job %s: %s %s", job.ID, res.State, res.Error)
+	}
+	return res.Result
+}
+
+// replayDiagnosis records a traced diagnosis and re-runs it offline from
+// the trace; the totals count the recorded suite plus the canned answers
+// the replay consumed.
+func replayDiagnosis(t *testing.T, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
+	t.Helper()
+	tr := trace.New()
+	if _, err := core.Diagnose(spec, suite, &core.SystemOracle{Sys: iut}, core.WithTrace(tr)); err != nil {
+		t.Fatal(err)
+	}
+	run, err := replay.Load(tr.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loc, canned, err := run.Localize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := &core.SystemOracle{Tests: len(run.Suite) + canned.Queries}
+	for _, tc := range run.Suite {
+		totals.Inputs += len(tc.Inputs)
+	}
+	for _, at := range loc.AdditionalTests {
+		totals.Inputs += len(at.Test.Inputs)
+	}
+	return outcomeOf(run.Spec, loc, totals)
 }
 
 // TestSurfacesConform diagnoses every Figure 1 mutant and every mutant of the
 // randgen seed-1 system through each diagnosis surface — the library entry
 // point (compiled engine), the interpreted reference engine, in-process
-// POST /v1/diagnose with and without ?trace=1, and a single-observer ports
-// map — and requires the same verdict, fault, remaining hypotheses and
-// total oracle tests and inputs from all of them.
+// POST /v1/diagnose with and without ?trace=1, a diagnose job through the
+// /v1/jobs queue, a single-observer ports map, and an offline replay of a
+// traced run — and requires the same verdict, fault, remaining hypotheses
+// and total oracle tests and inputs from all of them.
 func TestSurfacesConform(t *testing.T) {
 	h := server.New(server.Config{EnableTracing: true})
+	svc, err := server.NewService(server.Config{EnableJobs: true, JobsWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
 	for _, sys := range conformanceSystems(t, 1) {
 		t.Run(sys.name, func(t *testing.T) {
 			hub := ports.Default(sys.spec)
@@ -149,6 +220,12 @@ func TestSurfacesConform(t *testing.T) {
 					},
 					"POST /v1/diagnose?trace=1": func() outcome {
 						return postDiagnose(t, h, "/v1/diagnose?trace=1", sys.spec, iut, sys.suite)
+					},
+					"/v1/jobs diagnose": func() outcome {
+						return submitDiagnoseJob(t, svc, sys.spec, iut, sys.suite)
+					},
+					"replay": func() outcome {
+						return replayDiagnosis(t, sys.spec, iut, sys.suite)
 					},
 				}
 				oracle := &core.SystemOracle{Sys: iut}

@@ -97,6 +97,35 @@ type SweepResult struct {
 	Detected              int
 }
 
+// Summary is the wire form of a sweep's outcome table: the sweep-job result
+// and the cluster sweep status both carry it.
+type Summary struct {
+	Mutants              int            `json:"mutants"`
+	Detected             int            `json:"detected"`
+	Outcomes             map[string]int `json:"outcomes"`
+	UndetectedEquivalent int            `json:"undetectedEquivalent,omitempty"`
+	AdditionalTests      int            `json:"additionalTests"`
+	AdditionalInputs     int            `json:"additionalInputs"`
+	SuiteCases           int            `json:"suiteCases"`
+}
+
+// Summary renders the result as its wire summary.
+func (r *SweepResult) Summary() Summary {
+	s := Summary{
+		Mutants:              len(r.Reports),
+		Detected:             r.Detected,
+		Outcomes:             make(map[string]int, len(r.Counts)),
+		UndetectedEquivalent: r.UndetectedEquivalent,
+		AdditionalTests:      r.TotalAdditionalTests,
+		AdditionalInputs:     r.TotalAdditionalInputs,
+		SuiteCases:           len(r.Suite),
+	}
+	for o, n := range r.Counts {
+		s.Outcomes[o.String()] = n
+	}
+	return s
+}
+
 // SweepOptions configures a sweep run.
 type SweepOptions struct {
 	// CheckEquivalence controls whether undetected and wrongly-localized

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/server"
 )
@@ -56,18 +57,10 @@ type BenchOptions struct {
 // paperSuiteDoc renders the paper's test suite in wire form, with the
 // first case renamed by tag when non-empty (a payload-uniqueness knob:
 // batch sweeps must not collide in the content-addressed result cache).
-func paperSuiteDoc(tag string) []map[string]any {
-	var out []map[string]any
-	for i, tc := range paper.TestSuite() {
-		name := tc.Name
-		if i == 0 && tag != "" {
-			name = tc.Name + "-" + tag
-		}
-		inputs := make([]string, len(tc.Inputs))
-		for k, in := range tc.Inputs {
-			inputs[k] = in.String()
-		}
-		out = append(out, map[string]any{"name": name, "inputs": inputs})
+func paperSuiteDoc(tag string) []cfsm.CaseJSON {
+	out := cfsm.EncodeSuite(paper.TestSuite())
+	if tag != "" {
+		out[0].Name += "-" + tag
 	}
 	return out
 }

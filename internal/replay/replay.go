@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/core"
@@ -75,7 +74,7 @@ func Load(events []trace.Event) (*Run, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay: %s event with index %q", e.Kind, e.Attrs["index"])
 			}
-			inputs, err := parseInputs(e.Attrs["inputs"])
+			inputs, err := cfsm.ParseInputs(e.Attrs["inputs"])
 			if err != nil {
 				return nil, fmt.Errorf("replay: case %d: %w", idx, err)
 			}
@@ -85,7 +84,7 @@ func Load(events []trace.Event) (*Run, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay: %s event with index %q", e.Kind, e.Attrs["index"])
 			}
-			obs, err := parseObservations(e.Attrs["outputs"])
+			obs, err := cfsm.ParseObs(e.Attrs["outputs"])
 			if err != nil {
 				return nil, fmt.Errorf("replay: observed outputs of case %d: %w", idx, err)
 			}
@@ -95,7 +94,7 @@ func Load(events []trace.Event) (*Run, error) {
 				r.Unreliable[e.Attrs["inputs"]] = true
 				continue
 			}
-			obs, err := parseObservations(e.Attrs["observed"])
+			obs, err := cfsm.ParseObs(e.Attrs["observed"])
 			if err != nil {
 				return nil, fmt.Errorf("replay: recorded answer for %q: %w", e.Attrs["inputs"], err)
 			}
@@ -189,43 +188,4 @@ func (r *Run) Check(loc *core.Localization) error {
 		return fmt.Errorf("replay: fault %q does not reproduce recorded %q", got, r.Fault)
 	}
 	return nil
-}
-
-// parseInputs inverts cfsm.FormatInputs.
-func parseInputs(s string) ([]cfsm.Input, error) {
-	toks := splitTokens(s)
-	out := make([]cfsm.Input, 0, len(toks))
-	for _, tok := range toks {
-		in, err := cfsm.ParseInputToken(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, in)
-	}
-	return out, nil
-}
-
-// parseObservations inverts cfsm.FormatObs.
-func parseObservations(s string) ([]cfsm.Observation, error) {
-	toks := splitTokens(s)
-	out := make([]cfsm.Observation, 0, len(toks))
-	for _, tok := range toks {
-		o, err := cfsm.ParseObservationToken(tok)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}
-
-func splitTokens(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }

@@ -310,8 +310,8 @@ type sweepJobRequest struct {
 	Spec json.RawMessage `json:"spec"`
 	// SpecRef names a registered model by content hash instead of an inline
 	// spec document; it wins when both are set.
-	SpecRef string         `json:"specRef,omitempty"`
-	Suite   []testCaseJSON `json:"suite,omitempty"` // default: generated tour
+	SpecRef string          `json:"specRef,omitempty"`
+	Suite   []cfsm.CaseJSON `json:"suite,omitempty"` // default: generated tour
 	// CheckEquivalence enables the (expensive) equivalence check on
 	// undetected mutants.
 	CheckEquivalence bool `json:"checkEquivalence,omitempty"`
@@ -320,16 +320,10 @@ type sweepJobRequest struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// sweepJobResponse summarizes a sweep run.
+// sweepJobResponse summarizes a sweep run and the worker count it ran on.
 type sweepJobResponse struct {
-	Mutants              int            `json:"mutants"`
-	Detected             int            `json:"detected"`
-	Outcomes             map[string]int `json:"outcomes"`
-	UndetectedEquivalent int            `json:"undetectedEquivalent,omitempty"`
-	AdditionalTests      int            `json:"additionalTests"`
-	AdditionalInputs     int            `json:"additionalInputs"`
-	SuiteCases           int            `json:"suiteCases"`
-	Workers              int            `json:"workers"`
+	experiments.Summary
+	Workers int `json:"workers"`
 }
 
 // execSweep is the "sweep" job kind: a full mutation sweep (experiment E5)
@@ -347,17 +341,12 @@ func (s *api) execSweep(ctx context.Context, payload json.RawMessage) (json.RawM
 		return nil, fmt.Errorf("spec: %w", err)
 	}
 	spec := specEntry.sys
-	var suite []cfsm.TestCase
-	if len(req.Suite) > 0 {
-		if suite, err = decodeSuite(req.Suite); err != nil {
-			return nil, err
-		}
-	} else {
-		var uncovered []cfsm.Ref
-		suite, uncovered = testgen.Tour(spec, 0)
-		if len(suite) == 0 {
-			return nil, fmt.Errorf("suite omitted and the generated transition tour is empty (%d transitions unreachable); supply an explicit suite", len(uncovered))
-		}
+	suite, err := cfsm.DecodeSuite(req.Suite)
+	if err != nil {
+		return nil, err
+	}
+	if suite, _, err = testgen.SuiteOrTour(spec, suite); err != nil {
+		return nil, err
 	}
 	workers := req.Workers
 	if workers <= 0 {
@@ -375,18 +364,5 @@ func (s *api) execSweep(ctx context.Context, payload json.RawMessage) (json.RawM
 	if err != nil {
 		return nil, err
 	}
-	resp := sweepJobResponse{
-		Mutants:              len(res.Reports),
-		Detected:             res.Detected,
-		Outcomes:             make(map[string]int, len(res.Counts)),
-		UndetectedEquivalent: res.UndetectedEquivalent,
-		AdditionalTests:      res.TotalAdditionalTests,
-		AdditionalInputs:     res.TotalAdditionalInputs,
-		SuiteCases:           len(suite),
-		Workers:              workers,
-	}
-	for outcome, n := range res.Counts {
-		resp.Outcomes[outcome.String()] = n
-	}
-	return json.Marshal(resp)
+	return json.Marshal(sweepJobResponse{Summary: res.Summary(), Workers: workers})
 }

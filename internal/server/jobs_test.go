@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/jobs"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
@@ -84,7 +85,7 @@ func TestJobsDiagnoseMatchesSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diagReq := diagnoseRequest{Spec: spec, IUT: systemDoc(t, iut), Suite: suiteDoc(paper.TestSuite())}
+	diagReq := diagnoseRequest{Spec: spec, IUT: systemDoc(t, iut), Suite: cfsm.EncodeSuite(paper.TestSuite())}
 
 	// Synchronous reference verdict.
 	resp, body := post(t, srv, "/v1/diagnose", diagReq)
@@ -179,7 +180,7 @@ func TestJobsSweep(t *testing.T) {
 
 	reqDoc, err := json.Marshal(sweepJobRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +467,7 @@ func TestJobsListPagination(t *testing.T) {
 		// Distinct MaxAdditionalTests keeps each payload out of the
 		// content-addressed duplicate cache.
 		reqDoc, err := json.Marshal(diagnoseRequest{
-			Spec: spec, IUT: systemDoc(t, iut), Suite: suiteDoc(paper.TestSuite()),
+			Spec: spec, IUT: systemDoc(t, iut), Suite: cfsm.EncodeSuite(paper.TestSuite()),
 			MaxAdditionalTests: i + 1,
 		})
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/obs"
@@ -107,13 +108,13 @@ func TestModelUploadAndRef(t *testing.T) {
 
 	// Diagnose by reference: the verdict must match the inline-document path.
 	refResp, refBody := post(t, srv, "/v1/diagnose", diagnoseRequest{
-		SpecRef: up.Hash, IUTRef: upIUT.Hash, Suite: suiteDoc(paper.TestSuite()),
+		SpecRef: up.Hash, IUTRef: upIUT.Hash, Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if refResp.StatusCode != http.StatusOK {
 		t.Fatalf("ref diagnose status = %d: %s", refResp.StatusCode, refBody)
 	}
 	inResp, inBody := post(t, srv, "/v1/diagnose", diagnoseRequest{
-		Spec: systemDoc(t, spec), IUT: systemDoc(t, iut), Suite: suiteDoc(paper.TestSuite()),
+		Spec: systemDoc(t, spec), IUT: systemDoc(t, iut), Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if inResp.StatusCode != http.StatusOK {
 		t.Fatalf("inline diagnose status = %d: %s", inResp.StatusCode, inBody)
@@ -282,7 +283,7 @@ func TestModelRegistryKeepsHotModels(t *testing.T) {
 		resp, body := post(t, srv, "/v1/diagnose", diagnoseRequest{
 			Spec:  systemDoc(t, spec),
 			IUT:   systemDoc(t, iut),
-			Suite: suiteDoc(paper.TestSuite()),
+			Suite: cfsm.EncodeSuite(paper.TestSuite()),
 		})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)

@@ -8,6 +8,7 @@ import (
 
 	httpapi "cfsmdiag/internal/server/api"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
 )
 
@@ -36,7 +37,7 @@ func TestDiagnoseWithPortMap(t *testing.T) {
 	req := diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 		Ports: perMachinePorts,
 	}
 	resp, body := post(t, srv, "/v1/diagnose", req)
@@ -97,11 +98,11 @@ func TestAnalyzeWithPortMap(t *testing.T) {
 	}
 	var obsDoc [][]string
 	for _, seq := range observed {
-		obsDoc = append(obsDoc, encodeObservations(seq))
+		obsDoc = append(obsDoc, cfsm.EncodeObs(seq))
 	}
 	req := analyzeRequest{
 		Spec:         systemDoc(t, spec),
-		Suite:        suiteDoc(suite),
+		Suite:        cfsm.EncodeSuite(suite),
 		Observations: obsDoc,
 		Ports:        perMachinePorts,
 	}
@@ -136,7 +137,7 @@ func TestInvalidPortMapRejected(t *testing.T) {
 	base := diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	}
 	for name, pm := range map[string]map[string]string{
 		"unknown machine":    {"M1": "a", "M2": "a", "M3": "a", "M9": "b"},
@@ -175,7 +176,7 @@ func TestDuplicateTestCaseRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FaultyImplementation: %v", err)
 	}
-	dup := []testCaseJSON{
+	dup := []cfsm.CaseJSON{
 		{Name: "T1", Inputs: []string{"R"}},
 		{Name: "T1", Inputs: []string{"R"}},
 	}
@@ -196,7 +197,7 @@ func TestDuplicateTestCaseRejected(t *testing.T) {
 	resp, body = post(t, srv, "/v1/diagnose", diagnoseRequest{
 		Spec: systemDoc(t, paper.MustFigure1()),
 		IUT:  systemDoc(t, iut),
-		Suite: []testCaseJSON{
+		Suite: []cfsm.CaseJSON{
 			{Inputs: []string{"R"}},
 			{Name: "tc1", Inputs: []string{"R"}},
 		},
@@ -232,7 +233,7 @@ func TestPortsWithTraceRejected(t *testing.T) {
 	req := diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 		Ports: perMachinePorts,
 	}
 	resp, body := post(t, srv, "/v1/diagnose?trace=1", req)

@@ -61,7 +61,7 @@ func TestDiagnoseSuiteOmittedEmptyTour422(t *testing.T) {
 	}
 
 	// The same spec with an explicit suite is still served.
-	req.Suite = []testCaseJSON{{Name: "T1", Inputs: []string{"R", "a^1"}}}
+	req.Suite = []cfsm.CaseJSON{{Name: "T1", Inputs: []string{"R", "a^1"}}}
 	resp, body = post(t, srv, "/v1/diagnose", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explicit suite: status = %d: %s", resp.StatusCode, body)
@@ -82,7 +82,7 @@ func TestDiagnoseWithResilientOracle(t *testing.T) {
 	req := diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	}
 	resp, body := post(t, srv, "/v1/diagnose", req)
 	if resp.StatusCode != http.StatusOK {

@@ -163,7 +163,7 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				body, err := json.Marshal(diagnoseRequest{Spec: specDoc, IUT: iutDocs[k], Suite: suiteDoc(suite)})
+				body, err := json.Marshal(diagnoseRequest{Spec: specDoc, IUT: iutDocs[k], Suite: cfsm.EncodeSuite(suite)})
 				if err != nil {
 					t.Error(err)
 					return

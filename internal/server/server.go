@@ -492,7 +492,7 @@ func (e invalidPortMapError) Unwrap() error { return e.err }
 // typed 422s, a traced multi-port request its 501, everything else is a
 // semantic (unprocessable) failure.
 func writePipelineErr(w http.ResponseWriter, err error) {
-	var dup duplicateTestCaseError
+	var dup cfsm.DuplicateCaseError
 	var pmErr invalidPortMapError
 	var decErr modelDecodeError
 	switch {
@@ -625,78 +625,6 @@ func (s *api) handleValidate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// --- shared suite / observation wire formats ---
-
-type testCaseJSON struct {
-	Name   string   `json:"name"`
-	Inputs []string `json:"inputs"`
-}
-
-// duplicateTestCaseError reports a suite naming two test cases identically.
-// The analysis layer keys its per-case result maps by test-case name, so a
-// collision would silently attribute one case's observations to the other;
-// suites are rejected at decode time with the typed duplicate_test_case code
-// instead.
-type duplicateTestCaseError struct{ name string }
-
-func (e duplicateTestCaseError) Error() string {
-	return fmt.Sprintf("suite names two test cases %q; test-case names must be unique", e.name)
-}
-
-func decodeSuite(cases []testCaseJSON) ([]cfsm.TestCase, error) {
-	var out []cfsm.TestCase
-	seen := make(map[string]bool, len(cases))
-	for i, tj := range cases {
-		tc := cfsm.TestCase{Name: tj.Name}
-		if tc.Name == "" {
-			tc.Name = fmt.Sprintf("tc%d", i+1)
-		}
-		if seen[tc.Name] {
-			return nil, duplicateTestCaseError{name: tc.Name}
-		}
-		seen[tc.Name] = true
-		for _, tok := range tj.Inputs {
-			in, err := cfsm.ParseInputToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", tc.Name, err)
-			}
-			tc.Inputs = append(tc.Inputs, in)
-		}
-		out = append(out, tc)
-	}
-	return out, nil
-}
-
-func decodeObservations(seqs [][]string) ([][]cfsm.Observation, error) {
-	out := make([][]cfsm.Observation, len(seqs))
-	for i, seq := range seqs {
-		for _, tok := range seq {
-			o, err := cfsm.ParseObservationToken(tok)
-			if err != nil {
-				return nil, fmt.Errorf("sequence %d: %w", i+1, err)
-			}
-			out[i] = append(out[i], o)
-		}
-	}
-	return out, nil
-}
-
-func encodeObservations(obs []cfsm.Observation) []string {
-	out := make([]string, len(obs))
-	for i, o := range obs {
-		out[i] = o.String()
-	}
-	return out
-}
-
-func encodeInputs(ins []cfsm.Input) []string {
-	out := make([]string, len(ins))
-	for i, in := range ins {
-		out[i] = in.String()
-	}
-	return out
-}
-
 // --- POST /v1/suite ---
 
 type suiteRequest struct {
@@ -712,7 +640,7 @@ type suiteRequest struct {
 }
 
 type suiteResponse struct {
-	Suite []testCaseJSON `json:"suite"`
+	Suite []cfsm.CaseJSON `json:"suite"`
 	// Uncovered lists unreachable transitions (tour) or undetectable
 	// faults (verification).
 	Uncovered []string `json:"uncovered,omitempty"`
@@ -755,13 +683,7 @@ func (s *api) handleSuite(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown suite kind %q", req.Kind))
 		return
 	}
-	for _, tc := range suite {
-		tj := testCaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			tj.Inputs = append(tj.Inputs, in.String())
-		}
-		resp.Suite = append(resp.Suite, tj)
-	}
+	resp.Suite = cfsm.EncodeSuite(suite)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -772,9 +694,9 @@ type diagnoseRequest struct {
 	IUT  json.RawMessage `json:"iut"`
 	// SpecRef and IUTRef name registered models by content hash instead of
 	// the inline documents; a ref wins over its inline counterpart.
-	SpecRef string         `json:"specRef,omitempty"`
-	IUTRef  string         `json:"iutRef,omitempty"`
-	Suite   []testCaseJSON `json:"suite,omitempty"` // default: generated tour
+	SpecRef string          `json:"specRef,omitempty"`
+	IUTRef  string          `json:"iutRef,omitempty"`
+	Suite   []cfsm.CaseJSON `json:"suite,omitempty"` // default: generated tour
 	// MaxAdditionalTests bounds the adaptive phase (0 = unbounded).
 	MaxAdditionalTests int `json:"maxAdditionalTests,omitempty"`
 	// Ports assigns machines to named observer ports for distributed
@@ -798,7 +720,7 @@ type diagnoseResponse struct {
 	// Inconclusive lists the candidate transitions whose diagnostic tests
 	// never produced a trustworthy observation (resilient retry/vote budget
 	// exhausted); non-empty iff Verdict is the inconclusive one.
-	Inconclusive    []string             `json:"inconclusive,omitempty"`
+	Inconclusive []string `json:"inconclusive,omitempty"`
 	// LocallyAmbiguous lists candidate transitions whose surviving
 	// hypotheses are separable under global observation but not in any
 	// per-port projection; only a multi-port (distributed observation)
@@ -866,21 +788,11 @@ func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.
 		return nil, nil, nil, fmt.Errorf("iut: %w", err)
 	}
 	iut = iutEntry.sys
-	if len(req.Suite) > 0 {
-		suite, err = decodeSuite(req.Suite)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return spec, iut, suite, nil
+	if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
+		return nil, nil, nil, err
 	}
-	// A suite-less request relies on the generated transition tour; if the
-	// generator covers nothing (every transition unreachable from the
-	// initial configuration) the diagnosis would silently run on an empty
-	// suite and report "no fault", so reject the request instead.
-	var uncovered []cfsm.Ref
-	suite, uncovered = testgen.Tour(spec.sys, 0)
-	if len(suite) == 0 {
-		return nil, nil, nil, fmt.Errorf("suite omitted and the generated transition tour is empty (%d transitions unreachable from the initial configuration); supply an explicit suite", len(uncovered))
+	if suite, _, err = testgen.SuiteOrTour(spec.sys, suite); err != nil {
+		return nil, nil, nil, err
 	}
 	return spec, iut, suite, nil
 }
@@ -938,9 +850,9 @@ func encodeLocalization(spec *cfsm.System, suite []cfsm.TestCase, base *core.Sys
 	for _, at := range loc.AdditionalTests {
 		resp.AdditionalTests = append(resp.AdditionalTests, additionalTestJSON{
 			Target:   spec.RefString(at.Target),
-			Inputs:   encodeInputs(at.Test.Inputs),
-			Expected: encodeObservations(at.Expected),
-			Observed: encodeObservations(at.Observed),
+			Inputs:   cfsm.EncodeInputs(at.Test.Inputs),
+			Expected: cfsm.EncodeObs(at.Expected),
+			Observed: cfsm.EncodeObs(at.Observed),
 		})
 	}
 	return resp
@@ -1034,9 +946,9 @@ type analyzeRequest struct {
 	Spec json.RawMessage `json:"spec"`
 	// SpecRef names a registered model by content hash instead of an inline
 	// spec document; it wins when both are set.
-	SpecRef      string         `json:"specRef,omitempty"`
-	Suite        []testCaseJSON `json:"suite"`
-	Observations [][]string     `json:"observations"`
+	SpecRef      string          `json:"specRef,omitempty"`
+	Suite        []cfsm.CaseJSON `json:"suite"`
+	Observations [][]string      `json:"observations"`
 	// Ports assigns machines to named observer ports for distributed
 	// observation; empty keeps the classical single global observer.
 	Ports map[string]string `json:"ports,omitempty"`
@@ -1075,12 +987,12 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := specEntry.sys
-	suite, err := decodeSuite(req.Suite)
+	suite, err := cfsm.DecodeSuite(req.Suite)
 	if err != nil {
 		writePipelineErr(w, err)
 		return
 	}
-	observed, err := decodeObservations(req.Observations)
+	observed, err := cfsm.DecodeObservations(req.Observations)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
 		return
@@ -1121,7 +1033,7 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	for _, p := range core.SuggestNextTests(a) {
 		pj := plannedTestJSON{
 			Target:      spec.RefString(p.Target),
-			Inputs:      encodeInputs(p.Test.Inputs),
+			Inputs:      cfsm.EncodeInputs(p.Test.Inputs),
 			Predictions: make(map[string][]string, len(p.Predictions)),
 		}
 		for _, pred := range p.Predictions {
@@ -1129,7 +1041,7 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			if pred.Fault != nil {
 				label = pred.Fault.Describe(spec)
 			}
-			pj.Predictions[label] = encodeObservations(pred.Expected)
+			pj.Predictions[label] = cfsm.EncodeObs(pred.Expected)
 		}
 		resp.Planned = append(resp.Planned, pj)
 	}

@@ -39,18 +39,6 @@ func post(t *testing.T, srv *httptest.Server, path string, body any) (*http.Resp
 	return resp, buf.Bytes()
 }
 
-func suiteDoc(suite []cfsm.TestCase) []testCaseJSON {
-	var out []testCaseJSON
-	for _, tc := range suite {
-		tj := testCaseJSON{Name: tc.Name}
-		for _, in := range tc.Inputs {
-			tj.Inputs = append(tj.Inputs, in.String())
-		}
-		out = append(out, tj)
-	}
-	return out
-}
-
 func TestValidateEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -79,7 +67,7 @@ func TestDiagnoseEndpoint(t *testing.T) {
 	req := diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	}
 	resp, body := post(t, srv, "/v1/diagnose", req)
 	if resp.StatusCode != http.StatusOK {
@@ -126,11 +114,11 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 	var obsDoc [][]string
 	for _, seq := range observed {
-		obsDoc = append(obsDoc, encodeObservations(seq))
+		obsDoc = append(obsDoc, cfsm.EncodeObs(seq))
 	}
 	req := analyzeRequest{
 		Spec:         systemDoc(t, spec),
-		Suite:        suiteDoc(suite),
+		Suite:        cfsm.EncodeSuite(suite),
 		Observations: obsDoc,
 	}
 	resp, body := post(t, srv, "/v1/analyze", req)

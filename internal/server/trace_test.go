@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/replay"
@@ -68,7 +69,7 @@ func TestDiagnoseTraceInline(t *testing.T) {
 	resp, body := post(t, srv, "/v1/diagnose?trace=1", diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
@@ -108,7 +109,7 @@ func TestDiagnoseTraceInline(t *testing.T) {
 	resp, body = post(t, srv, "/v1/diagnose", diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("untraced status = %d: %s", resp.StatusCode, body)
@@ -140,7 +141,7 @@ func TestDiagnoseTraceKindsKnown(t *testing.T) {
 	_, body := post(t, srv, "/v1/diagnose?trace=1", diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	var dr diagnoseResponse
 	if err := json.Unmarshal(body, &dr); err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/paper"
 )
@@ -168,7 +169,7 @@ func TestSuiteSizeCap(t *testing.T) {
 	}
 
 	// Too many cases.
-	req := diagnoseRequest{Spec: spec, IUT: systemDoc(t, iut), Suite: []testCaseJSON{
+	req := diagnoseRequest{Spec: spec, IUT: systemDoc(t, iut), Suite: []cfsm.CaseJSON{
 		{Inputs: []string{"a^1"}}, {Inputs: []string{"a^1"}}, {Inputs: []string{"a^1"}},
 	}}
 	resp, body := post(t, srv, "/v1/diagnose", req)
@@ -180,7 +181,7 @@ func TestSuiteSizeCap(t *testing.T) {
 	}
 
 	// A single case with too many inputs.
-	req.Suite = []testCaseJSON{{Inputs: []string{"a^1", "a^1", "a^1", "a^1"}}}
+	req.Suite = []cfsm.CaseJSON{{Inputs: []string{"a^1", "a^1", "a^1", "a^1"}}}
 	resp, body = post(t, srv, "/v1/diagnose", req)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("long-case status = %d: %s", resp.StatusCode, body)
@@ -192,7 +193,7 @@ func TestSuiteSizeCap(t *testing.T) {
 	// The observation list on /v1/analyze is capped too.
 	many := make([][]string, 5)
 	resp, body = post(t, srv, "/v1/analyze", analyzeRequest{
-		Spec: spec, Suite: []testCaseJSON{{Inputs: []string{"a^1"}}}, Observations: many,
+		Spec: spec, Suite: []cfsm.CaseJSON{{Inputs: []string{"a^1"}}}, Observations: many,
 	})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("analyze status = %d: %s", resp.StatusCode, body)
@@ -243,7 +244,7 @@ func TestMetricsAfterDiagnose(t *testing.T) {
 	resp, body := post(t, srv, "/v1/diagnose", diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("diagnose status = %d: %s", resp.StatusCode, body)
@@ -294,7 +295,7 @@ func TestRequestTimeout(t *testing.T) {
 	resp, body := post(t, srv, "/v1/diagnose", diagnoseRequest{
 		Spec:  systemDoc(t, paper.MustFigure1()),
 		IUT:   systemDoc(t, iut),
-		Suite: suiteDoc(paper.TestSuite()),
+		Suite: cfsm.EncodeSuite(paper.TestSuite()),
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)

@@ -6,6 +6,22 @@ import (
 	"cfsmdiag/internal/cfsm"
 )
 
+// SuiteOrTour returns suite when it is non-empty, and otherwise the
+// transition tour of sys with the transitions it leaves uncovered. An empty
+// tour (every transition unreachable from the initial configuration) is an
+// error: a diagnosis or sweep over zero test cases would report "no fault"
+// without testing anything.
+func SuiteOrTour(sys *cfsm.System, suite []cfsm.TestCase) ([]cfsm.TestCase, []cfsm.Ref, error) {
+	if len(suite) > 0 {
+		return suite, nil, nil
+	}
+	tour, uncovered := Tour(sys, 0)
+	if len(tour) == 0 {
+		return nil, uncovered, fmt.Errorf("suite omitted and the generated transition tour is empty (%d transitions unreachable from the initial configuration); supply an explicit suite", len(uncovered))
+	}
+	return tour, uncovered, nil
+}
+
 // Tour generates a transition-tour test suite: a set of test cases, each
 // beginning with the reset input, that together execute every transition of
 // every machine at least once. It stands in for the external test-selection
