@@ -11,7 +11,6 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/cluster"
-	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/server"
 )
 
@@ -112,18 +111,7 @@ func runDistributedSweep(sys *cfsm.System, suite []cfsm.TestCase, cfg distSweepC
 	}
 	fmt.Fprintf(out, "swept %d mutants across %d ranges in %v (%.0f mutants/sec)\n",
 		sum.Mutants, st.Ranges, elapsed, float64(sum.Mutants)/elapsed.Seconds())
-	for o := experiments.OutcomeUndetected; o <= experiments.OutcomeInconsistent; o++ {
-		if n := sum.Outcomes[o.String()]; n > 0 {
-			fmt.Fprintf(out, "  %-26s %d\n", o.String()+":", n)
-		}
-	}
-	if sum.UndetectedEquivalent > 0 {
-		fmt.Fprintf(out, "  (of the undetected, %d are provably equivalent to the spec)\n", sum.UndetectedEquivalent)
-	}
-	if sum.Detected > 0 {
-		fmt.Fprintf(out, "adaptive cost: %.2f additional tests per detected mutant\n",
-			float64(sum.AdditionalTests)/float64(sum.Detected))
-	}
+	printSweepOutcomes(out, *sum)
 	if st.Expirations > 0 || st.Stale > 0 || st.Duplicates > 0 {
 		fmt.Fprintf(out, "cluster: %d lease expirations, %d stale pushes, %d duplicate pushes (all fenced; every verdict merged exactly once)\n",
 			st.Expirations, st.Stale, st.Duplicates)

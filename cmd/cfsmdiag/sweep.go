@@ -127,18 +127,7 @@ func cmdSweep(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "swept %d mutants with %d workers in %v (%.0f mutants/sec)\n",
 		len(res.Reports), effective, elapsed,
 		float64(len(res.Reports))/elapsed.Seconds())
-	for o := experiments.OutcomeUndetected; o <= experiments.OutcomeInconsistent; o++ {
-		if res.Counts[o] > 0 {
-			fmt.Fprintf(out, "  %-26s %d\n", o.String()+":", res.Counts[o])
-		}
-	}
-	if res.UndetectedEquivalent > 0 {
-		fmt.Fprintf(out, "  (of the undetected, %d are provably equivalent to the spec)\n", res.UndetectedEquivalent)
-	}
-	if res.Detected > 0 {
-		fmt.Fprintf(out, "adaptive cost: %.2f additional tests per detected mutant\n",
-			float64(res.TotalAdditionalTests)/float64(res.Detected))
-	}
+	printSweepOutcomes(out, res.Summary())
 	if collector != nil {
 		collector.printSweep(out, res)
 	}
@@ -150,6 +139,24 @@ func cmdSweep(args []string, out io.Writer) error {
 			tr.Len(), trace.CountKind(tr.Events(), trace.KindSweepMutant, trace.PhaseBegin), *tracePath)
 	}
 	return nil
+}
+
+// printSweepOutcomes prints a sweep's outcome table, the provably-equivalent
+// count and the adaptive cost: the lines a local and a distributed sweep
+// share.
+func printSweepOutcomes(out io.Writer, sum experiments.Summary) {
+	for o := experiments.OutcomeUndetected; o <= experiments.OutcomeInconsistent; o++ {
+		if n := sum.Outcomes[o.String()]; n > 0 {
+			fmt.Fprintf(out, "  %-26s %d\n", o.String()+":", n)
+		}
+	}
+	if sum.UndetectedEquivalent > 0 {
+		fmt.Fprintf(out, "  (of the undetected, %d are provably equivalent to the spec)\n", sum.UndetectedEquivalent)
+	}
+	if sum.Detected > 0 {
+		fmt.Fprintf(out, "adaptive cost: %.2f additional tests per detected mutant\n",
+			float64(sum.AdditionalTests)/float64(sum.Detected))
+	}
 }
 
 // SweepBenchRow is one worker-count measurement of the sweep benchmark. The

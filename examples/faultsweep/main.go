@@ -48,7 +48,7 @@ func run() error {
 			res.UndetectedEquivalent)
 	}
 	if res.Detected > 0 {
-		fmt.Printf("adaptive cost over %d detected mutants: %.2f additional tests, %.2f inputs on average\n",
+		fmt.Printf("adaptive cost over %d detected mutants: %.2f additional tests, %.2f oracle inputs (suite included) on average\n",
 			res.Detected,
 			float64(res.TotalAdditionalTests)/float64(res.Detected),
 			float64(res.TotalAdditionalInputs)/float64(res.Detected))

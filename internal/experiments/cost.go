@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/core"
@@ -70,34 +69,38 @@ func RunCost(label string, sys *cfsm.System, sampleStride int) (CostPoint, error
 	point.ExhaustiveTests, point.ExhaustiveIn, _ = singlefsm.ExhaustiveCost(prod)
 
 	suite, _ := testgen.Tour(sys, 0)
-	totalTests, totalInputs := 0, 0
-	idx := -1
-	err = fault.ForEachMutant(sys, func(m fault.Mutant) error {
-		// Stream the mutant space instead of materializing it: only every
-		// sampleStride-th mutant is diagnosed, and no mutant system outlives
-		// its diagnosis.
-		idx++
-		if idx%sampleStride != 0 {
-			return nil
-		}
-		point.MutantsSampled++
-		oracle := &core.SystemOracle{Sys: m.System}
-		loc, err := core.Diagnose(sys, suite, oracle)
-		if err != nil {
-			return fmt.Errorf("diagnose %s: %w", m.Fault.Describe(sys), err)
-		}
-		if loc.Verdict == core.VerdictNoFault {
-			return nil
-		}
-		point.MutantsDetected++
-		totalTests += oracle.Tests - len(suite)
-		for _, at := range loc.AdditionalTests {
-			totalInputs += len(at.Test.Inputs)
-		}
-		return nil
-	})
+	faults := fault.Enumerate(sys)
+	var sampled []fault.Fault
+	for i := 0; i < len(faults); i += sampleStride {
+		sampled = append(sampled, faults[i])
+	}
+	type cost struct {
+		detected      bool
+		tests, inputs int
+	}
+	costs, err := mapMutants(context.Background(), sys, suite, sampled, 1, nil,
+		func(ctx context.Context, w sweepWorker, f fault.Fault) (cost, error) {
+			loc, oracle, err := w.diagnose(ctx, f)
+			if err != nil || loc.Verdict == core.VerdictNoFault {
+				return cost{}, err
+			}
+			c := cost{detected: true, tests: oracle.Tests - len(suite)}
+			for _, at := range loc.AdditionalTests {
+				c.inputs += len(at.Test.Inputs)
+			}
+			return c, nil
+		})
 	if err != nil {
 		return point, err
+	}
+	point.MutantsSampled = len(costs)
+	totalTests, totalInputs := 0, 0
+	for _, c := range costs {
+		if c.detected {
+			point.MutantsDetected++
+			totalTests += c.tests
+			totalInputs += c.inputs
+		}
 	}
 	if point.MutantsDetected > 0 {
 		point.AvgAdaptiveTests = float64(totalTests) / float64(point.MutantsDetected)
@@ -115,10 +118,9 @@ func CostSweep(maxN int, statesPerMachine int, sampleStride int, seeds []int64) 
 
 // CostSweepOpts is CostSweep with an explicit worker count (opts.Workers, 0
 // = GOMAXPROCS). Each (N, seed) point — generation, product construction and
-// sampled mutant diagnoses — runs on one worker; results are merged back
-// into the same (N-major, seed-minor) order the serial loop produced, and
-// the first error in that order wins, so output is independent of the
-// worker count.
+// sampled mutant diagnoses — runs on one worker; results come back in the
+// same (N-major, seed-minor) order the serial loop produced, and the first
+// error in that order wins, so output is independent of the worker count.
 func CostSweepOpts(maxN int, statesPerMachine int, sampleStride int, seeds []int64, opts SweepOptions) ([]CostPoint, error) {
 	type job struct {
 		n    int
@@ -130,70 +132,27 @@ func CostSweepOpts(maxN int, statesPerMachine int, sampleStride int, seeds []int
 			jobsList = append(jobsList, job{n: n, seed: seed})
 		}
 	}
-	points := make([]CostPoint, len(jobsList))
-	errs := make([]error, len(jobsList))
-	runPoint := func(i int) error {
-		j := jobsList[i]
-		cfg := randgen.DefaultConfig()
-		cfg.N = j.n
-		cfg.States = statesPerMachine
-		cfg.Seed = j.seed
-		sys, err := randgen.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		label := fmt.Sprintf("rand(N=%d,S=%d,seed=%d)", j.n, statesPerMachine, j.seed)
-		p, err := RunCost(label, sys, sampleStride)
-		if err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		points[i] = p
-		return nil
-	}
-
-	workers := opts.workers()
-	if workers > len(jobsList) {
-		workers = len(jobsList)
-	}
-	if workers <= 1 {
-		for i := range jobsList {
-			if err := runPoint(i); err != nil {
-				return nil, err
+	points, err := mapOrdered(context.Background(), len(jobsList), opts.workers(),
+		func() struct{} { return struct{}{} },
+		func(_ context.Context, _ struct{}, i int) (CostPoint, bool, error) {
+			j := jobsList[i]
+			cfg := randgen.DefaultConfig()
+			cfg.N = j.n
+			cfg.States = statesPerMachine
+			cfg.Seed = j.seed
+			sys, err := randgen.Generate(cfg)
+			if err != nil {
+				return CostPoint{}, false, err
 			}
-		}
-		return points, nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range jobsList {
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
-				return
+			label := fmt.Sprintf("rand(N=%d,S=%d,seed=%d)", j.n, statesPerMachine, j.seed)
+			p, err := RunCost(label, sys, sampleStride)
+			if err != nil {
+				return CostPoint{}, false, fmt.Errorf("%s: %w", label, err)
 			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if errs[i] = runPoint(i); errs[i] != nil {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+			return p, true, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return points, nil
 }

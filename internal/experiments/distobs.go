@@ -1,10 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/ports"
@@ -68,8 +69,8 @@ type DistObsResult struct {
 // DistObsOptions tunes RunDistObs.
 type DistObsOptions struct {
 	// Workers is the number of goroutines diagnosing mutants concurrently
-	// (0 = serial). Each worker owns its mutant systems; the specification
-	// and suite are shared read-only.
+	// (0 = serial). Each worker owns its compiled engine and overlay
+	// runner; the specification and suite are shared read-only.
 	Workers int
 	// MaxExamples bounds the Examples list (0 = 5).
 	MaxExamples int
@@ -98,34 +99,16 @@ func RunDistObs(name string, spec *cfsm.System, suite []cfsm.TestCase, opts Dist
 	}
 	faults := fault.Enumerate(spec)
 	res.Mutants = len(faults)
-
-	rows := make([]*DistObsRow, len(faults))
-	errs := make([]error, len(faults))
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i], errs[i] = distObsOne(spec, suite, pm, faults[i])
+	rows, err := mapMutants(context.Background(), spec, suite, faults, max(opts.Workers, 1), nil,
+		func(_ context.Context, w sweepWorker, f fault.Fault) (*DistObsRow, error) {
+			row, err := distObsOne(w, pm, f)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", f.Describe(spec), err)
 			}
-		}()
-	}
-	for i := range faults {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return res, fmt.Errorf("%s: %w", faults[i].Describe(spec), err)
-		}
+			return row, nil
+		})
+	if err != nil {
+		return res, err
 	}
 	for _, row := range rows {
 		if row == nil {
@@ -153,46 +136,43 @@ func RunDistObs(name string, spec *cfsm.System, suite []cfsm.TestCase, opts Dist
 	return res, nil
 }
 
-// distObsOne compares the two observation modes on one mutant. It returns
-// nil when the suite produces no symptom (nothing to diagnose in either
-// mode).
-func distObsOne(spec *cfsm.System, suite []cfsm.TestCase, pm ports.Map, f fault.Fault) (*DistObsRow, error) {
-	mut, err := f.Apply(spec)
-	if err != nil {
-		return nil, err
-	}
-	observed, err := mut.RunSuite(suite)
+// distObsOne compares the two observation modes on the mutant f, which
+// mapMutants has installed on the worker's oracle runner. It returns nil when
+// the suite produces no symptom (nothing to diagnose in either mode).
+func distObsOne(w sweepWorker, pm ports.Map, f fault.Fault) (*DistObsRow, error) {
+	observed, err := w.oracle.RunSuite(w.suite)
 	if err != nil {
 		return nil, err
 	}
 
 	// Global observation: the classical pipeline.
-	ag, err := core.Analyze(spec, suite, observed)
+	ag, err := core.Analyze(w.spec, w.suite, observed, w.opts...)
 	if err != nil {
 		return nil, err
 	}
 	if len(ag.Symptoms) == 0 {
 		return nil, nil
 	}
-	gOracle := &core.SystemOracle{Sys: mut}
-	locG, err := core.Localize(ag, gOracle)
+	gOracle := &compiled.Oracle{R: w.oracle}
+	locG, err := core.Localize(ag, gOracle, w.opts...)
 	if err != nil {
 		return nil, err
 	}
 
 	// Distributed observation: same recorded run, projections only.
-	al, _, err := ports.AnalyzeObserved(spec, suite, observed, pm)
+	popts := ports.WithCoreOptions(w.opts...)
+	al, _, err := ports.AnalyzeObserved(w.spec, w.suite, observed, pm, popts)
 	if err != nil {
 		return nil, err
 	}
-	lOracle := &core.SystemOracle{Sys: mut}
-	locL, _, err := ports.Localize(al, lOracle, pm)
+	lOracle := &compiled.Oracle{R: w.oracle}
+	locL, _, err := ports.Localize(al, lOracle, pm, popts)
 	if err != nil {
 		return nil, err
 	}
 
 	row := &DistObsRow{
-		Fault:           f.Describe(spec),
+		Fault:           f.Describe(w.spec),
 		GlobalDiagnoses: len(ag.Diagnoses),
 		LocalDiagnoses:  len(al.Diagnoses),
 		GlobalVerdict:   locG.Verdict.String(),
@@ -205,7 +185,11 @@ func distObsOne(spec *cfsm.System, suite []cfsm.TestCase, pm ports.Map, f fault.
 		if !sound {
 			// A differing conviction is sound only when no projection can
 			// separate the convicted variant from the true mutant.
-			convicted, err := locL.Fault.Apply(spec)
+			mut, err := f.Apply(w.spec)
+			if err != nil {
+				return nil, err
+			}
+			convicted, err := locL.Fault.Apply(w.spec)
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 	"math/rand"
 
 	"cfsmdiag/internal/async"
@@ -24,42 +24,32 @@ type AddressSweepResult struct {
 
 // RunAddressSweep injects every valid addressing fault into the Figure 1
 // system, diagnoses each mutant with the verification suite, and classifies
-// the outcomes.
+// the outcomes: Correct counts the localized-correct and
+// ambiguous-contains-truth verdicts, Wrong every detected mutant besides.
 func RunAddressSweep(spec *cfsm.System, suite []cfsm.TestCase) (AddressSweepResult, error) {
 	var res AddressSweepResult
-	for _, m := range fault.AddressMutants(spec) {
-		res.Mutants++
-		oracle := &core.SystemOracle{Sys: m.System}
-		loc, err := core.Diagnose(spec, suite, oracle)
-		if err != nil {
-			return res, fmt.Errorf("diagnose %s: %w", m.Fault.Describe(spec), err)
-		}
-		switch loc.Verdict {
-		case core.VerdictNoFault:
+	outcomes, err := mapMutants(context.Background(), spec, suite, fault.EnumerateAddress(spec), 1, nil,
+		func(ctx context.Context, w sweepWorker, f fault.Fault) (MutantOutcome, error) {
+			loc, _, err := w.diagnose(ctx, f)
+			if err != nil {
+				return 0, err
+			}
+			var report MutantReport
+			classifyOutcome(loc, f, &report, nil)
+			return report.Outcome, nil
+		})
+	res.Mutants = len(outcomes)
+	for _, o := range outcomes {
+		switch o {
+		case OutcomeUndetected:
 			res.Undetected++
-		case core.VerdictLocalized:
-			if loc.Fault.Ref == m.Fault.Ref {
-				res.Correct++
-			} else {
-				res.Wrong++
-			}
-		case core.VerdictAmbiguous:
-			found := false
-			for _, r := range loc.Remaining {
-				if r.Ref == m.Fault.Ref {
-					found = true
-				}
-			}
-			if found {
-				res.Correct++
-			} else {
-				res.Wrong++
-			}
+		case OutcomeLocalizedCorrect, OutcomeAmbiguousContainsTruth:
+			res.Correct++
 		default:
 			res.Wrong++
 		}
 	}
-	return res, nil
+	return res, err
 }
 
 // DoubleFaultDemoResult is the outcome of the double-fault demonstration

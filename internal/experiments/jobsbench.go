@@ -117,8 +117,10 @@ func RunJobsBench(opts JobsBenchOptions) (JobsBenchRecord, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault %s has no overlay", f.Describe(spec))
 		}
+		w := newSweepWorker(spec, suite, prog, csuite, nil)
+		w.oracle.SetOverlay(ov)
 		budget := int64(0)
-		report, err := newSweepWorker(prog, csuite, nil).diagnose(ctx, spec, suite, f, ov, SweepOptions{}, &budget)
+		report, err := w.report(ctx, f, SweepOptions{}, &budget)
 		if err != nil {
 			return nil, err
 		}

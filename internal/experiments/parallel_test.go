@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -129,5 +132,61 @@ func TestCostSweepParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial, par) {
 		t.Fatalf("cost points differ:\n  serial   %+v\n  parallel %+v", serial, par)
+	}
+}
+
+// TestMapOrdered pins the contract every experiment's mutant loop relies on,
+// for any worker count: results in job order with skipped jobs left out, the
+// first error in index order returned with the results before it, and on
+// cancellation the completed prefix with ctx.Err().
+func TestMapOrdered(t *testing.T) {
+	noState := func() struct{} { return struct{}{} }
+	job := func(_ context.Context, _ struct{}, i int) (int, bool, error) {
+		switch {
+		case i%5 == 0:
+			return 0, false, nil
+		case i == 37 || i == 60:
+			return 0, true, fmt.Errorf("job %d", i)
+		}
+		return i * i, true, nil
+	}
+	var want []int
+	for i := 0; i < 37; i++ {
+		if i%5 != 0 {
+			want = append(want, i*i)
+		}
+	}
+	for _, workers := range []int{1, 3, 8} {
+		got, err := mapOrdered(context.Background(), 100, workers, noState, job)
+		if err == nil || err.Error() != "job 37" {
+			t.Fatalf("workers=%d: err = %v, want job 37", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: results %v, want %v", workers, got, want)
+		}
+		got, err = mapOrdered(context.Background(), 3, workers, noState, job)
+		if err != nil || !reflect.DeepEqual(got, []int{1, 4}) {
+			t.Fatalf("workers=%d: short run = %v, %v; want [1 4]", workers, got, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		got, err = mapOrdered(ctx, 100, workers, noState, func(_ context.Context, _ struct{}, i int) (int, bool, error) {
+			if i == 10 {
+				cancel()
+			}
+			return i, true, nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: canceled run err = %v", workers, err)
+		}
+		if len(got) < 11 || len(got) == 100 {
+			t.Fatalf("workers=%d: canceled run kept %d results", workers, len(got))
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: canceled run is not a prefix: %v", workers, got)
+			}
+		}
 	}
 }

@@ -68,10 +68,13 @@ func (o MutantOutcome) String() string {
 
 // MutantReport is the sweep record for one mutant.
 type MutantReport struct {
-	Fault           fault.Fault
-	Outcome         MutantOutcome
+	Fault   fault.Fault
+	Outcome MutantOutcome
+	// AdditionalTests counts the tests Step 6 ran beyond the initial suite.
 	AdditionalTests int
-	AdditionalIn    int
+	// AdditionalIn counts every input the mutant's oracle ran: the initial
+	// suite's inputs as well as Step 6's.
+	AdditionalIn int
 	// ExactFault is set when the diagnosed fault matched the injected one
 	// exactly (kind, output and next state), not just the transition.
 	ExactFault bool
@@ -90,8 +93,11 @@ type SweepResult struct {
 	// UndetectedEquivalent counts undetected mutants that are equivalent to
 	// the specification, i.e. inherently undetectable.
 	UndetectedEquivalent int
-	// TotalAdditionalTests and TotalAdditionalInputs accumulate the
-	// adaptive phase's cost over all detected mutants.
+	// TotalAdditionalTests accumulates the adaptive tests Step 6 ran over
+	// all detected mutants. TotalAdditionalInputs accumulates their
+	// MutantReport.AdditionalIn: every input each oracle ran, the initial
+	// suite's included, so the adaptive phase's share is this total minus
+	// Detected times the suite's input count.
 	TotalAdditionalTests  int
 	TotalAdditionalInputs int
 	Detected              int
@@ -105,8 +111,10 @@ type Summary struct {
 	Outcomes             map[string]int `json:"outcomes"`
 	UndetectedEquivalent int            `json:"undetectedEquivalent,omitempty"`
 	AdditionalTests      int            `json:"additionalTests"`
-	AdditionalInputs     int            `json:"additionalInputs"`
-	SuiteCases           int            `json:"suiteCases"`
+	// AdditionalInputs is SweepResult.TotalAdditionalInputs: it counts the
+	// initial suite's inputs too, once per detected mutant.
+	AdditionalInputs int `json:"additionalInputs"`
+	SuiteCases       int `json:"suiteCases"`
 }
 
 // Summary renders the result as its wire summary.
@@ -133,10 +141,10 @@ type SweepOptions struct {
 	// disable in benchmarks).
 	CheckEquivalence bool
 	// Workers is the number of goroutines diagnosing mutants concurrently.
-	// Zero or negative selects runtime.GOMAXPROCS(0). Workers == 1 runs the
-	// exact historical serial path. Any worker count produces a
-	// byte-identical SweepResult: reports stay in fault-enumeration order
-	// and every count is merged deterministically.
+	// Zero or negative selects runtime.GOMAXPROCS(0). Every worker count
+	// runs the same loop and produces a byte-identical SweepResult: reports
+	// stay in fault-enumeration order and every count is merged
+	// deterministically.
 	Workers int
 	// Registry receives the sweep's telemetry (per-mutant latency histogram,
 	// busy-worker gauge, outcome counters, whole-sweep duration). Nil — the
@@ -232,11 +240,12 @@ func RunSweep(spec *cfsm.System, suite []cfsm.TestCase, checkEquivalence bool) (
 //
 // The mutant space is embarrassingly parallel: the specification and suite
 // are shared read-only (see the cfsm.System concurrency guarantee) and each
-// mutant's diagnosis is independent. Mutant systems are built inside the
-// workers, one fault at a time, so the sweep never materializes the full
-// mutant set. The first diagnosis error — in fault-enumeration order, as in
-// the serial run — cancels the remaining work and is returned with the
-// deterministic prefix of reports that precede the failing mutant.
+// mutant's diagnosis is independent. Each mutant is realized inside a
+// worker as a one-cell overlay on the shared compiled program, so the sweep
+// never materializes a mutant system. The first diagnosis error — in
+// fault-enumeration order, as in a serial run — stops the remaining work and
+// is returned with the deterministic prefix of reports that precede the
+// failing mutant.
 func RunSweepOpts(spec *cfsm.System, suite []cfsm.TestCase, opts SweepOptions) (SweepResult, error) {
 	return RunSweepContext(context.Background(), spec, suite, opts)
 }
@@ -272,17 +281,28 @@ func RunSweepRange(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase
 }
 
 // MergeReports folds per-mutant reports — already in fault-enumeration
-// order — into the aggregate SweepResult, exactly as the local sweep loop
-// does. The cluster coordinator uses it to merge worker-pushed ranges into a
-// result byte-identical to a single-process sweep.
+// order — into the aggregate SweepResult; the result's Reports is the given
+// slice. The local sweep builds its result with it, and the cluster
+// coordinator merges worker-pushed ranges with it into a result
+// byte-identical to a single-process sweep.
 func MergeReports(spec *cfsm.System, suite []cfsm.TestCase, reports []MutantReport) SweepResult {
 	res := SweepResult{
-		Spec:   spec,
-		Suite:  suite,
-		Counts: make(map[MutantOutcome]int),
+		Spec:    spec,
+		Suite:   suite,
+		Reports: reports,
+		Counts:  make(map[MutantOutcome]int),
 	}
-	for _, r := range reports {
-		res.add(r)
+	for _, report := range reports {
+		if report.Outcome == OutcomeUndetected {
+			if report.EquivalentToSpec {
+				res.UndetectedEquivalent++
+			}
+		} else {
+			res.Detected++
+			res.TotalAdditionalTests += report.AdditionalTests
+			res.TotalAdditionalInputs += report.AdditionalIn
+		}
+		res.Counts[report.Outcome]++
 	}
 	return res
 }
@@ -290,11 +310,6 @@ func MergeReports(spec *cfsm.System, suite []cfsm.TestCase, reports []MutantRepo
 // runSweepFaults is the sweep engine over an explicit fault list: the whole
 // enumeration for the local sweep, one contiguous range for a cluster worker.
 func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, faults []fault.Fault, opts SweepOptions) (SweepResult, error) {
-	res := SweepResult{
-		Spec:   spec,
-		Suite:  suite,
-		Counts: make(map[MutantOutcome]int),
-	}
 	met := newSweepMetrics(opts.Registry)
 	traceBudget := int64(0)
 	if opts.Trace != nil {
@@ -308,171 +323,164 @@ func runSweepFaults(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCas
 	sweepStart := time.Now()
 	defer func() { met.duration.Observe(time.Since(sweepStart).Seconds()) }()
 
-	// Lower the specification and the test suite once — expected
-	// observations, symptom transitions and conflict prefixes precomputed —
-	// and share the immutable results across workers; every mutant is a
-	// one-cell table overlay on the worker's oracle runner, never a cloned
-	// system, and no mutant re-simulates the specification.
-	prog, err := compiled.Compile(spec)
-	if err != nil {
-		return res, err
-	}
-	csuite := compiled.NewSuite(prog, suite)
-
-	if workers == 1 {
-		w := newSweepWorker(prog, csuite, opts.Registry)
-		for _, f := range faults {
-			ov, ok := prog.OverlayFor(f)
-			if !ok {
-				continue // mirrors fault.ForEachMutant's apply-skip
-			}
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
+	reports, err := mapMutants(ctx, spec, suite, faults, workers, opts.Registry,
+		func(ctx context.Context, w sweepWorker, f fault.Fault) (MutantReport, error) {
 			met.busy.Inc()
 			start := time.Now()
-			report, err := w.diagnose(ctx, spec, suite, f, ov, opts, &traceBudget)
+			report, err := w.report(ctx, f, opts, &traceBudget)
 			met.busy.Dec()
-			if err != nil {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					return res, ctxErr
-				}
-				return res, err
+			if err == nil {
+				met.observe(report, time.Since(start))
 			}
-			met.observe(report, time.Since(start))
-			res.add(report)
-		}
-		return res, nil
-	}
+			return report, err
+		})
+	return MergeReports(spec, suite, reports), err
+}
 
-	type outcome struct {
-		done    bool // the job ran (diagnosed, failed, or apply-skipped)
-		skipped bool // fault could not be applied; mirrors ForEachMutant's skip
-		report  MutantReport
-		err     error
+// mapOrdered runs fn over the jobs 0..n-1 on min(workers, n) goroutines,
+// the caller's among them, each holding its own state from newWorker, and
+// returns the results in job order, leaving out the jobs fn reports as
+// skipped (ok=false). Workers claim jobs in index order and stop claiming at
+// the first error or once ctx is done; a claimed job always runs to
+// completion. So whatever the worker count, the result is the serial one:
+// the first error in index order wins with the results before it, and on
+// cancellation the completed prefix comes back with ctx.Err().
+func mapOrdered[W, T any](ctx context.Context, n, workers int, newWorker func() W, fn func(ctx context.Context, w W, i int) (T, bool, error)) ([]T, error) {
+	type state struct {
+		done, ok bool
+		err      error
 	}
-	results := make([]outcome, len(faults))
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	jobs := make(chan int)
-	go func() {
-		defer close(jobs)
-		for i := range faults {
-			select {
-			case jobs <- i:
-			case <-wctx.Done():
+	vals := make([]T, n)
+	states := make([]state, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func() {
+		w := newWorker()
+		for !failed.Load() && ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= n {
+				return
+			}
+			// Each worker writes only the indices it claimed; no lock needed.
+			var err error
+			vals[i], states[i].ok, err = fn(ctx, w, i)
+			states[i].done, states[i].err = true, err
+			if err != nil {
+				failed.Store(true)
 				return
 			}
 		}
-	}()
+	}
+	// The calling goroutine is one of the workers.
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 1; k < min(workers, n); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker engine and oracle runner over the shared program:
-			// both reuse scratch buffers and must not cross goroutines.
-			w := newSweepWorker(prog, csuite, opts.Registry)
-			for idx := range jobs {
-				ov, ok := prog.OverlayFor(faults[idx])
-				if !ok {
-					// Mirrors the skip in fault.ForEachMutant; cannot happen
-					// for Enumerate's output.
-					results[idx] = outcome{done: true, skipped: true}
-					continue
-				}
-				met.busy.Inc()
-				start := time.Now()
-				report, err := w.diagnose(wctx, spec, suite, faults[idx], ov, opts, &traceBudget)
-				met.busy.Dec()
-				// Each worker writes only its own index; no lock needed.
-				results[idx] = outcome{done: true, report: report, err: err}
-				if err != nil {
-					cancel()
-					return
-				}
-				met.observe(report, time.Since(start))
-			}
+			work()
 		}()
+	}
+	if n > 0 {
+		work()
 	}
 	wg.Wait()
 
-	// Deterministic merge in fault-enumeration order. Jobs are dispatched in
-	// index order, so when a worker errored every lower-index job has
-	// completed: the loop below reproduces exactly the serial prefix and the
-	// serial first-error. On external cancellation the contiguous completed
-	// prefix is merged and ctx.Err() returned.
-	for i := range results {
-		if !results[i].done {
-			break // job never ran: external cancellation hole
+	// Every job below a failed one was claimed before it and completed, so
+	// the scan meets the first error before any unclaimed job; only ctx's
+	// cancellation leaves one otherwise. Compacting in place is safe: the
+	// write index never passes the read index.
+	out := vals[:0]
+	for i, st := range states {
+		if !st.done {
+			return out, ctx.Err()
 		}
-		if results[i].skipped {
-			continue
-		}
-		if results[i].err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return res, ctxErr
+		if st.err != nil {
+			if err := ctx.Err(); err != nil {
+				return out, err
 			}
-			return res, results[i].err
+			return out, st.err
 		}
-		res.add(results[i].report)
+		if st.ok {
+			out = append(out, vals[i])
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return out, nil
 }
 
-// add folds one mutant report into the aggregate, exactly as the historical
-// serial loop did.
-func (res *SweepResult) add(report MutantReport) {
-	if report.Outcome == OutcomeUndetected {
-		if report.EquivalentToSpec {
-			res.UndetectedEquivalent++
-		}
-	} else {
-		res.Detected++
-		res.TotalAdditionalTests += report.AdditionalTests
-		res.TotalAdditionalInputs += report.AdditionalIn
+// mapMutants is the one mutant loop of the experiments: it lowers the
+// specification and suite once — expected observations, symptom transitions
+// and conflict prefixes precomputed — and maps fn over the faults on
+// mapOrdered's workers. Each worker holds a sweepWorker over the shared
+// program, and every mutant is a one-cell table overlay on the worker's
+// oracle runner, never a cloned system; faults OverlayFor rejects (none of
+// fault.Enumerate's or fault.EnumerateAddress's) are skipped.
+func mapMutants[T any](ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, faults []fault.Fault, workers int, reg *obs.Registry, fn func(ctx context.Context, w sweepWorker, f fault.Fault) (T, error)) ([]T, error) {
+	prog, err := compiled.Compile(spec)
+	if err != nil {
+		return nil, err
 	}
-	res.Counts[report.Outcome]++
-	res.Reports = append(res.Reports, report)
+	csuite := compiled.NewSuite(prog, suite)
+	return mapOrdered(ctx, len(faults), workers,
+		func() sweepWorker { return newSweepWorker(spec, suite, prog, csuite, reg) },
+		func(ctx context.Context, w sweepWorker, i int) (T, bool, error) {
+			ov, ok := prog.OverlayFor(faults[i])
+			if !ok {
+				var skipped T
+				return skipped, false, nil
+			}
+			w.oracle.SetOverlay(ov)
+			val, err := fn(ctx, w, faults[i])
+			return val, true, err
+		})
 }
 
 // sweepWorker is one worker's execution state over the shared program: a
 // compiled engine with the shared suite installed, and the oracle runner
 // that realizes each mutant as an overlay. opts selects the engine for core
-// and adds the sweep's registry.
+// and adds the sweep's registry. The engine and runner reuse scratch buffers
+// and must not cross goroutines; spec and suite are shared read-only.
 type sweepWorker struct {
+	spec   *cfsm.System
+	suite  []cfsm.TestCase
 	eng    *compiled.Engine
 	oracle *compiled.Runner
 	opts   []core.Option
 }
 
-func newSweepWorker(prog *compiled.Program, csuite *compiled.Suite, reg *obs.Registry) sweepWorker {
+func newSweepWorker(spec *cfsm.System, suite []cfsm.TestCase, prog *compiled.Program, csuite *compiled.Suite, reg *obs.Registry) sweepWorker {
 	// EngineFor fails only on a nil program, and a compiled spec never is.
 	eng, _ := compiled.EngineFor(prog)
 	eng.SetSuite(csuite)
 	return sweepWorker{
+		spec:   spec,
+		suite:  suite,
 		eng:    eng,
 		oracle: prog.NewRunner(),
 		opts:   []core.Option{core.WithRegistry(reg), core.WithEngine(eng)},
 	}
 }
 
-// diagnose runs the full Steps 1–6 diagnosis of the mutant realized by f
-// (lowered to ov) against the specification and classifies the outcome.
-// spec and suite are read-only, so workers may call it concurrently, each
-// on its own sweepWorker.
-func (w sweepWorker) diagnose(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, f fault.Fault, ov compiled.Overlay, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
-	report := MutantReport{Fault: f}
-	w.oracle.SetOverlay(ov)
+// diagnose runs the full Steps 1–6 diagnosis of the mutant f, which
+// mapMutants has installed on the worker's oracle runner. The returned
+// oracle counts every test and input it ran, the suite included.
+func (w sweepWorker) diagnose(ctx context.Context, f fault.Fault) (*core.Localization, *compiled.Oracle, error) {
 	oracle := &compiled.Oracle{R: w.oracle}
-	loc, err := core.DiagnoseContext(ctx, spec, suite, oracle, w.opts...)
+	loc, err := core.DiagnoseContext(ctx, w.spec, w.suite, oracle, w.opts...)
 	if err != nil {
-		return report, fmt.Errorf("diagnose %s: %w", f.Describe(spec), err)
+		return nil, nil, fmt.Errorf("diagnose %s: %w", f.Describe(w.spec), err)
 	}
-	report.AdditionalTests = oracle.Tests - len(suite)
+	return loc, oracle, nil
+}
+
+// report diagnoses the mutant f and classifies the outcome into its sweep
+// record.
+func (w sweepWorker) report(ctx context.Context, f fault.Fault, opts SweepOptions, traceBudget *int64) (MutantReport, error) {
+	report := MutantReport{Fault: f}
+	loc, oracle, err := w.diagnose(ctx, f)
+	if err != nil {
+		return report, err
+	}
+	report.AdditionalTests = oracle.Tests - len(w.suite)
 	report.AdditionalIn = oracle.Inputs
 	var equiv func(*fault.Fault) bool
 	if opts.CheckEquivalence {

@@ -6,29 +6,9 @@ import (
 	"cfsmdiag/internal/paper"
 )
 
-// BenchmarkForEachMutant measures the streaming enumeration over its
-// reusable patch buffers: per mutant it validates the fault and patches one
-// transition in place, with no system clone or re-validation.
-func BenchmarkForEachMutant(b *testing.B) {
-	spec := paper.MustFigure1()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		if err := ForEachMutant(spec, func(Mutant) error {
-			n++
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if n == 0 {
-			b.Fatal("no mutants")
-		}
-	}
-}
-
-// BenchmarkMutantsApply measures the historical clone-per-mutant realization
+// BenchmarkMutantsApply measures the clone-per-mutant realization
 // (Fault.Apply: one machine clone plus a full model re-validation per
-// mutant) that ForEachMutant's patch path replaces.
+// mutant) that the experiments' compiled overlays avoid.
 func BenchmarkMutantsApply(b *testing.B) {
 	spec := paper.MustFigure1()
 	faults := Enumerate(spec)

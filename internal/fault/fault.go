@@ -183,75 +183,8 @@ type Mutant struct {
 	System *cfsm.System
 }
 
-// ForEachMutant streams the complete single-transition mutant space of the
-// specification in Enumerate order. Mutant systems are realized against
-// reusable per-machine scratch buffers (cfsm.Patcher): one transition is
-// patched in place before fn and restored afterwards, so the enumeration
-// performs no per-mutant system clone or re-validation — each fault is still
-// validated against the specification, and faults failing validation (which
-// cannot happen for Enumerate's output) are skipped.
-//
-// The Mutant passed to fn is therefore valid only until fn returns: it must
-// not be retained or used concurrently with the enumeration. Callers that
-// need long-lived mutant systems should use Mutants or Fault.Apply. A
-// non-nil error from fn stops the enumeration and is returned.
-func ForEachMutant(spec *cfsm.System, fn func(Mutant) error) error {
-	return ForEachMutantOf(spec, Enumerate(spec), fn)
-}
-
-// ForEachMutantOf streams the mutants of an explicit fault list with the
-// same scratch-buffer reuse as ForEachMutant. The list is typically a
-// contiguous slice of Enumerate's output: the distributed sweep shards the
-// enumeration into index ranges and each worker realizes only its range,
-// without materializing the rest of the space.
-func ForEachMutantOf(spec *cfsm.System, faults []Fault, fn func(Mutant) error) error {
-	p := cfsm.NewPatcher(spec)
-	for _, f := range faults {
-		sys, err := f.applyPatched(spec, p)
-		if err != nil {
-			continue
-		}
-		if err := fn(Mutant{Fault: f, System: sys}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyPatched realizes the fault against the patcher's scratch buffers: the
-// validation runs against the specification exactly as in Apply, but the
-// mutant aliases the patcher and stays valid only until its machine is
-// patched again.
-func (f Fault) applyPatched(spec *cfsm.System, p *cfsm.Patcher) (*cfsm.System, error) {
-	if err := f.Validate(spec); err != nil {
-		return nil, err
-	}
-	if f.Kind == KindAddress {
-		sys, ok := p.RewireAddress(f.Ref, f.Dest)
-		if !ok {
-			return nil, fmt.Errorf("fault %s: patch failed", spec.RefString(f.Ref))
-		}
-		return sys, nil
-	}
-	var out cfsm.Symbol
-	var to cfsm.State
-	if f.Kind == KindOutput || f.Kind == KindBoth {
-		out = f.Output
-	}
-	if f.Kind == KindTransfer || f.Kind == KindBoth {
-		to = f.To
-	}
-	sys, ok := p.Rewire(f.Ref, out, to)
-	if !ok {
-		return nil, fmt.Errorf("fault %s: patch failed", spec.RefString(f.Ref))
-	}
-	return sys, nil
-}
-
 // Mutants applies every enumerated fault to the specification and collects
-// the results as independent system clones (safe to retain, unlike the
-// scratch-backed mutants ForEachMutant streams); use the streaming form when
-// the mutants are consumed one at a time.
+// the results as independent system clones.
 func Mutants(spec *cfsm.System) []Mutant {
 	var out []Mutant
 	for _, f := range Enumerate(spec) {

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -179,52 +178,6 @@ func TestEnumerate(t *testing.T) {
 			t.Fatalf("duplicate fault: %s", key)
 		}
 		seen[key] = true
-	}
-}
-
-func TestForEachMutantMatchesMutants(t *testing.T) {
-	spec := paper.MustFigure1()
-	want := Mutants(spec)
-	i := 0
-	err := ForEachMutant(spec, func(m Mutant) error {
-		if i >= len(want) {
-			t.Fatalf("ForEachMutant yielded more than %d mutants", len(want))
-		}
-		if m.Fault != want[i].Fault {
-			t.Fatalf("mutant %d: fault %+v, want %+v", i, m.Fault, want[i].Fault)
-		}
-		tr, ok := m.System.Transition(m.Fault.Ref)
-		wantTr, _ := want[i].System.Transition(m.Fault.Ref)
-		if !ok || tr != wantTr {
-			t.Fatalf("mutant %d: rewired transition %v, want %v", i, tr, wantTr)
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("ForEachMutant: %v", err)
-	}
-	if i != len(want) {
-		t.Fatalf("ForEachMutant yielded %d mutants, want %d", i, len(want))
-	}
-}
-
-func TestForEachMutantStopsOnError(t *testing.T) {
-	spec := paper.MustFigure1()
-	sentinel := errors.New("stop")
-	calls := 0
-	err := ForEachMutant(spec, func(Mutant) error {
-		calls++
-		if calls == 3 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("ForEachMutant error = %v, want sentinel", err)
-	}
-	if calls != 3 {
-		t.Fatalf("fn called %d times, want 3 (enumeration must stop at the error)", calls)
 	}
 }
 

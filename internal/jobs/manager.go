@@ -458,7 +458,6 @@ func (m *Manager) recordDoneLocked(j *Job) {
 	}
 	m.met.completed(j)
 	m.emitLocked(j, false)
-	m.cond.Broadcast() // wake WaitIdle-style waiters
 }
 
 // Get returns a snapshot of the job, or ErrNotFound.

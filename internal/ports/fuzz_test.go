@@ -1,6 +1,7 @@
 package ports_test
 
 import (
+	"reflect"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -119,6 +120,44 @@ func FuzzProjectRoundTrip(f *testing.F) {
 			if a == b || (ports.Silent(a) && ports.Silent(b)) {
 				t.Fatalf("completion does not visibly diverge at L=%d: %v vs %v", res.L, a, b)
 			}
+		}
+	})
+}
+
+// FuzzPortMap feeds arbitrary bytes to FromJSON against Figure 1. Decoding
+// must never panic, and every accepted map must survive a ToJSON/FromJSON
+// round trip unchanged.
+func FuzzPortMap(f *testing.F) {
+	fig, err := paper.Figure1()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"M1":"site-a","M2":"site-b","M3":"site-c"}`))
+	f.Add([]byte(`{"M1":"hub","M2":"hub","M3":"hub"}`))
+	f.Add([]byte(`{"M1":"a","M2":"b"}`))
+	f.Add([]byte(`{"M1":"a","M2":"b","M3":"c","M4":"d"}`))
+	f.Add([]byte(`{"M1":"","M2":"b","M3":"c"}`))
+	f.Add([]byte(`{"M1":"a","M1":"b","M2":"b","M3":"\u00e9"}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ports.FromJSON(data, fig)
+		if err != nil {
+			return
+		}
+		if m.Machines() != fig.N() {
+			t.Fatalf("accepted map covers %d machines, system has %d", m.Machines(), fig.N())
+		}
+		doc, err := m.ToJSON(fig)
+		if err != nil {
+			t.Fatalf("ToJSON of an accepted map: %v", err)
+		}
+		back, err := ports.FromJSON(doc, fig)
+		if err != nil {
+			t.Fatalf("FromJSON(ToJSON(m)) = %v for %s", err, doc)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip changed the map: %s decoded to %+v, want %+v", doc, back, m)
 		}
 	})
 }

@@ -45,8 +45,8 @@ const (
 	// machine, empty observer name).
 	CodeInvalidPortMap = "invalid_port_map"
 	// CodeDuplicateTestCase: a submitted suite names two test cases
-	// identically; analysis keys its per-case maps by name, so the collision
-	// is rejected at decode time instead of silently merging cases.
+	// identically; cfsm.DecodeSuite's doc comment gives the reason such a
+	// suite is rejected at decode time.
 	CodeDuplicateTestCase = "duplicate_test_case"
 )
 
