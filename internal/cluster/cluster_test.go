@@ -410,6 +410,29 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal("no result after recovery")
 	}
 	checkSameResult(t, res, localSweep(t, spec, suite))
+
+	// A third coordinator replays what the second appended after cutting
+	// the torn tail: every merged range of the first sweep, and the second
+	// sweep.
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if got, err := c3.Get(st.ID); err != nil || got.Done != got.Ranges {
+		t.Fatalf("third open: %+v, %v; want all %d ranges done", got, err, got.Ranges)
+	}
+	res, ok = c3.Result(st.ID)
+	if !ok {
+		t.Fatal("no result after the second restart")
+	}
+	checkSameResult(t, res, localSweep(t, spec, suite))
+	if _, err := c3.Get(st2.ID); err != nil {
+		t.Fatalf("sweep created after recovery lost on restart: %v", err)
+	}
 }
 
 // TestListStableOrder creates several sweeps and requires the listing to

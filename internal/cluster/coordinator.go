@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/jsonl"
 	"cfsmdiag/internal/obs"
 )
 
@@ -98,7 +100,7 @@ type Coordinator struct {
 	sweeps map[string]*sweep
 	order  []string // creation order for stable listing
 	nextID int
-	jl     *journal
+	jl     *jsonl.Log // nil for an in-memory coordinator
 }
 
 // Open builds a Coordinator and, when cfg.Dir is set, replays the journal so
@@ -120,13 +122,13 @@ func Open(cfg Config) (*Coordinator, error) {
 		nextID: 1,
 	}
 	if cfg.Dir != "" {
-		jl, records, err := openJournal(cfg.Dir)
+		jl, records, err := jsonl.Open[journalRecord](journalPath(cfg.Dir))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: open journal: %w", err)
 		}
 		c.jl = jl
 		if err := c.replay(records); err != nil {
-			jl.close()
+			jl.Close()
 			return nil, err
 		}
 	}
@@ -140,7 +142,7 @@ func (c *Coordinator) Close() error {
 	if c.jl == nil {
 		return nil
 	}
-	err := c.jl.close()
+	err := c.jl.Close()
 	c.jl = nil
 	return err
 }
@@ -172,7 +174,7 @@ func (c *Coordinator) Create(spec *cfsm.System, suite []cfsm.TestCase, opts Opti
 	defer c.mu.Unlock()
 	sw := c.buildLocked(c.issueIDLocked(), c.cfg.now(), spec, doc, suite, cfsm.EncodeSuite(suite), opts, rangeSize, mutants)
 	if c.jl != nil {
-		if err := c.jl.append(journalRecord{
+		if err := c.jl.Append(journalRecord{
 			Op: opCreate, Sweep: sw.id, At: sw.createdAt,
 			Spec: doc, Suite: sw.suiteWire, Options: &sw.opts, RangeSize: rangeSize,
 		}); err != nil {
@@ -308,7 +310,7 @@ func (c *Coordinator) Report(sweepID string, rangeIdx int, token int64, reports 
 			sweepID, rangeIdx, len(reports), want)
 	}
 	if c.jl != nil {
-		if err := c.jl.append(journalRecord{
+		if err := c.jl.Append(journalRecord{
 			Op: opResult, Sweep: sw.id, Range: rangeIdx, Reports: EncodeReports(reports),
 		}); err != nil {
 			return ReportResponse{}, err
@@ -447,6 +449,31 @@ func idNumber(id string) int {
 	n, _ := strconv.Atoi(strings.TrimPrefix(id, "s"))
 	return n
 }
+
+// Journal operations. Creations record the full sweep inputs; results record
+// one merged range. Leases are never journaled — they are volatile by
+// design, so a restarted coordinator re-offers every unfinished range.
+const (
+	opCreate = "create"
+	opResult = "result"
+)
+
+// journalRecord is one JSONL line of the cluster journal.
+type journalRecord struct {
+	Op    string    `json:"op"`
+	Sweep string    `json:"sweep"`
+	At    time.Time `json:"at,omitempty"`
+	// create fields
+	Spec      json.RawMessage `json:"spec,omitempty"`
+	Suite     []cfsm.CaseJSON `json:"suite,omitempty"`
+	Options   *Options        `json:"options,omitempty"`
+	RangeSize int             `json:"rangeSize,omitempty"`
+	// result fields
+	Range   int          `json:"range"`
+	Reports []ReportJSON `json:"reports,omitempty"`
+}
+
+func journalPath(dir string) string { return filepath.Join(dir, "cluster.jsonl") }
 
 // replay rebuilds coordinator state from journal records: creations install
 // sweeps with every range pending, results mark ranges done. Leases are

@@ -160,12 +160,12 @@ func TestCodecRejectsInvalidModel(t *testing.T) {
 		p.u32(uint32(len(s)))
 		p.buf = append(p.buf, s...)
 	}
-	p.u32(1)      // one machine
-	p.str("A")    // name
-	p.str("s1")   // initial: NOT declared below
-	p.u32(1)      // one state
-	p.str("s0")   // the only declared state
-	p.u32(0)      // no transitions
+	p.u32(1)    // one machine
+	p.str("A")  // name
+	p.str("s1") // initial: NOT declared below
+	p.u32(1)    // one state
+	p.str("s0") // the only declared state
+	p.u32(0)    // no transitions
 	_, err := DecodeSystem(rehash(p.buf))
 	if err == nil {
 		t.Fatal("DecodeSystem accepted a model with an undeclared initial state")

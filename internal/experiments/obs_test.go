@@ -38,42 +38,42 @@ func TestRunSweepContextMidCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	reg := obs.New()
-	count := 0
-	// Cancel from the serial engine's own goroutine via the per-mutant
-	// metrics: abuse a registry observer would be indirect, so instead run
-	// serially and cancel once a few reports exist by polling the counter.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for reg.Counter(metricSweepMutants, "", obs.L("outcome", OutcomeLocalizedCorrect.String())).Value() < 3 {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
-		}
-		cancel()
-	}()
-	res, err := RunSweepContext(ctx, spec, suite, SweepOptions{Workers: 1, Registry: reg})
-	cancel()
-	<-done
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
+	RegisterSweepMetrics(reg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const after = 3
+	res, err := RunSweepContext(cancelAfter{ctx, cancel, reg.Histogram(metricSweepMutant, "", obs.DefaultLatencyBuckets), after},
+		spec, suite, SweepOptions{Workers: 1, Registry: reg})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if err == nil {
-		t.Skip("sweep finished before cancellation on this machine")
-	}
-	count = len(res.Reports)
-	if count >= len(full.Reports) {
-		t.Fatalf("canceled sweep produced %d of %d reports", count, len(full.Reports))
+	if len(res.Reports) != after || after >= len(full.Reports) {
+		t.Fatalf("canceled sweep produced %d of %d reports, want %d", len(res.Reports), len(full.Reports), after)
 	}
 	for i, r := range res.Reports {
 		if r.Fault != full.Reports[i].Fault || r.Outcome != full.Reports[i].Outcome {
 			t.Fatalf("report %d diverged from the serial prefix", i)
 		}
 	}
+}
+
+// cancelAfter cancels itself from inside the sweep once the per-mutant
+// histogram has counted n reports: the sweep consults ctx.Err() before it
+// claims each mutant, so a one-worker sweep stops right after the n-th,
+// however fast the machine.
+type cancelAfter struct {
+	context.Context
+	cancel  context.CancelFunc
+	reports *obs.Histogram
+	n       uint64
+}
+
+func (c cancelAfter) Err() error {
+	if c.reports.Count() >= c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestSweepMetrics: a parallel sweep with a registry records per-mutant

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"cfsmdiag/internal/jsonl"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/trace"
 )
@@ -92,7 +93,9 @@ type Manager struct {
 	subs          map[string][]*subscriber      // live Watch registrations
 	limiter       *tenantLimiter                // nil = no per-tenant limiting
 	cache         *resultCache
-	st            *store
+	dir           string     // durable store directory; "" keeps jobs in memory
+	wal           *jsonl.Log // nil for an in-memory manager
+	walRecords    int        // WAL records appended since the last snapshot
 	nextID        int
 	closing       bool // stop accepting and dispatching
 	killed        bool // crash simulation: record nothing further
@@ -149,17 +152,15 @@ func Open(cfg Config, execs map[string]Executor) (*Manager, error) {
 	m.met.workers.Set(int64(workers))
 
 	if cfg.Dir != "" {
-		st, recovered, nextID, err := openStore(cfg.Dir)
+		recovered, err := m.openStore(cfg.Dir)
 		if err != nil {
 			return nil, err
 		}
-		m.st = st
-		m.nextID = nextID
 		m.recover(recovered)
-		// Compact immediately: recovery state becomes the snapshot, the WAL
-		// restarts empty, and any torn tail from a crash is discarded.
-		if err := st.snapshot(m.jobs, m.nextID); err != nil {
-			st.close()
+		// Compact immediately: recovery state becomes the snapshot and the
+		// WAL restarts empty.
+		if err := m.snapshotLocked(); err != nil {
+			m.wal.Close()
 			return nil, err
 		}
 		m.met.snapshots.Inc()
@@ -349,18 +350,19 @@ func (m *Manager) removeQueuedLocked(j *Job) bool {
 	return false
 }
 
-// appendLocked writes one WAL record and compacts when due. A nil store
+// appendLocked writes one WAL record and compacts when due. A nil WAL
 // (in-memory manager) is a no-op.
 func (m *Manager) appendLocked(rec walRecord) error {
-	if m.st == nil {
+	if m.wal == nil {
 		return nil
 	}
-	if err := m.st.append(rec); err != nil {
+	if err := m.wal.Append(rec); err != nil {
 		return err
 	}
+	m.walRecords++
 	m.met.walAppend()
-	if m.st.shouldSnapshot(m.snapshotEvery) {
-		if err := m.st.snapshot(m.jobs, m.nextID); err != nil {
+	if m.walRecords >= m.snapshotEvery {
+		if err := m.snapshotLocked(); err != nil {
 			return err
 		}
 		m.met.snapshots.Inc()
@@ -594,13 +596,13 @@ func (m *Manager) Close(ctx context.Context) error {
 	defer m.mu.Unlock()
 	m.closeSubsLocked()
 	var err error
-	if m.st != nil && !m.killed {
-		if serr := m.st.snapshot(m.jobs, m.nextID); serr != nil {
+	if m.wal != nil && !m.killed {
+		if serr := m.snapshotLocked(); serr != nil {
 			err = serr
 		} else {
 			m.met.snapshots.Inc()
 		}
-		if cerr := m.st.close(); cerr != nil && err == nil {
+		if cerr := m.wal.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}
@@ -630,8 +632,8 @@ func (m *Manager) kill() {
 	m.wg.Wait()
 	m.mu.Lock()
 	m.closeSubsLocked()
-	if m.st != nil {
-		m.st.close()
+	if m.wal != nil {
+		m.wal.Close()
 	}
 	m.mu.Unlock()
 }

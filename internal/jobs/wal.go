@@ -1,17 +1,17 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"cfsmdiag/internal/jsonl"
 )
 
 // The durable store is a classic snapshot + write-ahead-log pair:
@@ -54,77 +54,40 @@ type snapshotDoc struct {
 	Jobs   []*Job `json:"jobs"`
 }
 
-// store owns the two files. All methods are called with the Manager's lock
-// held, so the store itself needs no locking.
-type store struct {
-	dir     string
-	wal     *os.File
-	records int // records appended since the last snapshot
-}
-
 func walPath(dir string) string      { return filepath.Join(dir, "wal.jsonl") }
 func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
 
-// openStore loads the persisted state (snapshot, then WAL replay) and leaves
-// the WAL open for appending. It returns the recovered jobs keyed by ID and
-// the next ID counter. Unparseable trailing WAL lines — the signature of a
-// crash mid-append — are tolerated: replay stops at the first bad line and
-// reports how many records it kept.
-func openStore(dir string) (*store, map[string]*Job, int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, fmt.Errorf("jobs: create store dir: %w", err)
-	}
+// openStore loads the persisted state (snapshot, then WAL replay), leaves
+// the WAL open for appending and advances the ID counter past every
+// recovered job. It returns the recovered jobs keyed by ID; jsonl.Open cuts
+// a torn tail off or refuses corruption.
+func (m *Manager) openStore(dir string) (map[string]*Job, error) {
 	jobs := make(map[string]*Job)
-	nextID := 1
-
 	if data, err := os.ReadFile(snapshotPath(dir)); err == nil {
 		var doc snapshotDoc
 		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, nil, 0, fmt.Errorf("jobs: corrupt snapshot %s: %w", snapshotPath(dir), err)
+			return nil, fmt.Errorf("jobs: corrupt snapshot %s: %w", snapshotPath(dir), err)
 		}
 		for _, j := range doc.Jobs {
 			jobs[j.ID] = j
 		}
-		if doc.NextID > nextID {
-			nextID = doc.NextID
-		}
+		m.nextID = max(m.nextID, doc.NextID)
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, 0, fmt.Errorf("jobs: read snapshot: %w", err)
+		return nil, fmt.Errorf("jobs: read snapshot: %w", err)
 	}
 
-	if f, err := os.Open(walPath(dir)); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var rec walRecord
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break // torn tail write; everything before it is intact
-			}
-			applyRecord(jobs, rec)
-		}
-		f.Close()
-		if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-			return nil, nil, 0, fmt.Errorf("jobs: read wal: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, 0, fmt.Errorf("jobs: open wal: %w", err)
-	}
-
-	for id := range jobs {
-		if n := idNumber(id); n >= nextID {
-			nextID = n + 1
-		}
-	}
-
-	wal, err := os.OpenFile(walPath(dir), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wal, records, err := jsonl.Open[walRecord](walPath(dir))
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("jobs: open wal for append: %w", err)
+		return nil, fmt.Errorf("jobs: open wal: %w", err)
 	}
-	return &store{dir: dir, wal: wal}, jobs, nextID, nil
+	for _, rec := range records {
+		applyRecord(jobs, rec)
+	}
+	for id := range jobs {
+		m.nextID = max(m.nextID, idNumber(id)+1)
+	}
+	m.dir, m.wal = dir, wal
+	return jobs, nil
 }
 
 // applyRecord folds one WAL record into the recovered state.
@@ -165,38 +128,11 @@ func idNumber(id string) int {
 	return n
 }
 
-// append writes one record. The caller decides when to compact via
-// shouldSnapshot.
-func (s *store) append(rec walRecord) error {
-	if s == nil {
-		return nil
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: encode wal record: %w", err)
-	}
-	data = append(data, '\n')
-	if _, err := s.wal.Write(data); err != nil {
-		return fmt.Errorf("jobs: append wal: %w", err)
-	}
-	s.records++
-	return nil
-}
-
-// shouldSnapshot reports whether the append count has reached the
-// compaction threshold.
-func (s *store) shouldSnapshot(every int) bool {
-	return s != nil && s.records >= every
-}
-
-// snapshot writes the full state atomically (tmp + fsync + rename) and
-// truncates the WAL.
-func (s *store) snapshot(jobs map[string]*Job, nextID int) error {
-	if s == nil {
-		return nil
-	}
-	doc := snapshotDoc{NextID: nextID, Jobs: make([]*Job, 0, len(jobs))}
-	for _, j := range jobs {
+// snapshotLocked writes the full state atomically (tmp + fsync + rename)
+// and truncates the WAL.
+func (m *Manager) snapshotLocked() error {
+	doc := snapshotDoc{NextID: m.nextID, Jobs: make([]*Job, 0, len(m.jobs))}
+	for _, j := range m.jobs {
 		doc.Jobs = append(doc.Jobs, j)
 	}
 	sort.Slice(doc.Jobs, func(i, k int) bool {
@@ -206,7 +142,7 @@ func (s *store) snapshot(jobs map[string]*Job, nextID int) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encode snapshot: %w", err)
 	}
-	tmp := snapshotPath(s.dir) + ".tmp"
+	tmp := snapshotPath(m.dir) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobs: create snapshot: %w", err)
@@ -222,24 +158,12 @@ func (s *store) snapshot(jobs map[string]*Job, nextID int) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("jobs: close snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, snapshotPath(s.dir)); err != nil {
+	if err := os.Rename(tmp, snapshotPath(m.dir)); err != nil {
 		return fmt.Errorf("jobs: install snapshot: %w", err)
 	}
-	if err := s.wal.Truncate(0); err != nil {
+	if err := m.wal.Reset(); err != nil {
 		return fmt.Errorf("jobs: truncate wal: %w", err)
 	}
-	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("jobs: rewind wal: %w", err)
-	}
-	s.records = 0
+	m.walRecords = 0
 	return nil
-}
-
-// close releases the WAL handle without compacting (crash-equivalent if the
-// caller skipped the final snapshot).
-func (s *store) close() error {
-	if s == nil {
-		return nil
-	}
-	return s.wal.Close()
 }

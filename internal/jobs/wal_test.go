@@ -1,14 +1,18 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"cfsmdiag/internal/jsonl"
 )
 
 // countingExec tracks how many times each payload actually executed across
@@ -265,6 +269,82 @@ func TestTornWALTailIsTolerated(t *testing.T) {
 	}
 	if got.State != StateSucceeded {
 		t.Fatalf("replayed job state = %s, want succeeded", got.State)
+	}
+}
+
+// submitLine is the WAL line of a fresh queued job jn.
+func submitLine(t *testing.T, n int) []byte {
+	t.Helper()
+	j := &Job{ID: fmt.Sprintf("j%d", n), Kind: "count", Priority: PriorityBatch,
+		Key: ContentKey("count", payloadN(n)), Payload: payloadN(n),
+		State: StateQueued, EnqueuedAt: time.Now().UTC()}
+	rec, err := json.Marshal(walRecord{Op: opSubmit, Job: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(rec, '\n')
+}
+
+// TestCorruptWALMiddleLineIsAnError: a bad line with intact records after it
+// is not a torn tail. Recovery must refuse it with the line's position, not
+// replay j1 alone and let the opening compaction drop j2 for good.
+func TestCorruptWALMiddleLineIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	first := submitLine(t, 1)
+	wal := append(append(append([]byte{}, first...), "{garbage\n"...), submitLine(t, 2)...)
+	if err := os.WriteFile(walPath(dir), wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Config{Workers: 1, Dir: dir}, map[string]Executor{"count": newCountingExec().exec})
+	var le *jsonl.LineError
+	if !errors.As(err, &le) || le.Torn || le.Line != 2 || le.Offset != int64(len(first)) {
+		t.Fatalf("err = %v, want a corrupt-line error at line 2, byte offset %d", err, len(first))
+	}
+	if got, _ := os.ReadFile(walPath(dir)); !bytes.Equal(got, wal) {
+		t.Fatalf("refused recovery rewrote the WAL: %q", got)
+	}
+}
+
+// TestTornWALTailThenAppendsSurviveTwoRestarts: jobs recorded after a
+// recovery that cut a torn tail survive two further crashes.
+func TestTornWALTailThenAppendsSurviveTwoRestarts(t *testing.T) {
+	dir := t.TempDir()
+	torn := append(submitLine(t, 1), `{"op":"done","id":"j1","sta`...)
+	if err := os.WriteFile(walPath(dir), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ce := newCountingExec()
+	execs := map[string]Executor{"count": ce.exec}
+	m, err := Open(Config{Workers: 1, Dir: dir}, execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2, err := m.Submit(SubmitRequest{Kind: "count", Payload: payloadN(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, m)
+	m.kill() // no final snapshot: j2's records live only in the WAL
+	for restart := 1; restart <= 2; restart++ {
+		m, err = Open(Config{Workers: 1, Dir: dir}, execs)
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		for _, id := range []string{"j1", j2.ID} {
+			j, err := m.Get(id)
+			if err != nil {
+				t.Fatalf("restart %d: %v", restart, err)
+			}
+			if j.State != StateSucceeded {
+				t.Fatalf("restart %d: %s state = %s, want succeeded", restart, id, j.State)
+			}
+		}
+		m.kill()
+	}
+	for n := 1; n <= 2; n++ {
+		if got := ce.count(string(payloadN(n))); got != 1 {
+			t.Errorf("job %d executed %d times, want 1", n, got)
+		}
 	}
 }
 

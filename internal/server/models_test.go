@@ -169,10 +169,10 @@ func TestModelUploadRejects(t *testing.T) {
 	truncated := data[:len(data)-9]
 
 	cases := []struct {
-		name     string
-		body     []byte
-		status   int
-		code     string
+		name   string
+		body   []byte
+		status int
+		code   string
 	}{
 		{"future-version", futureVersion, http.StatusUnprocessableEntity, codeUnsupportedModel},
 		{"hash-mismatch", flippedPayload, http.StatusUnprocessableEntity, codeUnsupportedModel},

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"cfsmdiag/internal/jsonl"
 )
 
 // WriteJSONL writes one event per line as JSON.  Output is byte-deterministic
@@ -59,37 +61,15 @@ var ErrTruncatedTrace = errors.New("truncated trace")
 // line-atomically, so a broken last line means the recording was cut short);
 // a malformed line elsewhere is corruption and reports a plain parse error.
 func ReadJSONL(r io.Reader) ([]Event, error) {
-	type rawLine struct {
-		no   int
-		text string
-	}
-	var lines []rawLine
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	no := 0
-	for sc.Scan() {
-		no++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	events, err := jsonl.Read[Event](r)
+	var le *jsonl.LineError
+	if errors.As(err, &le) {
+		if le.Torn {
+			return nil, fmt.Errorf("trace: line %d ends mid-event: %w", le.Line, ErrTruncatedTrace)
 		}
-		lines = append(lines, rawLine{no: no, text: text})
+		return nil, fmt.Errorf("trace: line %d: %w", le.Line, le.Err)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	events := make([]Event, 0, len(lines))
-	for i, l := range lines {
-		var e Event
-		if err := json.Unmarshal([]byte(l.text), &e); err != nil {
-			if i == len(lines)-1 {
-				return nil, fmt.Errorf("trace: line %d ends mid-event: %w", l.no, ErrTruncatedTrace)
-			}
-			return nil, fmt.Errorf("trace: line %d: %w", l.no, err)
-		}
-		events = append(events, e)
-	}
-	return events, nil
+	return events, err
 }
 
 // ValidateJSONL is the exporter's own schema check: every line must parse as
