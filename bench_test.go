@@ -200,7 +200,7 @@ func BenchmarkDistinguish(b *testing.B) {
 	c := testgen.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := testgen.Distinguish(a, c, nil); !ok {
+		if _, ok, _ := testgen.Distinguish(a, c, spec.AllInputs(), nil, false); !ok {
 			b.Fatal("distinguish failed")
 		}
 	}

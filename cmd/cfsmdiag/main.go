@@ -539,16 +539,15 @@ func cmdReplay(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	n, err := trace.ValidateJSONL(bytes.NewReader(data))
+	events, err := trace.ReadJSONL(bytes.NewReader(data))
+	if err == nil {
+		err = trace.Validate(events)
+	}
 	if err != nil {
 		if errors.Is(err, trace.ErrTruncatedTrace) {
 			return fmt.Errorf("%s: %w — the recording was cut short; re-record the run", fs.Arg(0), err)
 		}
 		return fmt.Errorf("%s: invalid trace: %w", fs.Arg(0), err)
-	}
-	events, err := trace.ReadJSONL(bytes.NewReader(data))
-	if err != nil {
-		return err
 	}
 	rec, err := replay.Load(events)
 	if err != nil {
@@ -562,7 +561,7 @@ func cmdReplay(args []string, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "replaying %d recorded events: %d suite cases, %d canned diagnostic answers\n",
-		n, len(rec.Suite), len(rec.Answers))
+		len(events), len(rec.Suite), len(rec.Answers))
 	fmt.Fprint(out, loc.Analysis.Report())
 	fmt.Fprint(out, loc.Report())
 	fmt.Fprintf(out, "replay: %d oracle queries served from the recording, 0 live executions\n", oracle.Queries)

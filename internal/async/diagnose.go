@@ -191,10 +191,13 @@ func Localize(a *Analysis, oracle Oracle) (*Localization, error) {
 		for i := 0; i < len(live) && probe == nil; i++ {
 			for j := i + 1; j < len(live) && probe == nil; j++ {
 				for port := 0; port < a.Spec.N(); port++ {
-					seq, ok := testgen.DistinguishOver(
+					// The interpreted search: a probe is a single-port
+					// sequence, a restricted input universe the compiled
+					// searches do not offer.
+					seq, ok, _ := testgen.Distinguish(
 						testgen.Variant{Sys: live[i].sys, Cfg: live[i].sys.InitialConfig()},
 						testgen.Variant{Sys: live[j].sys, Cfg: live[j].sys.InitialConfig()},
-						portInputs(port), nil,
+						portInputs(port), nil, false,
 					)
 					if !ok {
 						continue

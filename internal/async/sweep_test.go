@@ -71,40 +71,44 @@ func TestAsyncSweepSampled(t *testing.T) {
 			}
 		}
 	}
-	mutants := fault.Mutants(spec)
+	faults := fault.Enumerate(spec)
 	detected, correct := 0, 0
-	for i := 0; i < len(mutants); i += 5 {
-		m := mutants[i]
-		oracle := &RandomOracle{Sys: m.System, Rng: rand.New(rand.NewSource(int64(i)))}
+	for i := 0; i < len(faults); i += 5 {
+		f := faults[i]
+		mutant, err := f.Apply(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := &RandomOracle{Sys: mutant, Rng: rand.New(rand.NewSource(int64(i)))}
 		loc, err := Diagnose(spec, scripts, oracle)
 		if err != nil {
-			t.Fatalf("diagnose %s: %v", m.Fault.Describe(spec), err)
+			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
 		switch loc.Verdict {
 		case core.VerdictNoFault:
 			// The observed interleaving happened to be explainable; fine.
 		case core.VerdictLocalized:
 			detected++
-			if loc.Localized.Ref == m.Fault.Ref {
+			if loc.Localized.Ref == f.Ref {
 				correct++
 			} else {
-				t.Errorf("%s convicted as %s", m.Fault.Describe(spec), loc.Localized.Describe(spec))
+				t.Errorf("%s convicted as %s", f.Describe(spec), loc.Localized.Describe(spec))
 			}
 		case core.VerdictAmbiguous:
 			detected++
 			ok := false
 			for _, r := range loc.Remaining {
-				if r.Ref == m.Fault.Ref {
+				if r.Ref == f.Ref {
 					ok = true
 				}
 			}
 			if ok {
 				correct++
 			} else {
-				t.Errorf("%s ambiguous without the truth", m.Fault.Describe(spec))
+				t.Errorf("%s ambiguous without the truth", f.Describe(spec))
 			}
 		default:
-			t.Errorf("%s: verdict %v", m.Fault.Describe(spec), loc.Verdict)
+			t.Errorf("%s: verdict %v", f.Describe(spec), loc.Verdict)
 		}
 	}
 	if detected == 0 {

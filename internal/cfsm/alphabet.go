@@ -48,6 +48,20 @@ func (s *System) Inputs(i int) []Symbol {
 	return symbolSet(set)
 }
 
+// AllInputs returns every applicable external stimulus of the system — each
+// symbol of each machine's input alphabet applied at that machine's port —
+// in deterministic (port, symbol) order. The reset input is not included.
+// It is the input universe of every transfer and distinguishing search.
+func (s *System) AllInputs() []Input {
+	var out []Input
+	for port := range s.machines {
+		for _, sym := range s.Inputs(port) {
+			out = append(out, Input{Port: port, Sym: sym})
+		}
+	}
+	return out
+}
+
 // OEO returns the outputs of machine i's external-output transitions, sorted.
 func (s *System) OEO(i int) []Symbol {
 	set := make(map[Symbol]bool)

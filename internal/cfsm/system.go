@@ -380,6 +380,37 @@ type Ref struct {
 // system, which does not happen in practice.
 func (r Ref) String() string { return fmt.Sprintf("#%d.%s", r.Machine, r.Name) }
 
+// RefSet is a set of transition references. The searches take one as an
+// avoid set: transitions a sequence must not exercise — the constraint Step 6
+// places on additional diagnostic tests ("they do not involve any candidate
+// transition").
+type RefSet map[Ref]bool
+
+// NewRefSet builds a set from the given references.
+func NewRefSet(refs ...Ref) RefSet {
+	s := make(RefSet, len(refs))
+	for _, r := range refs {
+		s[r] = true
+	}
+	return s
+}
+
+// Clone returns a copy of the set.
+func (s RefSet) Clone() RefSet {
+	c := make(RefSet, len(s))
+	for r := range s {
+		c[r] = true
+	}
+	return c
+}
+
+// Without returns a copy of the set with the given reference removed.
+func (s RefSet) Without(r Ref) RefSet {
+	c := s.Clone()
+	delete(c, r)
+	return c
+}
+
 // RefString renders a reference with the machine's display name.
 func (s *System) RefString(r Ref) string {
 	if r.Machine < 0 || r.Machine >= len(s.machines) {

@@ -480,3 +480,39 @@ func TestSystemDOT(t *testing.T) {
 		}
 	}
 }
+
+func TestRefSet(t *testing.T) {
+	r1 := Ref{Machine: 0, Name: "t1"}
+	r2 := Ref{Machine: 1, Name: "t2"}
+	s := NewRefSet(r1, r2)
+	if len(s) != 2 || !s[r1] || !s[r2] {
+		t.Fatalf("NewRefSet = %v", s)
+	}
+	c := s.Without(r1)
+	if len(c) != 1 || c[r1] || !c[r2] {
+		t.Fatalf("Without = %v", c)
+	}
+	if len(s) != 2 {
+		t.Fatal("Without mutated the receiver")
+	}
+	d := s.Clone()
+	delete(d, r2)
+	if len(s) != 2 {
+		t.Fatal("Clone is shallow")
+	}
+}
+
+func TestAllInputs(t *testing.T) {
+	sys := twoMachine(t)
+	// Port order, then sorted symbols within a port; no reset.
+	want := []Input{{Port: 0, Sym: "i"}, {Port: 0, Sym: "n"}, {Port: 0, Sym: "x"}, {Port: 1, Sym: "m"}, {Port: 1, Sym: "w"}}
+	got := sys.AllInputs()
+	if len(got) != len(want) {
+		t.Fatalf("AllInputs = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("AllInputs = %v, want %v", got, want)
+		}
+	}
+}

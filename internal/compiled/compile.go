@@ -1,8 +1,10 @@
 // Package compiled lowers a validated cfsm.System into a dense, integer-
 // indexed representation — interned state and symbol IDs, flat transition
-// tables, global configurations as vectors of state IDs — and executes the
-// diagnosis hot paths against it: test-suite replay (Explains), behavioural
-// variants, and the Step-6 transfer/distinguishing searches.
+// tables, global configurations as vectors of state IDs — and runs every
+// single-fault search against it: test-suite replay (Explains) and the
+// detection matrix (Detects), behavioural variants, the Step-6
+// transfer/distinguishing searches, the transition tour (Tour) and the
+// reachability pass of specification analysis (Reach).
 //
 // The string-keyed cfsm.System stays the construction, validation and
 // reporting layer; a Program is a read-only view of one. Fault hypotheses
@@ -11,8 +13,9 @@
 // interpreted sweep. internal/core runs every diagnosis on an Engine, which
 // accepts every validated system whatever the size of its configuration
 // space; its contract is byte-for-byte verdict equality with core's
-// interpreted reference engine, pinned by the differential tests in core and
-// by the search-parity tests in this package.
+// interpreted reference engine, pinned by the differential tests in core, by
+// the suite-generation parity tests in testgen and by the search-parity
+// tests in this package.
 //
 // The package also defines the versioned binary on-disk codec for systems
 // (codec.go) used by `cfsmdiag convert`/`cfsmdiag info` and the server's
@@ -26,7 +29,6 @@ import (
 	"sort"
 
 	"cfsmdiag/internal/cfsm"
-	"cfsmdiag/internal/testgen"
 )
 
 // Trans is one transition in compiled form. All fields are dense IDs:
@@ -62,7 +64,7 @@ type machineProg struct {
 }
 
 // stim is one element of the compiled external-input universe, in
-// testgen.AllInputs order.
+// cfsm.System.AllInputs order.
 type stim struct {
 	port int32
 	sym  int32
@@ -80,7 +82,7 @@ type Program struct {
 	machines []machineProg
 	trans    []Trans
 	refIdx   map[cfsm.Ref]int32
-	inputs   []stim // testgen.AllInputs order
+	inputs   []stim // cfsm.System.AllInputs order
 
 	// Mixed-radix index of a global configuration, or of a pair of them: the
 	// sum of state ID times stride per machine, the second configuration of
@@ -189,8 +191,8 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		}
 	}
 
-	// External-input universe, exactly testgen.AllInputs order.
-	for _, in := range testgen.AllInputs(sys) {
+	// External-input universe, in AllInputs order.
+	for _, in := range sys.AllInputs() {
 		p.inputs = append(p.inputs, stim{port: int32(in.Port), sym: p.symID[in.Sym]})
 	}
 

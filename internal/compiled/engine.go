@@ -5,7 +5,6 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 )
 
 // Engine executes the diagnosis hot paths against a compiled Program: the
@@ -166,45 +165,63 @@ func (e *Engine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, 
 // suite's configuration snapshot. A case in which t never executes reduces
 // to the prefix comparison alone.
 func (e *Engine) explainsOverlay(s *Suite, observed [][]cobs, ov Overlay) bool {
-	r := e.r
-	r.ov = ov
-	defer r.Flush()
-	n := len(e.p.machines)
+	e.r.ov = ov
+	defer e.r.Flush()
 	for i := range s.cases {
-		c := &s.cases[i]
-		if c.badInput {
+		if !e.replays(&s.cases[i], observed[i]) {
 			return false
-		}
-		want := observed[i]
-		if len(want) != len(c.inputs) {
-			return false
-		}
-		j0 := 0
-		if ov.t >= 0 && c.snap {
-			j0 = c.fireStep(ov.t)
-			for j := 0; j < j0; j++ {
-				if c.expC[j] != want[j] {
-					return false
-				}
-			}
-			if j0 == len(c.inputs) {
-				continue
-			}
-			copy(r.cfg, c.cfgs[j0*n:(j0+1)*n])
-		} else {
-			r.restart()
-		}
-		for j := j0; j < len(c.inputs); j++ {
-			o, _, _, err := r.step(c.inputs[j])
-			if err != nil {
-				return false
-			}
-			if o != want[j] {
-				return false
-			}
 		}
 	}
 	return true
+}
+
+// replays reports whether case c, run under the scratch runner's overlay,
+// observes exactly want.
+func (e *Engine) replays(c *suiteCase, want []cobs) bool {
+	if c.badInput || len(want) != len(c.inputs) {
+		return false
+	}
+	r := e.r
+	n := len(e.p.machines)
+	j0 := 0
+	if r.ov.t >= 0 && c.snap {
+		j0 = c.fireStep(r.ov.t)
+		for j := 0; j < j0; j++ {
+			if c.expC[j] != want[j] {
+				return false
+			}
+		}
+		if j0 == len(c.inputs) {
+			return true
+		}
+		copy(r.cfg, c.cfgs[j0*n:(j0+1)*n])
+	} else {
+		r.restart()
+	}
+	for j := j0; j < len(c.inputs); j++ {
+		o, _, _, err := r.step(c.inputs[j])
+		if err != nil || o != want[j] {
+			return false
+		}
+	}
+	return true
+}
+
+// Detects reports whether case i of the compiled suite, run on the mutant
+// that fault f realizes, observes differently from the specification: the
+// entry of the suite's detection matrix. A case whose specification run
+// failed, and a fault with no legal overlay, detect nothing. The replay
+// starts where f's transition first fires (see explainsOverlay), so a case
+// that never fires it costs nothing.
+func (e *Engine) Detects(s *Suite, i int, f fault.Fault) bool {
+	c := &s.cases[i]
+	ov, ok := e.overlayFor(f)
+	if !ok || !c.snap {
+		return false
+	}
+	e.r.ov = ov
+	defer e.r.Flush()
+	return !e.replays(c, c.expC)
 }
 
 // Variant is a compiled behavioural hypothesis: the engine's program under
@@ -269,29 +286,28 @@ func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int32, er
 
 // TransferToState finds a shortest avoid-respecting input sequence from the
 // initial configuration to any configuration with the given machine in the
-// target state (testgen.TransferToState over the specification).
-func (e *Engine) TransferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
-	goal := int32(-1)
+// target state: Step 6's transfer sequence.
+func (e *Engine) TransferToState(machine int, target cfsm.State, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
+	g := goal{machine: machine, state: -1}
 	if id, ok := e.p.machines[machine].stateID[target]; ok {
-		goal = id
+		g.state = id
 	}
-	return e.transferSearch(machine, goal, avoid)
+	return e.transferSearch(e.p.start, g, avoid)
 }
 
 // Distinguish finds a shortest avoid-respecting input sequence separating
-// two variants from the configurations they reached (RunInputs):
-// testgen.Distinguish over the overlaid programs, or, when projected is set,
-// testgen.ProjectionDistinguish — only a difference at which some side
-// emits a non-silent output counts, and globalOnly reports that a
-// silence-only difference was seen instead. Both variants must come from
-// this engine.
-func (e *Engine) Distinguish(a Variant, ca []int32, b Variant, cb []int32, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
+// two variants from the configurations they reached (RunInputs). When
+// projected is set only a difference at which some side emits a non-silent
+// output counts — one every local observer of a distributed test sees — and
+// globalOnly reports that a silence-only difference was seen instead. Both
+// variants must come from this engine.
+func (e *Engine) Distinguish(a Variant, ca []int32, b Variant, cb []int32, avoid cfsm.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
 	return e.distinguishSearch(a.ov, ca, b.ov, cb, avoid, projected)
 }
 
 // Equivalent reports whether the mutants realized by two faults — nil
 // standing for the specification itself — are observationally equivalent:
-// the compiled form of testgen.SystemsEquivalent over the applied systems.
+// no input sequence from the initial configuration separates them.
 // A fault with no legal overlay realizes no mutant and is equivalent to
 // nothing.
 func (e *Engine) Equivalent(a, b *fault.Fault) bool {

@@ -5,12 +5,11 @@ import (
 	"math/bits"
 
 	"cfsmdiag/internal/cfsm"
-	"cfsmdiag/internal/testgen"
 )
 
 // searchLimit bounds the number of configurations (or configuration pairs)
-// a search may visit, and must equal the interpreted searches' limit
-// (testgen.searchLimit) for verdict parity.
+// a search may visit, and must equal the limit of the interpreted reference
+// searches (internal/testgen) for parity.
 const searchLimit = 200_000
 
 // stampThreshold is the largest key space (configurations, or pairs of
@@ -118,7 +117,7 @@ func (s *search) vec(i int) []int32 {
 
 // avoidMask lowers an avoid set to a per-transition mask; refs outside the
 // program match nothing, as under the interpreted hitsAvoid.
-func (e *Engine) avoidMask(avoid testgen.RefSet) []bool {
+func (e *Engine) avoidMask(avoid cfsm.RefSet) []bool {
 	if len(avoid) == 0 {
 		return nil
 	}
@@ -159,13 +158,32 @@ func (e *Engine) path(s *search, i int32, last int32) []cfsm.Input {
 	return out
 }
 
-// transferSearch is the compiled testgen.TransferToConfig for the goal "the
-// given machine is in state goal": breadth-first over configurations of the
-// specification, skipping no-progress inputs and avoided transitions,
-// visit-checked before the goal — exactly the interpreted search's order, so
-// the returned sequence is identical. A goal of -1 (undeclared target state)
-// exhausts the search, as the interpreted goal predicate would.
-func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+// goal is what transferSearch looks for. With covered nil it is a
+// configuration with the machine in state; a state of -1 (undeclared) is
+// never reached. With covered set it is a step that fires a transition
+// outside covered: the next step of the transition tour.
+type goal struct {
+	machine int
+	state   int32
+	covered Bits
+}
+
+// reached reports whether the step that fired e1 and e2 (e1 >= 0) into
+// configuration cfg reaches the goal.
+func (g *goal) reached(cfg []int32, e1, e2 int32) bool {
+	if g.covered == nil {
+		return g.state >= 0 && cfg[g.machine] == g.state
+	}
+	return !g.covered.Has(e1) || e2 >= 0 && !g.covered.Has(e2)
+}
+
+// transferSearch finds a shortest input sequence from configuration from to
+// the goal: breadth-first over the specification's configurations, skipping
+// no-progress inputs and avoided transitions, in the order of the
+// interpreted testgen.TransferToState (state goal) and NextUncovered
+// (covered goal). The goal test precedes the visited test; for a state goal
+// that is immaterial, since a visited goal configuration ends the search.
+func (e *Engine) transferSearch(from []int32, g goal, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
 	p := e.p
 	s := e.initSearch(false)
 	mask := e.avoidMask(avoid)
@@ -173,8 +191,8 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 	defer func() { cfsm.RecordSimulated(steps, 0) }()
 
 	cur := s.cur
-	copy(cur, p.start)
-	if goal >= 0 && cur[machine] == goal {
+	copy(cur, from)
+	if g.covered == nil && g.reached(cur, -1, -1) {
 		return nil, true
 	}
 	s.visit(p, cur)
@@ -185,37 +203,33 @@ func (e *Engine) transferSearch(machine int, goal int32, avoid testgen.RefSet) (
 		for ii := range p.inputs {
 			copy(cur, node)
 			steps++
-			o, e1, e2, ok := p.stepCfg(cur, None(), p.inputs[ii])
-			if !ok {
-				continue
-			}
-			if o.sym == p.epsID && e1 < 0 {
+			_, e1, e2, ok := p.stepCfg(cur, None(), p.inputs[ii])
+			if !ok || e1 < 0 {
 				continue // undefined input: no progress
 			}
 			if hitsMask(mask, e1, e2) {
 				continue
 			}
+			if g.reached(cur, e1, e2) {
+				return e.path(s, int32(head), int32(ii)), true
+			}
 			if s.visit(p, cur) {
 				continue
 			}
 			seenCount++
-			if goal >= 0 && cur[machine] == goal {
-				return e.path(s, int32(head), int32(ii)), true
-			}
 			s.push(int32(head), int32(ii), cur)
 		}
 	}
 	return nil, false
 }
 
-// distinguishSearch is the compiled testgen.DistinguishOver: breadth-first
-// over pairs of configurations, one side per overlay, returning the first
-// input sequence whose observations differ (checked before the visited
-// test, exactly as interpreted). With projected set it is the compiled
-// testgen.ProjectionDistinguishOver: a difference where both sides stay
-// silent (ε or Null) is invisible to every local observer, so it only sets
-// globalOnly and the search explores through it.
-func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []int32, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
+// distinguishSearch is the pair search: breadth-first over pairs of
+// configurations, one side per overlay, returning the first input sequence
+// whose observations differ (checked before the visited test), in the
+// interpreted testgen.Distinguish's order. With projected set, a difference
+// where both sides stay silent (ε or Null) is invisible to every local
+// observer, so it only sets globalOnly and the search explores through it.
+func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []int32, avoid cfsm.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
 	p := e.p
 	s := e.initSearch(true)
 	mask := e.avoidMask(avoid)
@@ -262,3 +276,105 @@ func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []in
 // silent reports an observation no local observer records: ε or the Null
 // reset output (ports.Silent on the compiled form).
 func (p *Program) silent(o cobs) bool { return o.sym == p.epsID || o.sym == p.nullID }
+
+// Reachability is what one forward pass over the specification's
+// configuration graph establishes (Program.Reach).
+type Reachability struct {
+	// Configs counts the configurations discovered.
+	Configs int
+	// Truncated reports that the pass stopped at the search limit: Configs
+	// then counts only the configurations discovered so far.
+	Truncated bool
+	// Unexecutable lists, in Refs order, the transitions no discovered
+	// configuration can fire.
+	Unexecutable []cfsm.Ref
+	// StronglyConnected reports that every reachable configuration reaches
+	// every other without the reset. A truncated pass cannot decide it and
+	// leaves it false.
+	StronglyConnected bool
+}
+
+// Reach explores the configurations reachable from the initial one,
+// breadth-first over every input up to the search limit — discovering
+// exactly the configurations of the interpreted testgen.ReachableConfigs —
+// and collects the transitions each discovered configuration fires. A
+// complete pass also decides strong connectivity: every configuration is
+// reachable from the initial one, so the graph is strongly connected iff
+// every configuration reaches the initial one back, which one reverse pass
+// over the recorded predecessor edges answers.
+func (p *Program) Reach() Reachability {
+	n := len(p.machines)
+	index := map[string]int32{string(p.appendKey(nil, p.start)): 0}
+	vecs := append([]int32(nil), p.start...)
+	preds := [][]int32{nil} // preds[j]: expanded configurations with an edge to j
+	fired := NewBits(len(p.trans))
+	cur := make([]int32, n)
+	var key []byte
+	truncated := false
+	var steps int64
+	for head := 0; head < len(preds); head++ {
+		// Past the limit the remaining discovered configurations are no
+		// longer expanded, but still probed for the transitions they fire,
+		// until every transition has fired.
+		grow := len(preds) < searchLimit
+		if !grow {
+			truncated = true
+			if fired.Count() == len(p.trans) {
+				break
+			}
+		}
+		node := vecs[head*n : (head+1)*n]
+		for ii := range p.inputs {
+			copy(cur, node)
+			steps++
+			_, e1, e2, ok := p.stepCfg(cur, None(), p.inputs[ii])
+			if !ok || e1 < 0 {
+				continue // undefined input: a self-loop
+			}
+			for _, t := range [2]int32{e1, e2} {
+				if t >= 0 {
+					fired.Set(t)
+				}
+			}
+			if !grow {
+				continue
+			}
+			key = p.appendKey(key[:0], cur)
+			j, seen := index[string(key)]
+			if !seen {
+				j = int32(len(preds))
+				index[string(key)] = j
+				vecs = append(vecs, cur...)
+				preds = append(preds, nil)
+			}
+			preds[j] = append(preds[j], int32(head))
+		}
+	}
+	cfsm.RecordSimulated(steps, 0)
+
+	r := Reachability{Configs: len(preds), Truncated: truncated}
+	for t := range p.trans {
+		if !fired.Has(int32(t)) {
+			r.Unexecutable = append(r.Unexecutable, p.Ref(int32(t)))
+		}
+	}
+	if truncated {
+		return r
+	}
+	back := NewBits(len(preds))
+	back.Set(0)
+	reached := 1
+	for stack := []int32{0}; len(stack) > 0; {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, i := range preds[j] {
+			if !back.Has(i) {
+				back.Set(i)
+				reached++
+				stack = append(stack, i)
+			}
+		}
+	}
+	r.StronglyConnected = reached == len(preds)
+	return r
+}

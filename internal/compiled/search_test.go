@@ -1,6 +1,10 @@
-// Search-parity tests: the compiled Step-6 searches must return exactly what
-// their testgen counterparts return — the same sequence, the same verdict —
-// on configuration spaces small enough for the dense visited array, large
+// Search-parity tests: the compiled searches — Step 6's transfer and
+// distinguishing searches, the transition tour's step search and the
+// reachability pass of specification analysis — must return exactly what
+// the interpreted reference searches in internal/testgen return: the same
+// sequence, the same verdict, the same reachable configurations,
+// executable transitions and strong connectivity. They are checked on
+// configuration spaces small enough for the dense visited array, large
 // enough for the visited map, and past uint64.
 package compiled_test
 
@@ -52,16 +56,16 @@ func (p parity) mutant(i int) (*fault.Fault, *cfsm.System) {
 
 // avoidOne is the avoid set holding only the transition at index i of the
 // system's refs, or nil for i < 0.
-func (p parity) avoidOne(i int) testgen.RefSet {
+func (p parity) avoidOne(i int) cfsm.RefSet {
 	if i < 0 {
 		return nil
 	}
 	refs := p.sys.Refs()
-	return testgen.RefSet{refs[i%len(refs)]: true}
+	return cfsm.RefSet{refs[i%len(refs)]: true}
 }
 
 // transfer compares TransferToState and returns the compiled verdict.
-func (p parity) transfer(machine int, target cfsm.State, avoid testgen.RefSet) bool {
+func (p parity) transfer(machine int, target cfsm.State, avoid cfsm.RefSet) bool {
 	p.t.Helper()
 	got, gotOK := p.eng.TransferToState(machine, target, avoid)
 	want, wantOK := testgen.TransferToState(p.sys, machine, target, avoid)
@@ -75,7 +79,7 @@ func (p parity) transfer(machine int, target cfsm.State, avoid testgen.RefSet) b
 // distinguish runs both sides' distinguishing search between mutants a and
 // b (-1: the specification) from the configurations they reach on prefix,
 // and returns the compiled sequence.
-func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid testgen.RefSet, projected bool) []cfsm.Input {
+func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid cfsm.RefSet, projected bool) []cfsm.Input {
 	p.t.Helper()
 	fa, sa := p.mutant(a)
 	fb, sb := p.mutant(b)
@@ -99,13 +103,7 @@ func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid testgen.RefSet,
 	}
 	got, gotOK, gotGlobal := p.eng.Distinguish(va, ca, vb, cb, avoid, projected)
 	tA, tB := testgen.Variant{Sys: sa, Cfg: cfgA}, testgen.Variant{Sys: sb, Cfg: cfgB}
-	var want []cfsm.Input
-	var wantOK, wantGlobal bool
-	if projected {
-		want, wantOK, wantGlobal = testgen.ProjectionDistinguish(tA, tB, avoid)
-	} else {
-		want, wantOK = testgen.Distinguish(tA, tB, avoid)
-	}
+	want, wantOK, wantGlobal := testgen.Distinguish(tA, tB, p.sys.AllInputs(), avoid, projected)
 	if gotOK != wantOK || gotGlobal != wantGlobal || !slices.Equal(got, want) {
 		p.t.Errorf("Distinguish(%d, %d, prefix %v, avoid %v, projected %v): compiled %v %v %v, testgen %v %v %v",
 			a, b, prefix, avoid, projected, got, gotOK, gotGlobal, want, wantOK, wantGlobal)
@@ -125,6 +123,107 @@ func (p parity) equivalent(a, b int) bool {
 	return got
 }
 
+// someRefs is a deterministic set of k of the system's refs (fewer when
+// the stride revisits one).
+func (p parity) someRefs(k int) cfsm.RefSet {
+	refs := p.sys.Refs()
+	set := cfsm.RefSet{}
+	for i := 0; i < k; i++ {
+		set[refs[(i*5)%len(refs)]] = true
+	}
+	return set
+}
+
+// tourStep compares the tour's step search from the configuration the
+// specification reaches on prefix, with the given transitions covered, and
+// returns the compiled sequence.
+func (p parity) tourStep(prefix []cfsm.Input, set cfsm.RefSet) []cfsm.Input {
+	p.t.Helper()
+	spec, err := p.eng.Variant(nil)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	_, cfg, err := spec.RunInputs(prefix)
+	if err != nil {
+		return nil
+	}
+	want, _, wantOK := testgen.NextUncovered(p.sys, mustPrefix(p.t, p.sys, prefix), set)
+	got, gotOK := p.eng.NextUncovered(cfg, set)
+	if gotOK != wantOK || !slices.Equal(got, want) {
+		p.t.Errorf("NextUncovered(prefix %v, %d covered): compiled %v %v, testgen %v %v",
+			prefix, len(set), got, gotOK, want, wantOK)
+	}
+	return got
+}
+
+// reach compares Program.Reach with the interpreted reference: the
+// configurations testgen.ReachableConfigs discovers, the transitions they
+// fire, and — for a complete pass — strong connectivity, decided by a
+// string-keyed reverse search from the initial configuration.
+func (p parity) reach() compiled.Reachability {
+	p.t.Helper()
+	got := p.eng.Program().Reach()
+	configs := testgen.ReachableConfigs(p.sys)
+	inputs := p.sys.AllInputs()
+	truncated := len(configs) >= 200_000
+	fired := cfsm.RefSet{}
+	preds := map[string][]string{}
+	for key, cfg := range configs {
+		for _, in := range inputs {
+			next, _, trace, err := p.sys.Apply(cfg, in)
+			if err != nil {
+				continue
+			}
+			for _, e := range trace {
+				fired[e.Ref()] = true
+			}
+			if !truncated {
+				preds[next.Key()] = append(preds[next.Key()], key)
+			}
+		}
+	}
+	var unexecutable []cfsm.Ref
+	for _, r := range p.sys.Refs() {
+		if !fired[r] {
+			unexecutable = append(unexecutable, r)
+		}
+	}
+	if got.Configs != len(configs) || got.Truncated != truncated || !slices.Equal(got.Unexecutable, unexecutable) {
+		p.t.Errorf("Reach: compiled %d configurations (truncated %v), unexecutable %v; testgen %d (truncated %v), %v",
+			got.Configs, got.Truncated, got.Unexecutable, len(configs), truncated, unexecutable)
+	}
+	if truncated {
+		if got.StronglyConnected {
+			p.t.Error("Reach: a truncated pass reported strong connectivity")
+		}
+		return got
+	}
+	start := p.sys.InitialConfig().Key()
+	back := map[string]bool{start: true}
+	for queue := []string{start}; len(queue) > 0; queue = queue[1:] {
+		for _, k := range preds[queue[0]] {
+			if !back[k] {
+				back[k] = true
+				queue = append(queue, k)
+			}
+		}
+	}
+	if want := len(back) == len(configs); got.StronglyConnected != want {
+		p.t.Errorf("Reach: compiled strongly connected %v, testgen %v", got.StronglyConnected, want)
+	}
+	return got
+}
+
+// mustPrefix is runPrefix for a prefix the specification must accept.
+func mustPrefix(t *testing.T, sys *cfsm.System, prefix []cfsm.Input) cfsm.Config {
+	t.Helper()
+	cfg, err := runPrefix(sys, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // runPrefix is the interpreted counterpart of Variant.RunInputs.
 func runPrefix(sys *cfsm.System, prefix []cfsm.Input) (cfsm.Config, error) {
 	cfg := sys.InitialConfig()
@@ -141,7 +240,7 @@ func runPrefix(sys *cfsm.System, prefix []cfsm.Input) (cfsm.Config, error) {
 // walk is a deterministic input sequence of length n over the system's
 // input universe.
 func walk(sys *cfsm.System, n, seed int) []cfsm.Input {
-	inputs := testgen.AllInputs(sys)
+	inputs := sys.AllInputs()
 	out := make([]cfsm.Input, n)
 	for i := range out {
 		out[i] = inputs[(seed+7*i)%len(inputs)]
@@ -214,8 +313,11 @@ func torus(t *testing.T, n int) *cfsm.System {
 // a 6^4-configuration system (dense for single configurations, the visited
 // map for pairs), and a 2^32- and a 2^68-configuration system (the map
 // throughout, the latter past uint64). Small systems are checked over every
-// machine, state and mutant; the wide ones over a sample of machines and
-// states and over the mutants of their initial transitions.
+// machine, state and mutant, with their reachability pass; the wide ones
+// over a sample of machines, states and tour steps and over the mutants of
+// their initial transitions. Their reachability pass is left to core's
+// TestCheckAssumptionsWideSpec: the interpreted reference walks 200,000
+// string-keyed configurations (about 20 s at 2^32, two minutes at 2^68).
 func TestSearchParity(t *testing.T) {
 	small := []struct {
 		name  string
@@ -235,6 +337,10 @@ func TestSearchParity(t *testing.T) {
 						p.transfer(m, s, p.avoidOne(m+av))
 					}
 				}
+			}
+			p.reach()
+			for k := 0; k <= len(fx.sys.Refs()); k += 3 {
+				p.tourStep(walk(fx.sys, k%5, k), p.someRefs(k))
 			}
 			for i := -1; i < len(p.faults); i += fx.every {
 				projected := i%2 == 0
@@ -265,6 +371,9 @@ func TestSearchParity(t *testing.T) {
 					p.transfer(m, s, nil)
 					p.transfer(m, s, p.avoidOne(m))
 				}
+			}
+			for k := 0; k < 3; k++ {
+				p.tourStep(walk(sys, k, k), p.someRefs(k))
 			}
 			muts := p.initialFaults(2)
 			for k, i := range muts {
@@ -297,13 +406,23 @@ func TestSearchParity(t *testing.T) {
 		if p.transfer(0, "zz-undeclared", nil) || !p.equivalent(-1, -1) {
 			t.Error("a search past the node limit succeeded")
 		}
+		// The tour step to A's 301st transition, every other one covered,
+		// and the 500² configurations past the reachability pass's limit.
+		covered := cfsm.NewRefSet(p.sys.Refs()...)
+		delete(covered, cfsm.Ref{Machine: 0, Name: "t300"})
+		if seq := p.tourStep(nil, covered); len(seq) != 301 {
+			t.Errorf("tour step of %d inputs, want 301", len(seq))
+		}
+		if r := p.reach(); !r.Truncated {
+			t.Error("the reachability pass did not stop at the node limit")
+		}
 	})
 }
 
-// FuzzSearchParity compares the compiled searches with testgen's on small
-// random systems — up to 5 machines of up to 6 states, so both the dense
-// visited array and the visited map are reached — from random mutants,
-// prefixes and avoid sets.
+// FuzzSearchParity compares the compiled searches and reachability pass
+// with testgen's on small random systems — up to 5 machines of up to 6
+// states, so both the dense visited array and the visited map are reached —
+// from random mutants, prefixes, avoid sets and covered sets.
 func FuzzSearchParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), uint8(0), false)
 	f.Add(int64(7), uint8(4), uint8(4), uint8(5), uint8(9), uint8(3), uint8(1), true)
@@ -329,5 +448,7 @@ func FuzzSearchParity(f *testing.F) {
 		p.transfer(m, states0[int(other)%len(states0)], av)
 		p.distinguish(a, b, walk(sys, int(prefix)%6, int(seed&0xff)), av, projected)
 		p.equivalent(a, b)
+		p.tourStep(walk(sys, int(prefix)%6, int(seed&0xff)), p.someRefs(int(other)%(len(p.faults)+1)))
+		p.reach()
 	})
 }

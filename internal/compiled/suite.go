@@ -198,3 +198,61 @@ func (e *Engine) RunTrace(suite []cfsm.TestCase, i int) ([]cfsm.Observation, [][
 	}
 	return c.exp, steps, c.simErr
 }
+
+// Tour builds the greedy transition tour of the specification that
+// testgen.Tour documents: each step is a shortest sequence, from where the
+// current test case stands, whose last input fires a transition not yet
+// covered; when none is left reachable the case closes and the next one
+// starts from the initial configuration.
+func (e *Engine) Tour(maxLen int) (suite []cfsm.TestCase, uncovered []cfsm.Ref) {
+	p := e.p
+	covered := NewBits(len(p.trans))
+	cfg := append([]int32(nil), p.start...)
+	var current cfsm.TestCase
+	closeCase := func() {
+		if len(current.Inputs) > 1 {
+			suite = append(suite, current)
+		}
+		current = cfsm.TestCase{Name: fmt.Sprintf("tour%d", len(suite)+1), Inputs: []cfsm.Input{cfsm.Reset()}}
+		copy(cfg, p.start)
+	}
+	closeCase()
+	for covered.Count() < len(p.trans) {
+		seq, ok := e.transferSearch(cfg, goal{covered: covered}, nil)
+		if !ok && len(current.Inputs) == 1 {
+			break // the rest is unreachable from the initial configuration
+		}
+		if !ok || maxLen > 0 && len(current.Inputs)+len(seq) > maxLen && len(current.Inputs) > 1 {
+			closeCase()
+			continue
+		}
+		for _, in := range seq {
+			_, e1, e2, _ := p.stepCfg(cfg, None(), stim{port: int32(in.Port), sym: p.symID[in.Sym]})
+			for _, t := range [2]int32{e1, e2} {
+				if t >= 0 {
+					covered.Set(t)
+				}
+			}
+		}
+		cfsm.RecordSimulated(int64(len(seq)), 0)
+		current.Inputs = append(current.Inputs, seq...)
+	}
+	closeCase()
+	for t := range p.trans {
+		if !covered.Has(int32(t)) {
+			uncovered = append(uncovered, p.Ref(int32(t)))
+		}
+	}
+	return suite, uncovered
+}
+
+// Err returns the error of the first case whose specification run failed,
+// wrapped as cfsm.System.Run wraps it, or nil.
+func (s *Suite) Err() error {
+	for i := range s.cases {
+		if err := s.cases[i].simErr; err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -8,7 +8,6 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
 )
 
@@ -222,7 +221,7 @@ func localizeOnce(ctx context.Context, a *Analysis, oracle Oracle, cfg *settings
 	// retried after later candidates have been cleared, with a smaller
 	// avoid set.
 	order, byRef := groupDiagnoses(a)
-	avoidAll := testgen.NewRefSet(order...)
+	avoidAll := cfsm.NewRefSet(order...)
 	pending := order
 
 	for round, progress := 1, true; progress && len(pending) > 0; round++ {
@@ -358,7 +357,7 @@ func (o candidateOutcome) label() string {
 }
 
 // testCandidate runs the variant-elimination loop for one candidate.
-func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, hyps []fault.Fault, avoid testgen.RefSet, cfg *settings, in *instruments) (candidateOutcome, error) {
+func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, hyps []fault.Fault, avoid cfsm.RefSet, cfg *settings, in *instruments) (candidateOutcome, error) {
 	t, ok := a.Spec.Transition(ref)
 	if !ok {
 		return candidateOutcome{}, fmt.Errorf("core: candidate %s not in specification", a.Spec.RefString(ref))
@@ -490,7 +489,7 @@ func testCandidate(a *Analysis, oracle Oracle, loc *Localization, ref cfsm.Ref, 
 // discriminating when the (possibly distributed) observers can see it;
 // globalOnly then reports the honest failure mode where some pair remains
 // separable by a global observer but not through the matcher.
-func nextDiscriminatingTest(eng engine, live []variant, prefix []cfsm.Input, avoid testgen.RefSet, m ObsMatcher) (tc cfsm.TestCase, ok, globalOnly bool) {
+func nextDiscriminatingTest(eng engine, live []variant, prefix []cfsm.Input, avoid cfsm.RefSet, m ObsMatcher) (tc cfsm.TestCase, ok, globalOnly bool) {
 	type run struct {
 		at  variantAt
 		obs []cfsm.Observation

@@ -64,39 +64,43 @@ func TestAddressSweep(t *testing.T) {
 	spec := paper.MustFigure1()
 	suite, _ := testgen.VerificationSuite(spec)
 	detected, correct := 0, 0
-	for _, m := range fault.AddressMutants(spec) {
-		oracle := &SystemOracle{Sys: m.System}
+	for _, f := range fault.EnumerateAddress(spec) {
+		mutant, err := f.Apply(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := &SystemOracle{Sys: mutant}
 		loc, err := Diagnose(spec, suite, oracle)
 		if err != nil {
-			t.Fatalf("diagnose %s: %v", m.Fault.Describe(spec), err)
+			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
 		switch loc.Verdict {
 		case VerdictNoFault:
 			continue
 		case VerdictLocalized:
 			detected++
-			if loc.Fault.Ref == m.Fault.Ref {
+			if loc.Fault.Ref == f.Ref {
 				correct++
 			} else {
 				t.Errorf("%s localized to wrong transition %s",
-					m.Fault.Describe(spec), loc.Fault.Describe(spec))
+					f.Describe(spec), loc.Fault.Describe(spec))
 			}
 		case VerdictAmbiguous:
 			detected++
 			found := false
 			for _, r := range loc.Remaining {
-				if r.Ref == m.Fault.Ref {
+				if r.Ref == f.Ref {
 					found = true
 				}
 			}
 			if found {
 				correct++
 			} else {
-				t.Errorf("%s ambiguous without the true transition", m.Fault.Describe(spec))
+				t.Errorf("%s ambiguous without the true transition", f.Describe(spec))
 			}
 		default:
 			detected++
-			t.Errorf("%s: verdict %v", m.Fault.Describe(spec), loc.Verdict)
+			t.Errorf("%s: verdict %v", f.Describe(spec), loc.Verdict)
 		}
 	}
 	if detected == 0 {

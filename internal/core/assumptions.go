@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fsm"
-	"cfsmdiag/internal/testgen"
 )
 
 // Warning flags a property of a specification that can weaken the
@@ -44,6 +44,13 @@ const (
 
 // CheckAssumptions inspects a specification for properties that weaken the
 // guarantees of the diagnosis algorithm and returns advisory warnings.
+//
+// Reachability and strong connectivity come from one forward pass over the
+// compiled configuration graph and one reverse pass (compiled.Program.Reach).
+// The forward pass stops at the searches' exploration limit; past it the
+// unreachable-transition warnings are computed over the configurations
+// discovered, and no strong-connectivity warning is emitted, because the
+// truncated pass cannot decide it.
 func CheckAssumptions(spec *cfsm.System) []Warning {
 	var out []Warning
 
@@ -68,26 +75,17 @@ func CheckAssumptions(spec *cfsm.System) []Warning {
 
 	// Unreachable transitions: not executable from any reachable global
 	// configuration.
-	executable := make(map[cfsm.Ref]bool)
-	for _, cfg := range testgen.ReachableConfigs(spec) {
-		for _, in := range testgen.AllInputs(spec) {
-			_, _, trace, err := spec.Apply(cfg, in)
-			if err != nil {
-				continue
-			}
-			for _, e := range trace {
-				executable[e.Ref()] = true
-			}
-		}
+	prog, err := compiled.Compile(spec)
+	if err != nil {
+		panic(err) // Compile fails only on a nil system
 	}
-	for _, r := range spec.Refs() {
-		if !executable[r] {
-			out = append(out, Warning{
-				Code:    WarnUnreachableTransition,
-				Machine: spec.Machine(r.Machine).Name(),
-				Detail:  fmt.Sprintf("transition %s can never execute; its faults are undetectable", r.Name),
-			})
-		}
+	reach := prog.Reach()
+	for _, r := range reach.Unexecutable {
+		out = append(out, Warning{
+			Code:    WarnUnreachableTransition,
+			Machine: spec.Machine(r.Machine).Name(),
+			Detail:  fmt.Sprintf("transition %s can never execute; its faults are undetectable", r.Name),
+		})
 	}
 
 	// Single-output transition classes.
@@ -115,7 +113,7 @@ func CheckAssumptions(spec *cfsm.System) []Warning {
 	}
 
 	// Global strong connectivity (ignoring the reset).
-	if !globallyStronglyConnected(spec) {
+	if !reach.Truncated && !reach.StronglyConnected {
 		out = append(out, Warning{
 			Code:   WarnNotStronglyConnected,
 			Detail: "the reachable configuration graph is not strongly connected; transfer sequences rely on the reset",
@@ -137,33 +135,4 @@ func projectMachine(m *cfsm.Machine) (*fsm.FSM, error) {
 		})
 	}
 	return fsm.New(m.Name(), m.Initial(), m.States(), trans)
-}
-
-// globallyStronglyConnected reports whether every reachable configuration
-// can reach every other without using the reset.
-func globallyStronglyConnected(spec *cfsm.System) bool {
-	configs := testgen.ReachableConfigs(spec)
-	inputs := testgen.AllInputs(spec)
-	for _, start := range configs {
-		seen := map[string]bool{start.Key(): true}
-		frontier := []cfsm.Config{start}
-		for len(frontier) > 0 {
-			cfg := frontier[0]
-			frontier = frontier[1:]
-			for _, in := range inputs {
-				next, _, _, err := spec.Apply(cfg, in)
-				if err != nil {
-					continue
-				}
-				if !seen[next.Key()] {
-					seen[next.Key()] = true
-					frontier = append(frontier, next)
-				}
-			}
-		}
-		if len(seen) != len(configs) {
-			return false
-		}
-	}
-	return true
 }

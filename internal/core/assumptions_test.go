@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/protocols"
+	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/testgen"
 )
 
 func hasWarning(ws []Warning, code string) bool {
@@ -104,5 +110,180 @@ func TestWarningString(t *testing.T) {
 	sysW := Warning{Code: "c", Detail: "d"}
 	if got := sysW.String(); got != "[c] d" {
 		t.Errorf("String() = %q", got)
+	}
+}
+
+// refCheckAssumptions is CheckAssumptions on the interpreted searches: the
+// executable transitions over testgen.ReachableConfigs, and strong
+// connectivity by a breadth-first search from every reachable configuration.
+func refCheckAssumptions(spec *cfsm.System) []Warning {
+	var out []Warning
+	for i := 0; i < spec.N(); i++ {
+		m := spec.Machine(i)
+		proj, err := projectMachine(m)
+		if err != nil {
+			continue
+		}
+		if !proj.IsMinimal() {
+			out = append(out, Warning{
+				Code:    WarnEquivalentStates,
+				Machine: m.Name(),
+				Detail:  "has states that are equivalent in isolation; transfer faults between them may be undiagnosable",
+			})
+		}
+	}
+	out = append(out, refUnreachable(spec)...)
+	for i := 0; i < spec.N(); i++ {
+		if len(spec.OEO(i)) == 1 {
+			out = append(out, Warning{
+				Code:    WarnSingleOutput,
+				Machine: spec.Machine(i).Name(),
+				Detail:  "OEO has a single symbol; external output faults are impossible by construction",
+			})
+		}
+		for j := 0; j < spec.N(); j++ {
+			if i == j {
+				continue
+			}
+			if oio := spec.OIO(i, j); len(oio) == 1 {
+				out = append(out, Warning{
+					Code:    WarnSingleOutput,
+					Machine: spec.Machine(i).Name(),
+					Detail: fmt.Sprintf("OIO to %s has a single symbol; internal output faults on that channel are impossible",
+						spec.Machine(j).Name()),
+				})
+			}
+		}
+	}
+	if !refStronglyConnected(spec) {
+		out = append(out, Warning{
+			Code:   WarnNotStronglyConnected,
+			Detail: "the reachable configuration graph is not strongly connected; transfer sequences rely on the reset",
+		})
+	}
+	return out
+}
+
+// refUnreachable is the unreachable-transition warnings over the
+// configurations testgen.ReachableConfigs discovers. The probe stops once
+// every transition has fired: the set cannot grow further.
+func refUnreachable(spec *cfsm.System) []Warning {
+	executable := make(cfsm.RefSet)
+	for _, cfg := range testgen.ReachableConfigs(spec) {
+		if len(executable) == spec.NumTransitions() {
+			break
+		}
+		for _, in := range spec.AllInputs() {
+			_, _, trace, err := spec.Apply(cfg, in)
+			if err != nil {
+				continue
+			}
+			for _, e := range trace {
+				executable[e.Ref()] = true
+			}
+		}
+	}
+	var out []Warning
+	for _, r := range spec.Refs() {
+		if !executable[r] {
+			out = append(out, Warning{
+				Code:    WarnUnreachableTransition,
+				Machine: spec.Machine(r.Machine).Name(),
+				Detail:  fmt.Sprintf("transition %s can never execute; its faults are undetectable", r.Name),
+			})
+		}
+	}
+	return out
+}
+
+// refStronglyConnected reports whether every reachable configuration can
+// reach every other without using the reset.
+func refStronglyConnected(spec *cfsm.System) bool {
+	configs := testgen.ReachableConfigs(spec)
+	inputs := spec.AllInputs()
+	for _, start := range configs {
+		seen := map[string]bool{start.Key(): true}
+		frontier := []cfsm.Config{start}
+		for len(frontier) > 0 {
+			cfg := frontier[0]
+			frontier = frontier[1:]
+			for _, in := range inputs {
+				next, _, _, err := spec.Apply(cfg, in)
+				if err != nil {
+					continue
+				}
+				if !seen[next.Key()] {
+					seen[next.Key()] = true
+					frontier = append(frontier, next)
+				}
+			}
+		}
+		if len(seen) != len(configs) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckAssumptionsParity pins CheckAssumptions on the compiled
+// reachability pass to the interpreted reference on Figure 1, the
+// alternating-bit and go-back-N protocols, randgen's default configuration
+// at seeds 1–40 and the benchmark's 4×4 configuration at seeds 2 and 13.
+func TestCheckAssumptionsParity(t *testing.T) {
+	specs := map[string]*cfsm.System{
+		"figure1": paper.MustFigure1(),
+		"abp":     protocols.MustABP(),
+		"gbn":     protocols.MustGoBackN(),
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		cfg := randgen.DefaultConfig()
+		cfg.Seed = seed
+		specs[fmt.Sprintf("rand-%d", seed)] = randgen.MustGenerate(cfg)
+	}
+	for _, seed := range []int64{2, 13} {
+		specs[fmt.Sprintf("rand4x4-%d", seed)] = randgen.MustGenerate(randgen.Config{
+			N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: seed})
+	}
+	for name, spec := range specs {
+		if got, want := CheckAssumptions(spec), refCheckAssumptions(spec); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n  compiled    %v\n  interpreted %v", name, got, want)
+		}
+	}
+}
+
+// TestCheckAssumptionsWideSpec: on the 2^32-configuration specification
+// the reachability pass stops at the exploration limit, so CheckAssumptions
+// returns in well under a second instead of walking the configuration graph
+// once per configuration; its unreachable-transition warnings are those of
+// the configurations the reference discovers, and the truncated pass makes
+// no strong-connectivity claim.
+func TestCheckAssumptionsWideSpec(t *testing.T) {
+	spec := randgen.MustGenerate(randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
+	start := time.Now()
+	ws := CheckAssumptions(spec)
+	if d := time.Since(start); d > 20*time.Second {
+		t.Errorf("CheckAssumptions took %v", d)
+	}
+	var unreachable []Warning
+	for _, w := range ws {
+		switch w.Code {
+		case WarnUnreachableTransition:
+			unreachable = append(unreachable, w)
+		case WarnNotStronglyConnected:
+			t.Errorf("truncated pass warned: %s", w)
+		}
+	}
+	if want := refUnreachable(spec); !reflect.DeepEqual(unreachable, want) {
+		t.Errorf("unreachable-transition warnings:\n  compiled    %v\n  interpreted %v", unreachable, want)
+	}
+}
+
+// BenchmarkCheckAssumptions analyses the benchmark's 4×4 specification at
+// seed 13 (256 reachable configurations, 56 inputs).
+func BenchmarkCheckAssumptions(b *testing.B) {
+	spec := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 13})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		CheckAssumptions(spec)
 	}
 }

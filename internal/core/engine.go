@@ -4,7 +4,6 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
 )
 
@@ -38,14 +37,14 @@ type engine interface {
 	variant(f *fault.Fault) (variantRunner, error)
 	// transferToState finds a shortest avoid-respecting input sequence from
 	// the initial configuration to any global configuration in which the
-	// given machine is in the target state (testgen.TransferToState).
-	transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool)
+	// given machine is in the target state.
+	transferToState(machine int, target cfsm.State, avoid cfsm.RefSet) ([]cfsm.Input, bool)
 	// distinguish finds a shortest avoid-respecting input sequence whose
 	// observation sequences differ between two variants from the
-	// configurations they reached (testgen.Distinguish); with projected set the difference
-	// must be visible to local observers and globalOnly reports a
-	// silence-only one (testgen.ProjectionDistinguish).
-	distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool)
+	// configurations they reached; with projected set the difference must
+	// be visible to local observers and globalOnly reports a silence-only
+	// one.
+	distinguish(a, b variantAt, avoid cfsm.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool)
 	// bind returns the engine that runs a diagnosis of spec, or false when
 	// this engine was built for another specification.
 	bind(spec *cfsm.System) (engine, bool)
@@ -153,11 +152,11 @@ func (c compiledEngine) variant(f *fault.Fault) (variantRunner, error) {
 	return v, nil
 }
 
-func (c compiledEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+func (c compiledEngine) transferToState(machine int, target cfsm.State, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
 	return c.e.TransferToState(machine, target, avoid)
 }
 
-func (c compiledEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
+func (c compiledEngine) distinguish(a, b variantAt, avoid cfsm.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
 	return c.e.Distinguish(a.v.(compiled.Variant), a.cfg, b.v.(compiled.Variant), b.cfg, avoid, projected)
 }
 

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"cfsmdiag/internal/testgen"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
@@ -14,6 +11,7 @@ import (
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/testgen"
 	"cfsmdiag/internal/trace"
 )
 
@@ -127,9 +125,9 @@ func TestEngineSelection(t *testing.T) {
 
 // wideSpecs are specifications whose configuration spaces are far past
 // the dense visited array: 16^8 = 2^32 configurations with its transition
-// tour (testdata/wide-n8s16-tour.json, the output of testgen.Tour(spec, 0),
-// committed because the interpreted tour search takes about 20 s), and
-// 16^17 = 2^68 — past uint64 — with a short seeded random-walk suite. Each
+// tour (testgen.Tour on the compiled tables builds it in about 2 s; the
+// interpreted tour search needs about 20 s), and 16^17 = 2^68 — past
+// uint64 — with a short seeded random-walk suite. Each
 // lists mutants (indices into fault.Enumerate) whose analysis leaves
 // several diagnoses, so Step 6 runs its searches on the wide space.
 func wideSpecs(t *testing.T) []struct {
@@ -140,16 +138,9 @@ func wideSpecs(t *testing.T) []struct {
 } {
 	t.Helper()
 	w32 := randgen.MustGenerate(randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
-	data, err := os.ReadFile("testdata/wide-n8s16-tour.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tour []cfsm.TestCase
-	if err := json.Unmarshal(data, &tour); err != nil {
-		t.Fatal(err)
-	}
+	tour, _ := testgen.Tour(w32, 0)
 	w68 := randgen.MustGenerate(randgen.Config{N: 17, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
-	inputs := testgen.AllInputs(w68)
+	inputs := w68.AllInputs()
 	rng := rand.New(rand.NewSource(1))
 	var walks []cfsm.TestCase
 	for c := 0; c < 4; c++ {

@@ -30,40 +30,41 @@ func TestPropertyRandomSystems(t *testing.T) {
 		}
 		spec := randgen.MustGenerate(cfg)
 		suite, _ := testgen.Tour(spec, 0)
-		mutants := fault.Mutants(spec)
+		faults := fault.Enumerate(spec)
 		rng := rand.New(rand.NewSource(seed * 977))
 
-		for k := 0; k < 12 && len(mutants) > 0; k++ {
-			m := mutants[rng.Intn(len(mutants))]
-			oracle := &SystemOracle{Sys: m.System}
+		for k := 0; k < 12 && len(faults) > 0; k++ {
+			f := faults[rng.Intn(len(faults))]
+			mutant := mustApply(t, spec, f)
+			oracle := &SystemOracle{Sys: mutant}
 			loc, err := Diagnose(spec, suite, oracle)
 			if err != nil {
-				t.Fatalf("seed %d, %s: %v", seed, m.Fault.Describe(spec), err)
+				t.Fatalf("seed %d, %s: %v", seed, f.Describe(spec), err)
 			}
 			switch loc.Verdict {
 			case VerdictNoFault:
 				// Tour did not detect this mutant — allowed.
 			case VerdictLocalized:
-				if loc.Fault.Ref != m.Fault.Ref &&
-					!diagEquivalent(t, spec, *loc.Fault, m.System) {
+				if loc.Fault.Ref != f.Ref &&
+					!diagEquivalent(t, spec, *loc.Fault, mutant) {
 					t.Errorf("seed %d: %s localized as non-equivalent %s",
-						seed, m.Fault.Describe(spec), loc.Fault.Describe(spec))
+						seed, f.Describe(spec), loc.Fault.Describe(spec))
 				}
 			case VerdictAmbiguous:
 				found := false
 				for _, r := range loc.Remaining {
-					if r.Ref == m.Fault.Ref || diagEquivalent(t, spec, r, m.System) {
+					if r.Ref == f.Ref || diagEquivalent(t, spec, r, mutant) {
 						found = true
 						break
 					}
 				}
 				if !found {
 					t.Errorf("seed %d: %s ambiguous without the truth (remaining %v)",
-						seed, m.Fault.Describe(spec), loc.Remaining)
+						seed, f.Describe(spec), loc.Remaining)
 				}
 			default:
 				t.Errorf("seed %d: %s yielded verdict %v",
-					seed, m.Fault.Describe(spec), loc.Verdict)
+					seed, f.Describe(spec), loc.Verdict)
 			}
 		}
 	}
@@ -90,10 +91,11 @@ func TestPropertyCandidatesContainTruth(t *testing.T) {
 		spec := randgen.MustGenerate(cfg)
 		suite, _ := testgen.Tour(spec, 0)
 		rng := rand.New(rand.NewSource(seed * 31))
-		mutants := fault.Mutants(spec)
-		for k := 0; k < 10 && len(mutants) > 0; k++ {
-			m := mutants[rng.Intn(len(mutants))]
-			observed, err := m.System.RunSuite(suite)
+		faults := fault.Enumerate(spec)
+		for k := 0; k < 10 && len(faults) > 0; k++ {
+			f := faults[rng.Intn(len(faults))]
+			mutant := mustApply(t, spec, f)
+			observed, err := mutant.RunSuite(suite)
 			if err != nil {
 				t.Fatalf("RunSuite: %v", err)
 			}
@@ -105,16 +107,16 @@ func TestPropertyCandidatesContainTruth(t *testing.T) {
 				continue
 			}
 			found := false
-			for _, r := range a.ITC[m.Fault.Ref.Machine] {
-				if r == m.Fault.Ref {
+			for _, r := range a.ITC[f.Ref.Machine] {
+				if r == f.Ref {
 					found = true
 					break
 				}
 			}
 			if !found {
 				t.Errorf("seed %d: %s detected but missing from ITC^%d = %v",
-					seed, m.Fault.Describe(spec), m.Fault.Ref.Machine+1,
-					a.ITC[m.Fault.Ref.Machine])
+					seed, f.Describe(spec), f.Ref.Machine+1,
+					a.ITC[f.Ref.Machine])
 			}
 		}
 	}
@@ -131,7 +133,7 @@ func TestPropertySimulatorDeterminism(t *testing.T) {
 			return false
 		}
 		rng := rand.New(rand.NewSource(caseSeed))
-		inputs := testgen.AllInputs(spec)
+		inputs := spec.AllInputs()
 		tc := cfsm.TestCase{Inputs: []cfsm.Input{cfsm.Reset()}}
 		for i := 0; i < 10; i++ {
 			tc.Inputs = append(tc.Inputs, inputs[rng.Intn(len(inputs))])
@@ -157,12 +159,13 @@ func TestPropertyHypothesisSelfConsistency(t *testing.T) {
 			return false
 		}
 		suite, _ := testgen.Tour(spec, 0)
-		mutants := fault.Mutants(spec)
-		if len(mutants) == 0 {
+		faults := fault.Enumerate(spec)
+		if len(faults) == 0 {
 			return true
 		}
-		m := mutants[int(pick)%len(mutants)]
-		observed, err := m.System.RunSuite(suite)
+		f := faults[int(pick)%len(faults)]
+		mutant := mustApply(t, spec, f)
+		observed, err := mutant.RunSuite(suite)
 		if err != nil {
 			return false
 		}
@@ -170,9 +173,19 @@ func TestPropertyHypothesisSelfConsistency(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return a.explains(m.Fault)
+		return a.explains(f)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustApply injects the fault into the specification.
+func mustApply(t *testing.T, spec *cfsm.System, f fault.Fault) *cfsm.System {
+	t.Helper()
+	mutant, err := f.Apply(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mutant
 }

@@ -60,19 +60,15 @@ func (e systemEngine) variant(f *fault.Fault) (variantRunner, error) {
 	return systemVariant{sys: sys}, nil
 }
 
-func (e systemEngine) transferToState(machine int, target cfsm.State, avoid testgen.RefSet) ([]cfsm.Input, bool) {
+func (e systemEngine) transferToState(machine int, target cfsm.State, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
 	res, ok := testgen.TransferToState(e.spec, machine, target, avoid)
 	return res.Inputs, ok
 }
 
-func (e systemEngine) distinguish(a, b variantAt, avoid testgen.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
+func (e systemEngine) distinguish(a, b variantAt, avoid cfsm.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
 	va := a.v.(systemVariant).at(a.cfg)
 	vb := b.v.(systemVariant).at(b.cfg)
-	if projected {
-		return testgen.ProjectionDistinguish(va, vb, avoid)
-	}
-	seq, ok := testgen.Distinguish(va, vb, avoid)
-	return seq, ok, false
+	return testgen.Distinguish(va, vb, e.spec.AllInputs(), avoid, projected)
 }
 
 // systemVariant executes one hypothesis against its interpreted system.

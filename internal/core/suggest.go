@@ -3,7 +3,6 @@ package core
 import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 )
 
 // PlannedTest is an additional diagnostic test proposed for offline
@@ -43,7 +42,7 @@ func SuggestNextTests(a *Analysis) []PlannedTest {
 		return nil
 	}
 	order, byRef := groupDiagnoses(a)
-	avoidAll := testgen.NewRefSet(order...)
+	avoidAll := cfsm.NewRefSet(order...)
 	var out []PlannedTest
 	for _, ref := range order {
 		planned, ok := planCandidateTest(a, ref, byRef[ref], avoidAll.Without(ref))
@@ -54,7 +53,7 @@ func SuggestNextTests(a *Analysis) []PlannedTest {
 	return out
 }
 
-func planCandidateTest(a *Analysis, ref cfsm.Ref, hyps []fault.Fault, avoid testgen.RefSet) (PlannedTest, bool) {
+func planCandidateTest(a *Analysis, ref cfsm.Ref, hyps []fault.Fault, avoid cfsm.RefSet) (PlannedTest, bool) {
 	t, ok := a.Spec.Transition(ref)
 	if !ok {
 		return PlannedTest{}, false

@@ -9,7 +9,6 @@ import (
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/ports"
-	"cfsmdiag/internal/testgen"
 )
 
 // DistObsRow records one mutant's global-vs-distributed comparison in the
@@ -185,18 +184,16 @@ func distObsOne(w sweepWorker, pm ports.Map, f fault.Fault) (*DistObsRow, error)
 		if !sound {
 			// A differing conviction is sound only when no projection can
 			// separate the convicted variant from the true mutant.
-			mut, err := f.Apply(w.spec)
+			mut, err := w.eng.Variant(&f)
 			if err != nil {
 				return nil, err
 			}
-			convicted, err := locL.Fault.Apply(w.spec)
+			convicted, err := w.eng.Variant(locL.Fault)
 			if err != nil {
 				return nil, err
 			}
-			_, distinguishable, _ := testgen.ProjectionDistinguish(
-				testgen.Variant{Sys: convicted, Cfg: convicted.InitialConfig()},
-				testgen.Variant{Sys: mut, Cfg: mut.InitialConfig()},
-				nil)
+			_, start, _ := mut.RunInputs(nil) // an empty run cannot fail
+			_, distinguishable, _ := w.eng.Distinguish(convicted, start, mut, start, nil, true)
 			sound = !distinguishable
 		}
 		if sound {

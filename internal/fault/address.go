@@ -48,17 +48,3 @@ func EnumerateAddress(spec *cfsm.System) []Fault {
 	}
 	return out
 }
-
-// AddressMutants applies every enumerated addressing fault.
-func AddressMutants(spec *cfsm.System) []Mutant {
-	faults := EnumerateAddress(spec)
-	out := make([]Mutant, 0, len(faults))
-	for _, f := range faults {
-		sys, err := f.Apply(spec)
-		if err != nil {
-			continue
-		}
-		out = append(out, Mutant{Fault: f, System: sys})
-	}
-	return out
-}

@@ -111,8 +111,4 @@ func TestEnumerateAddress(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	mutants := AddressMutants(spec)
-	if len(mutants) != len(faults) {
-		t.Fatalf("AddressMutants = %d, want %d", len(mutants), len(faults))
-	}
 }

@@ -176,23 +176,3 @@ func Enumerate(spec *cfsm.System) []Fault {
 	}
 	return out
 }
-
-// Mutant pairs a fault with the system it produces.
-type Mutant struct {
-	Fault  Fault
-	System *cfsm.System
-}
-
-// Mutants applies every enumerated fault to the specification and collects
-// the results as independent system clones.
-func Mutants(spec *cfsm.System) []Mutant {
-	var out []Mutant
-	for _, f := range Enumerate(spec) {
-		sys, err := f.Apply(spec)
-		if err != nil {
-			continue
-		}
-		out = append(out, Mutant{Fault: f, System: sys})
-	}
-	return out
-}

@@ -181,27 +181,25 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
+// TestMutants applies every enumerated fault: each realizes a mutant that
+// changes exactly what its kind says.
 func TestMutants(t *testing.T) {
 	spec := paper.MustFigure1()
-	mutants := Mutants(spec)
-	if len(mutants) != len(Enumerate(spec)) {
-		t.Fatalf("Mutants returned %d, want %d", len(mutants), len(Enumerate(spec)))
-	}
-	for _, m := range mutants[:10] {
-		tr, ok := m.System.Transition(m.Fault.Ref)
-		if !ok {
-			t.Fatalf("mutant lost transition %v", m.Fault.Ref)
+	for _, f := range Enumerate(spec) {
+		mutant, err := f.Apply(spec)
+		if err != nil {
+			t.Fatalf("%s does not apply: %v", f.Describe(spec), err)
 		}
-		spectr, _ := spec.Transition(m.Fault.Ref)
-		switch m.Fault.Kind {
-		case KindOutput:
-			if tr.Output == spectr.Output {
-				t.Errorf("output mutant %s did not change output", m.Fault.Describe(spec))
-			}
-		case KindTransfer:
-			if tr.To == spectr.To {
-				t.Errorf("transfer mutant %s did not change next state", m.Fault.Describe(spec))
-			}
+		tr, ok := mutant.Transition(f.Ref)
+		if !ok {
+			t.Fatalf("mutant lost transition %v", f.Ref)
+		}
+		spectr, _ := spec.Transition(f.Ref)
+		if (tr.Output != spectr.Output) != (f.Kind != KindTransfer) {
+			t.Errorf("%s: output %s, spec %s", f.Describe(spec), tr.Output, spectr.Output)
+		}
+		if (tr.To != spectr.To) != (f.Kind != KindOutput) {
+			t.Errorf("%s: next state %s, spec %s", f.Describe(spec), tr.To, spectr.To)
 		}
 	}
 }

@@ -253,15 +253,18 @@ func Localize(a *Analysis, oracle core.Oracle) (*Localization, error) {
 	// The spec variant contradicts the observed symptoms by construction,
 	// but keeping it makes the elimination uniform: each test removes at
 	// least one variant.
+	// Pair hypotheses rewire two transitions, which no one-cell compiled
+	// overlay realizes, so the variants run on the interpreted search.
+	inputs := a.Spec.AllInputs()
 	for len(live) > 1 {
 		// Find a distinguishing test for some live pair.
 		var test *cfsm.TestCase
 		for i := 0; i < len(live) && test == nil; i++ {
 			for j := i + 1; j < len(live); j++ {
-				seq, ok := testgen.Distinguish(
+				seq, ok, _ := testgen.Distinguish(
 					testgen.Variant{Sys: live[i].sys, Cfg: live[i].sys.InitialConfig()},
 					testgen.Variant{Sys: live[j].sys, Cfg: live[j].sys.InitialConfig()},
-					nil,
+					inputs, nil, false,
 				)
 				if !ok {
 					continue

@@ -181,10 +181,10 @@ func TestNoWrongConvictionUnderProjection(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: convicted fault does not apply: %v", f.Describe(fx.sys), err)
 					}
-					seq, distinguishable, _ := testgen.ProjectionDistinguish(
+					seq, distinguishable, _ := testgen.Distinguish(
 						testgen.Variant{Sys: convicted, Cfg: convicted.InitialConfig()},
 						testgen.Variant{Sys: mut, Cfg: mut.InitialConfig()},
-						nil)
+						fx.sys.AllInputs(), nil, true)
 					if distinguishable {
 						t.Errorf("%s: convicted %s although %v visibly distinguishes them",
 							f.Describe(fx.sys), loc.Fault.Describe(fx.sys), seq)

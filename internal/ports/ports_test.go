@@ -445,7 +445,7 @@ func TestInterleavingsCounterSaturates(t *testing.T) {
 	}
 	long := []cfsm.Input{cfsm.Reset()}
 	for len(long) < 200 {
-		long = append(long, testgen.AllInputs(spec)...)
+		long = append(long, spec.AllInputs()...)
 	}
 	suite := []cfsm.TestCase{{Name: "long-1", Inputs: long}, {Name: "long-2", Inputs: long}}
 	observed, err := spec.RunSuite(suite)

@@ -117,39 +117,43 @@ func TestABPSweep(t *testing.T) {
 	for _, f := range undetectable {
 		skip[f.Describe(spec)] = true
 	}
-	for _, m := range fault.Mutants(spec) {
-		if skip[m.Fault.Describe(spec)] {
+	for _, f := range fault.Enumerate(spec) {
+		if skip[f.Describe(spec)] {
 			continue
 		}
-		loc, err := core.Diagnose(spec, suite, &core.SystemOracle{Sys: m.System})
+		mutant, err := f.Apply(spec)
 		if err != nil {
-			t.Fatalf("diagnose %s: %v", m.Fault.Describe(spec), err)
+			t.Fatal(err)
+		}
+		loc, err := core.Diagnose(spec, suite, &core.SystemOracle{Sys: mutant})
+		if err != nil {
+			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
 		switch loc.Verdict {
 		case core.VerdictNoFault:
-			t.Errorf("verification suite missed %s", m.Fault.Describe(spec))
+			t.Errorf("verification suite missed %s", f.Describe(spec))
 		case core.VerdictLocalized:
 			detected++
-			if loc.Fault.Ref == m.Fault.Ref {
+			if loc.Fault.Ref == f.Ref {
 				correct++
 			} else {
-				t.Errorf("%s localized to %s", m.Fault.Describe(spec), loc.Fault.Describe(spec))
+				t.Errorf("%s localized to %s", f.Describe(spec), loc.Fault.Describe(spec))
 			}
 		case core.VerdictAmbiguous:
 			detected++
 			ok := false
 			for _, r := range loc.Remaining {
-				if r.Ref == m.Fault.Ref {
+				if r.Ref == f.Ref {
 					ok = true
 				}
 			}
 			if ok {
 				correct++
 			} else {
-				t.Errorf("%s ambiguous without the truth", m.Fault.Describe(spec))
+				t.Errorf("%s ambiguous without the truth", f.Describe(spec))
 			}
 		default:
-			t.Errorf("%s: verdict %v", m.Fault.Describe(spec), loc.Verdict)
+			t.Errorf("%s: verdict %v", f.Describe(spec), loc.Verdict)
 		}
 	}
 	t.Logf("ABP sweep: %d/%d detected mutants correctly attributed", correct, detected)

@@ -108,38 +108,42 @@ func TestGoBackNSweepSampled(t *testing.T) {
 	}
 	spec := MustGoBackN()
 	suite, _ := testgen.VerificationSuite(spec)
-	mutants := fault.Mutants(spec)
+	faults := fault.Enumerate(spec)
 	checked := 0
-	for i := 0; i < len(mutants); i += 31 { // sparse sample: the full sweep takes minutes
-		m := mutants[i]
-		loc, err := core.Diagnose(spec, suite, &core.SystemOracle{Sys: m.System})
+	for i := 0; i < len(faults); i += 31 { // sparse sample: the full sweep takes minutes
+		f := faults[i]
+		mutant, err := f.Apply(spec)
 		if err != nil {
-			t.Fatalf("diagnose %s: %v", m.Fault.Describe(spec), err)
+			t.Fatal(err)
+		}
+		loc, err := core.Diagnose(spec, suite, &core.SystemOracle{Sys: mutant})
+		if err != nil {
+			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
 		checked++
 		switch loc.Verdict {
 		case core.VerdictLocalized:
-			if loc.Fault.Ref != m.Fault.Ref {
-				t.Errorf("%s localized to %s", m.Fault.Describe(spec), loc.Fault.Describe(spec))
+			if loc.Fault.Ref != f.Ref {
+				t.Errorf("%s localized to %s", f.Describe(spec), loc.Fault.Describe(spec))
 			}
 		case core.VerdictAmbiguous:
 			ok := false
 			for _, r := range loc.Remaining {
-				if r.Ref == m.Fault.Ref {
+				if r.Ref == f.Ref {
 					ok = true
 				}
 			}
 			if !ok {
-				t.Errorf("%s ambiguous without the truth", m.Fault.Describe(spec))
+				t.Errorf("%s ambiguous without the truth", f.Describe(spec))
 			}
 		case core.VerdictNoFault:
 			// The verification suite guarantees detection of detectable
 			// mutants; an undetected one must be equivalent.
-			if !testgen.SystemsEquivalent(spec, m.System) {
-				t.Errorf("verification suite missed %s", m.Fault.Describe(spec))
+			if !testgen.SystemsEquivalent(spec, mutant) {
+				t.Errorf("verification suite missed %s", f.Describe(spec))
 			}
 		default:
-			t.Errorf("%s: verdict %v", m.Fault.Describe(spec), loc.Verdict)
+			t.Errorf("%s: verdict %v", f.Describe(spec), loc.Verdict)
 		}
 	}
 	if checked == 0 {

@@ -76,7 +76,7 @@ func TestGeneratedSystemsSimulate(t *testing.T) {
 			return false
 		}
 		cfgState := sys.InitialConfig()
-		for _, in := range testgen.AllInputs(sys) {
+		for _, in := range sys.AllInputs() {
 			next, obs, _, err := sys.Apply(cfgState, in)
 			if err != nil {
 				t.Logf("seed %d: apply %v: %v", seed, in, err)
@@ -114,7 +114,7 @@ func TestGeneratedTourCoverage(t *testing.T) {
 		reach := testgen.ReachableConfigs(sys)
 		executable := make(map[cfsm.Ref]bool)
 		for _, c := range reach {
-			for _, in := range testgen.AllInputs(sys) {
+			for _, in := range sys.AllInputs() {
 				_, _, trace, err := sys.Apply(c, in)
 				if err != nil {
 					t.Fatalf("Apply: %v", err)

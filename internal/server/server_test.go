@@ -10,6 +10,7 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/randgen"
 )
 
 func systemDoc(t *testing.T, sys *cfsm.System) json.RawMessage {
@@ -52,6 +53,27 @@ func TestValidateEndpoint(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	if v.Machines != 3 || v.Transitions != 29 || len(v.Warnings) != 0 {
+		t.Fatalf("response = %+v", v)
+	}
+}
+
+// TestValidateWideSpec: a 95 KB specification with 2^32 global
+// configurations validates in one bounded reachability pass — the request
+// answers 200 instead of keeping a server core busy without bound.
+func TestValidateWideSpec(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+
+	spec := randgen.MustGenerate(randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
+	resp, body := post(t, srv, "/v1/validate", validateRequest{Spec: systemDoc(t, spec)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var v validateResponse
+	if err := json.Unmarshal(body, &v); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if v.Machines != 8 || v.Transitions != spec.NumTransitions() {
 		t.Fatalf("response = %+v", v)
 	}
 }

@@ -2,6 +2,7 @@ package testgen
 
 import (
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 )
 
@@ -46,41 +47,37 @@ func Detection(spec *cfsm.System, suite []cfsm.TestCase, includeAddress, checkEq
 		Suite:    suite,
 		Detected: make(map[string]int),
 	}
-	expected := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		obs, err := spec.Run(tc)
-		if err != nil {
-			return report, err
-		}
-		expected[i] = obs
+	e := engine(spec)
+	cs := compiled.NewSuite(e.Program(), suite)
+	if err := cs.Err(); err != nil {
+		return report, err
 	}
 
-	mutants := fault.Mutants(spec)
+	faults := fault.Enumerate(spec)
 	if includeAddress {
-		mutants = append(mutants, fault.AddressMutants(spec)...)
+		faults = append(faults, fault.EnumerateAddress(spec)...)
 	}
-	report.Faults = len(mutants)
-	for _, m := range mutants {
+	for _, f := range faults {
+		if _, err := e.Variant(&f); err != nil {
+			continue // realizes no mutant
+		}
+		report.Faults++
 		caseIdx := -1
-		for i, tc := range suite {
-			obs, err := m.System.Run(tc)
-			if err != nil {
-				return report, err
-			}
-			if !cfsm.ObsEqual(obs, expected[i]) {
+		for i := range suite {
+			if e.Detects(cs, i, f) {
 				caseIdx = i
 				break
 			}
 		}
 		if caseIdx >= 0 {
-			report.Detected[m.Fault.Describe(spec)] = caseIdx
+			report.Detected[f.Describe(spec)] = caseIdx
 			continue
 		}
-		if checkEquivalence && SystemsEquivalent(spec, m.System) {
-			report.Undetectable = append(report.Undetectable, m.Fault)
+		if checkEquivalence && e.Equivalent(nil, &f) {
+			report.Undetectable = append(report.Undetectable, f)
 			continue
 		}
-		report.Missed = append(report.Missed, m.Fault)
+		report.Missed = append(report.Missed, f)
 	}
 	return report, nil
 }

@@ -2,6 +2,7 @@ package testgen
 
 import (
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 )
 
@@ -16,28 +17,21 @@ import (
 // no less — so minimizing a fault-model-complete verification suite keeps
 // it complete.
 func MinimizeSuite(spec *cfsm.System, suite []cfsm.TestCase) ([]cfsm.TestCase, error) {
-	expected := make([][]cfsm.Observation, len(suite))
-	for i, tc := range suite {
-		obs, err := spec.Run(tc)
-		if err != nil {
-			return nil, err
-		}
-		expected[i] = obs
+	e := engine(spec)
+	cs := compiled.NewSuite(e.Program(), suite)
+	if err := cs.Err(); err != nil {
+		return nil, err
 	}
 
-	// detects[i] lists the mutant indices test case i detects.
-	mutants := fault.Mutants(spec)
+	// detects[i] lists the faults (indices into fault.Enumerate) test case i
+	// detects.
 	detects := make([][]int, len(suite))
 	detectable := make(map[int]bool)
-	for mi, m := range mutants {
-		for i, tc := range suite {
-			obs, err := m.System.Run(tc)
-			if err != nil {
-				return nil, err
-			}
-			if !cfsm.ObsEqual(obs, expected[i]) {
-				detects[i] = append(detects[i], mi)
-				detectable[mi] = true
+	for fi, f := range fault.Enumerate(spec) {
+		for i := range suite {
+			if e.Detects(cs, i, f) {
+				detects[i] = append(detects[i], fi)
+				detectable[fi] = true
 			}
 		}
 	}

@@ -1,72 +1,25 @@
-// Package testgen generates test inputs for CFSM systems: transfer sequences
-// that steer the system into a target state, distinguishing sequences that
-// separate behavioural hypotheses, and transition-tour test suites that cover
-// every transition. The transfer and distinguishing searches accept an avoid
-// set of transitions that must not be exercised — the constraint Step 6 of
-// the diagnosis algorithm places on additional diagnostic tests ("they do not
-// involve any candidate transition").
+// Package testgen generates test suites for CFSM specifications and judges
+// their power: transition tours (the initial suite TS the paper assumes),
+// fault-model-complete verification suites, their minimization, and the
+// detection report of a suite against the single-transition fault model.
+// Each compiles the specification once and runs on the compiled engine's
+// searches and one-cell fault overlays (internal/compiled).
+//
+// reference.go keeps the interpreted breadth-first searches: the parity
+// reference for the compiled ones, and the search of the multi-fault and
+// asynchronous extensions.
 package testgen
 
 import (
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 )
 
-// RefSet is a set of transition references used as an avoid set.
-type RefSet map[cfsm.Ref]bool
-
-// NewRefSet builds a set from the given references.
-func NewRefSet(refs ...cfsm.Ref) RefSet {
-	s := make(RefSet, len(refs))
-	for _, r := range refs {
-		s[r] = true
+// engine compiles the specification.
+func engine(sys *cfsm.System) *compiled.Engine {
+	e, err := compiled.NewEngine(sys)
+	if err != nil {
+		panic(err) // NewEngine fails only on a nil system
 	}
-	return s
+	return e
 }
-
-// Clone returns a copy of the set.
-func (s RefSet) Clone() RefSet {
-	c := make(RefSet, len(s))
-	for r := range s {
-		c[r] = true
-	}
-	return c
-}
-
-// Without returns a copy of the set with the given reference removed.
-func (s RefSet) Without(r cfsm.Ref) RefSet {
-	c := s.Clone()
-	delete(c, r)
-	return c
-}
-
-// hitsAvoid reports whether any executed transition is in the avoid set.
-func hitsAvoid(avoid RefSet, trace []cfsm.Executed) bool {
-	if len(avoid) == 0 {
-		return false
-	}
-	for _, e := range trace {
-		if avoid[e.Ref()] {
-			return true
-		}
-	}
-	return false
-}
-
-// AllInputs returns every applicable external stimulus of the system — each
-// symbol of each machine's input alphabet applied at that machine's port —
-// in deterministic (port, symbol) order. The reset input is not included.
-func AllInputs(sys *cfsm.System) []cfsm.Input {
-	var out []cfsm.Input
-	for port := 0; port < sys.N(); port++ {
-		for _, sym := range sys.Inputs(port) {
-			out = append(out, cfsm.Input{Port: port, Sym: sym})
-		}
-	}
-	return out
-}
-
-// searchLimit bounds the number of configurations (or configuration pairs)
-// a breadth-first search may visit before giving up. The global state space
-// of an N-machine system is exponential in N; the limit turns a pathological
-// search into an explicit "not found" instead of an unbounded walk.
-const searchLimit = 200_000

@@ -7,45 +7,6 @@ import (
 	"cfsmdiag/internal/paper"
 )
 
-func TestRefSet(t *testing.T) {
-	r1 := cfsm.Ref{Machine: 0, Name: "t1"}
-	r2 := cfsm.Ref{Machine: 1, Name: "t2"}
-	s := NewRefSet(r1, r2)
-	if len(s) != 2 || !s[r1] || !s[r2] {
-		t.Fatalf("NewRefSet = %v", s)
-	}
-	c := s.Without(r1)
-	if len(c) != 1 || c[r1] || !c[r2] {
-		t.Fatalf("Without = %v", c)
-	}
-	if len(s) != 2 {
-		t.Fatal("Without mutated the receiver")
-	}
-	d := s.Clone()
-	delete(d, r2)
-	if len(s) != 2 {
-		t.Fatal("Clone is shallow")
-	}
-}
-
-func TestAllInputs(t *testing.T) {
-	sys := paper.MustFigure1()
-	ins := AllInputs(sys)
-	// M1 defines inputs {a,b,c,d,e,f}, M2 {c',d',o,q,r,s,t}, M3 {c',d',u,v,x,y,z}.
-	if want := 6 + 7 + 7; len(ins) != want {
-		t.Fatalf("AllInputs returned %d, want %d: %v", len(ins), want, ins)
-	}
-	// Deterministic order: all port-0 inputs first, sorted.
-	if ins[0] != (cfsm.Input{Port: 0, Sym: "a"}) {
-		t.Fatalf("first input = %v", ins[0])
-	}
-	for _, in := range ins {
-		if in.IsReset() {
-			t.Fatal("AllInputs must not include the reset")
-		}
-	}
-}
-
 func TestTransferToState(t *testing.T) {
 	sys := paper.MustFigure1()
 
@@ -85,7 +46,7 @@ func TestTransferToState(t *testing.T) {
 
 	t.Run("avoid forces detour", func(t *testing.T) {
 		// Avoiding t2 (s0 -c-> s2) forces the longer route through s1.
-		avoid := NewRefSet(cfsm.Ref{Machine: paper.M1, Name: "t2"})
+		avoid := cfsm.NewRefSet(cfsm.Ref{Machine: paper.M1, Name: "t2"})
 		res, ok := TransferToState(sys, paper.M1, "s2", avoid)
 		if !ok {
 			t.Fatal("no transfer sequence found")
@@ -112,7 +73,7 @@ func TestTransferToState(t *testing.T) {
 
 	t.Run("unreachable target", func(t *testing.T) {
 		// Avoid every transition: only the initial configuration is reachable.
-		avoid := NewRefSet(sys.Refs()...)
+		avoid := cfsm.NewRefSet(sys.Refs()...)
 		if _, ok := TransferToState(sys, paper.M1, "s2", avoid); ok {
 			t.Fatal("target should be unreachable when everything is avoided")
 		}
@@ -138,7 +99,7 @@ func TestDistinguishStates(t *testing.T) {
 		// with input v^3: in s1 it yields b^3, in s0 it is undefined (ε^3).
 		a := Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s1"}}
 		b := Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
-		seq, ok := Distinguish(a, b, nil)
+		seq, ok, _ := Distinguish(a, b, spec.AllInputs(), nil, false)
 		if !ok {
 			t.Fatal("s1 and s0 of M3 must be distinguishable")
 		}
@@ -152,11 +113,11 @@ func TestDistinguishStates(t *testing.T) {
 
 	t.Run("identical variants are equivalent", func(t *testing.T) {
 		v := Variant{Sys: spec, Cfg: spec.InitialConfig()}
-		if _, ok := Distinguish(v, v, nil); ok {
+		if _, ok, _ := Distinguish(v, v, spec.AllInputs(), nil, false); ok {
 			t.Fatal("identical variants must not be distinguishable")
 		}
-		if !EquivalentVariants(v, v) {
-			t.Fatal("EquivalentVariants(v,v) = false")
+		if !SystemsEquivalent(spec, spec) {
+			t.Fatal("SystemsEquivalent(spec, spec) = false")
 		}
 	})
 
@@ -174,7 +135,7 @@ func TestDistinguishStates(t *testing.T) {
 		a := Variant{Sys: spec, Cfg: spec.InitialConfig()}
 		small := twoMachineSystem(t)
 		b := Variant{Sys: small, Cfg: small.InitialConfig()}
-		if _, ok := Distinguish(a, b, nil); ok {
+		if _, ok, _ := Distinguish(a, b, spec.AllInputs(), nil, false); ok {
 			t.Fatal("mismatched systems must not be comparable")
 		}
 	})
@@ -225,7 +186,7 @@ func TestTourCoversEverything(t *testing.T) {
 		t.Fatal("empty suite")
 	}
 	// Replay the suite and verify every transition executes.
-	covered := make(RefSet)
+	covered := make(cfsm.RefSet)
 	for _, tc := range suite {
 		if !tc.Inputs[0].IsReset() {
 			t.Fatalf("test case %s does not start with reset", tc.Name)

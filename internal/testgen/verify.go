@@ -2,8 +2,10 @@ package testgen
 
 import (
 	"fmt"
+	"slices"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 )
 
@@ -26,46 +28,31 @@ import (
 // guarantees detection; experiment E5 uses both to show how the initial
 // suite's power affects diagnosis coverage.
 func VerificationSuite(sys *cfsm.System) (suite []cfsm.TestCase, undetectable []fault.Fault) {
-	// Cache the specification's expected outputs for collected tests.
-	var expected [][]cfsm.Observation
-
-	covers := func(mutant *cfsm.System) bool {
-		for i, tc := range suite {
-			obs, err := mutant.Run(tc)
-			if err != nil {
-				continue
-			}
-			if !cfsm.ObsEqual(obs, expected[i]) {
-				return true
-			}
-		}
-		return false
-	}
-
-	for _, m := range fault.Mutants(sys) {
-		if covers(m.System) {
-			continue
-		}
-		seq, ok := Distinguish(
-			Variant{Sys: sys, Cfg: sys.InitialConfig()},
-			Variant{Sys: m.System, Cfg: m.System.InitialConfig()},
-			nil,
-		)
-		if !ok {
-			undetectable = append(undetectable, m.Fault)
-			continue
-		}
-		tc := cfsm.TestCase{
-			Name:   fmt.Sprintf("verify%d-%s", len(suite)+1, m.Fault.Ref.Name),
-			Inputs: append([]cfsm.Input{cfsm.Reset()}, seq...),
-		}
-		obs, err := sys.Run(tc)
+	e := engine(sys)
+	// The specification itself and its empty run cannot fail.
+	spec, _ := e.Variant(nil)
+	_, start, _ := spec.RunInputs(nil)
+	// cases[k] is suite[k] compiled on its own: the suite grows while the
+	// mutants are walked.
+	var cases []*compiled.Suite
+	for _, f := range fault.Enumerate(sys) {
+		mutant, err := e.Variant(&f)
 		if err != nil {
-			// Cannot happen for a validated system; skip defensively.
 			continue
 		}
-		suite = append(suite, tc)
-		expected = append(expected, obs)
+		if slices.ContainsFunc(cases, func(c *compiled.Suite) bool { return e.Detects(c, 0, f) }) {
+			continue
+		}
+		seq, ok, _ := e.Distinguish(spec, start, mutant, start, nil, false)
+		if !ok {
+			undetectable = append(undetectable, f)
+			continue
+		}
+		suite = append(suite, cfsm.TestCase{
+			Name:   fmt.Sprintf("verify%d-%s", len(suite)+1, f.Ref.Name),
+			Inputs: append([]cfsm.Input{cfsm.Reset()}, seq...),
+		})
+		cases = append(cases, compiled.NewSuite(e.Program(), suite[len(suite)-1:]))
 	}
 	return suite, undetectable
 }

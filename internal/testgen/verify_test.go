@@ -57,13 +57,14 @@ func TestVerificationSuiteDetectsEverything(t *testing.T) {
 		}
 		expected[i] = obs
 	}
-	for _, m := range fault.Mutants(sys) {
-		if skip[m.Fault.Describe(sys)] {
+	for _, f := range fault.Enumerate(sys) {
+		if skip[f.Describe(sys)] {
 			continue
 		}
+		mutant := mustApply(t, sys, f)
 		detected := false
 		for i, tc := range suite {
-			obs, err := m.System.Run(tc)
+			obs, err := mutant.Run(tc)
 			if err != nil {
 				t.Fatalf("run %s on mutant: %v", tc.Name, err)
 			}
@@ -73,7 +74,7 @@ func TestVerificationSuiteDetectsEverything(t *testing.T) {
 			}
 		}
 		if !detected {
-			t.Errorf("verification suite missed mutant %s", m.Fault.Describe(sys))
+			t.Errorf("verification suite missed mutant %s", f.Describe(sys))
 		}
 	}
 }

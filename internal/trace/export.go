@@ -72,60 +72,70 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return events, err
 }
 
-// ValidateJSONL is the exporter's own schema check: every line must parse as
-// an Event with a known kind, sequence numbers must be strictly increasing,
-// phases must be ""/"B"/"E", span ids must appear exactly on span edges, and
-// every B must be closed by a matching E of the same kind.  It returns the
-// number of validated events.  Ring-truncated traces (which may have lost a
-// B edge) do not validate; validation targets complete exported traces.
+// ValidateJSONL is the exporter's own schema check on a JSONL trace: every
+// line must parse as an Event (ReadJSONL) and the events must pass Validate.
+// It returns the number of validated events.
 func ValidateJSONL(r io.Reader) (int, error) {
 	events, err := ReadJSONL(r)
 	if err != nil {
 		return 0, err
 	}
+	if err := Validate(events); err != nil {
+		return 0, err
+	}
+	return len(events), nil
+}
+
+// Validate checks decoded trace events against the exporter's schema: every
+// event has a known kind, sequence numbers are strictly increasing, phases
+// are ""/"B"/"E", span ids appear exactly on span edges, and every B is
+// closed by a matching E of the same kind.  Ring-truncated traces (which may
+// have lost a B edge) do not validate; validation targets complete exported
+// traces.
+func Validate(events []Event) error {
 	var lastSeq uint64
 	open := make(map[uint64]Kind)
 	for i, e := range events {
 		where := fmt.Sprintf("trace: event %d (seq %d)", i+1, e.Seq)
 		if !KnownKind(e.Kind) {
-			return 0, fmt.Errorf("%s: unknown kind %q", where, e.Kind)
+			return fmt.Errorf("%s: unknown kind %q", where, e.Kind)
 		}
 		if e.Seq <= lastSeq {
-			return 0, fmt.Errorf("%s: sequence not strictly increasing (previous %d)", where, lastSeq)
+			return fmt.Errorf("%s: sequence not strictly increasing (previous %d)", where, lastSeq)
 		}
 		lastSeq = e.Seq
 		switch e.Phase {
 		case "":
 			if e.Span != 0 {
-				return 0, fmt.Errorf("%s: instant event carries span id %d", where, e.Span)
+				return fmt.Errorf("%s: instant event carries span id %d", where, e.Span)
 			}
 		case PhaseBegin:
 			if e.Span == 0 {
-				return 0, fmt.Errorf("%s: span begin without span id", where)
+				return fmt.Errorf("%s: span begin without span id", where)
 			}
 			if prev, ok := open[e.Span]; ok {
-				return 0, fmt.Errorf("%s: span %d already open as %q", where, e.Span, prev)
+				return fmt.Errorf("%s: span %d already open as %q", where, e.Span, prev)
 			}
 			open[e.Span] = e.Kind
 		case PhaseEnd:
 			kind, ok := open[e.Span]
 			if !ok {
-				return 0, fmt.Errorf("%s: span end %d without matching begin", where, e.Span)
+				return fmt.Errorf("%s: span end %d without matching begin", where, e.Span)
 			}
 			if kind != e.Kind {
-				return 0, fmt.Errorf("%s: span %d ends as %q but began as %q", where, e.Span, e.Kind, kind)
+				return fmt.Errorf("%s: span %d ends as %q but began as %q", where, e.Span, e.Kind, kind)
 			}
 			delete(open, e.Span)
 		default:
-			return 0, fmt.Errorf("%s: invalid phase %q", where, e.Phase)
+			return fmt.Errorf("%s: invalid phase %q", where, e.Phase)
 		}
 	}
 	if len(open) > 0 {
 		for id, kind := range open {
-			return 0, fmt.Errorf("trace: span %d (%q) never closed", id, kind)
+			return fmt.Errorf("trace: span %d (%q) never closed", id, kind)
 		}
 	}
-	return len(events), nil
+	return nil
 }
 
 // chromeEvent is one entry of the Chrome trace-event format ("traceEvents"

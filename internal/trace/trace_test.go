@@ -183,6 +183,12 @@ func TestValidateJSONLRejections(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want containing %q", err, tc.want)
 			}
+			// On decoded events Validate reports the same schema error.
+			if events, rerr := ReadJSONL(strings.NewReader(tc.lines)); rerr == nil {
+				if verr := Validate(events); verr == nil || verr.Error() != err.Error() {
+					t.Errorf("Validate = %v, ValidateJSONL = %v", verr, err)
+				}
+			}
 		})
 	}
 }
