@@ -326,6 +326,23 @@ func BenchmarkAblationEscalation(b *testing.B) {
 	}
 }
 
+// TestSimulationAllocs pins the bound BenchmarkSimulation reports: with no
+// instrumentation installed, each Figure 1 System.Run allocates at most
+// twice (its observation slice and the run's configuration).
+func TestSimulationAllocs(t *testing.T) {
+	spec := paper.MustFigure1()
+	for _, tc := range paper.TestSuite() {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := spec.Run(tc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: System.Run allocates %.0f times, want at most 2", tc.Name, allocs)
+		}
+	}
+}
+
 func BenchmarkSimulation(b *testing.B) {
 	spec := paper.MustFigure1()
 	suite := paper.TestSuite()

@@ -1,8 +1,12 @@
 package cfsm
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+
+	"cfsmdiag/internal/jsonread"
 )
 
 // The JSON codec gives the CLI and downstream tools a stable on-disk format
@@ -60,51 +64,183 @@ func (s *System) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(doc, "", "  ")
 }
 
-// ParseSystem decodes a system from its JSON form and validates it.
+// DocumentError reports a system document that does not decode: malformed
+// JSON, a value of the wrong kind, or an unknown field where those are
+// rejected. Err is encoding/json's error on the same bytes.
+type DocumentError struct{ Err error }
+
+func (e DocumentError) Error() string { return e.Err.Error() }
+func (e DocumentError) Unwrap() error { return e.Err }
+
+// ParseSystem decodes a system from its JSON form and validates it. It
+// accepts what json.Unmarshal accepts into SystemJSON: unknown fields are
+// ignored, and nothing but whitespace may follow the document.
 func ParseSystem(data []byte) (*System, error) {
+	sys, err := decodeSystem(data, false)
+	if errors.As(err, new(DocumentError)) {
+		err = fmt.Errorf("cfsm: decode system: %w", err)
+	}
+	return sys, err
+}
+
+// ReadSystem decodes a system from its JSON form and validates it, as the
+// server reads model documents: it accepts what a json.Decoder with
+// DisallowUnknownFields accepts into SystemJSON, so an unknown field is a
+// DocumentError and bytes after the document are ignored.
+func ReadSystem(data []byte) (*System, error) {
+	return decodeSystem(data, true)
+}
+
+// decodeSystem reads a system document in one pass with internal/jsonread
+// and validates it; strict selects the unknown-field and trailing-byte rules
+// of ReadSystem over those of ParseSystem. A document the reader rejects is
+// decoded again by encoding/json for its error. Should encoding/json accept
+// it, its result stands, so the reader can only be slower than the reference
+// on some input, never stricter.
+func decodeSystem(data []byte, strict bool) (*System, error) {
+	if doc, ok := readSystem(data, strict); ok {
+		return doc.build()
+	}
 	var doc SystemJSON
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("cfsm: decode system: %w", err)
+	var err error
+	if strict {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&doc)
+	} else {
+		err = json.Unmarshal(data, &doc)
+	}
+	if err != nil {
+		return nil, DocumentError{Err: err}
 	}
 	return FromJSON(doc)
 }
 
+// systemDoc is a decoded system document before validation.
+type systemDoc []machineDoc
+
+type machineDoc struct {
+	name, initial string
+	states        []State
+	trans         []transitionDoc
+}
+
+// transitionDoc is a transition whose destination is still a machine name.
+type transitionDoc struct {
+	Transition
+	dest string
+}
+
+// readSystem reads a system document as encoding/json decodes it into
+// SystemJSON, and reports whether encoding/json would accept it. Keys arrive
+// folded, so the field names below are the lower-case forms of SystemJSON's.
+func readSystem(data []byte, strict bool) (systemDoc, bool) {
+	r := jsonread.New(data, strict)
+	var doc systemDoc
+	r.Struct(func(key []byte) bool {
+		if string(key) != "machines" {
+			return false
+		}
+		doc = jsonread.Slice(r, doc, func(m *machineDoc) { m.read(r) })
+		return true
+	})
+	return doc, r.End()
+}
+
+func (m *machineDoc) read(r *jsonread.Reader) {
+	r.Struct(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			jsonread.String(r, &m.name)
+		case "initial":
+			jsonread.String(r, &m.initial)
+		case "states":
+			m.states = jsonread.Slice(r, m.states, func(s *State) { jsonread.String(r, s) })
+		case "transitions":
+			m.trans = jsonread.Slice(r, m.trans, func(t *transitionDoc) { t.read(r) })
+		default:
+			return false
+		}
+		return true
+	})
+}
+
+func (t *transitionDoc) read(r *jsonread.Reader) {
+	r.Struct(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			jsonread.String(r, &t.Name)
+		case "from":
+			jsonread.String(r, &t.From)
+		case "input":
+			jsonread.String(r, &t.Input)
+		case "output":
+			jsonread.String(r, &t.Output)
+		case "to":
+			jsonread.String(r, &t.To)
+		case "dest":
+			jsonread.String(r, &t.dest)
+		default:
+			return false
+		}
+		return true
+	})
+}
+
 // FromJSON builds a validated system from its serialized form.
 func FromJSON(doc SystemJSON) (*System, error) {
-	index := make(map[string]int, len(doc.Machines))
+	sd := make(systemDoc, len(doc.Machines))
 	for i, mj := range doc.Machines {
-		if _, dup := index[mj.Name]; dup {
-			return nil, fmt.Errorf("cfsm: duplicate machine name %q", mj.Name)
+		m := machineDoc{name: mj.Name, initial: mj.Initial, states: make([]State, len(mj.States))}
+		for k, st := range mj.States {
+			m.states[k] = State(st)
 		}
-		index[mj.Name] = i
-	}
-	machines := make([]*Machine, 0, len(doc.Machines))
-	for _, mj := range doc.Machines {
-		states := make([]State, len(mj.States))
-		for i, st := range mj.States {
-			states[i] = State(st)
-		}
-		trans := make([]Transition, 0, len(mj.Transitions))
 		for _, tj := range mj.Transitions {
-			dest := DestEnv
-			if tj.Dest != "" {
-				d, ok := index[tj.Dest]
-				if !ok {
-					return nil, fmt.Errorf("cfsm %s: transition %s addresses unknown machine %q",
-						mj.Name, tj.Name, tj.Dest)
-				}
-				dest = d
-			}
-			trans = append(trans, Transition{
+			m.trans = append(m.trans, transitionDoc{Transition: Transition{
 				Name:   tj.Name,
 				From:   State(tj.From),
 				Input:  Symbol(tj.Input),
 				Output: Symbol(tj.Output),
 				To:     State(tj.To),
-				Dest:   dest,
-			})
+			}, dest: tj.Dest})
 		}
-		m, err := NewMachine(mj.Name, State(mj.Initial), states, trans)
+		sd[i] = m
+	}
+	return sd.build()
+}
+
+// build validates the document: machine names are unique, destinations name
+// machines of the system, and NewMachine and NewSystem accept the rest.
+func (doc systemDoc) build() (*System, error) {
+	index := make(map[string]int, len(doc))
+	for i, m := range doc {
+		if _, dup := index[m.name]; dup {
+			return nil, fmt.Errorf("cfsm: duplicate machine name %q", m.name)
+		}
+		index[m.name] = i
+	}
+	machines := make([]*Machine, 0, len(doc))
+	most := 0
+	for _, md := range doc {
+		most = max(most, len(md.trans))
+	}
+	trans := make([]Transition, 0, most)
+	for _, md := range doc {
+		trans = trans[:0]
+		for _, td := range md.trans {
+			t := td.Transition
+			t.Dest = DestEnv
+			if td.dest != "" {
+				d, ok := index[td.dest]
+				if !ok {
+					return nil, fmt.Errorf("cfsm %s: transition %s addresses unknown machine %q",
+						md.name, t.Name, td.dest)
+				}
+				t.Dest = d
+			}
+			trans = append(trans, t)
+		}
+		m, err := NewMachine(md.name, State(md.initial), md.states, trans)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"cfsmdiag/internal/jsonread"
 )
 
 // ParseInputToken parses one input in the notation the library prints:
@@ -89,6 +91,24 @@ func parseTokens[T any](toks []string, parse func(string) (T, error)) ([]T, erro
 type CaseJSON struct {
 	Name   string   `json:"name"`
 	Inputs []string `json:"inputs"`
+}
+
+// ReadSuite reads a suite document with r, as encoding/json decodes it into
+// cases (see jsonread.Slice).
+func ReadSuite(r *jsonread.Reader, cases []CaseJSON) []CaseJSON {
+	return jsonread.Slice(r, cases, func(c *CaseJSON) {
+		r.Struct(func(key []byte) bool {
+			switch string(key) {
+			case "name":
+				jsonread.String(r, &c.Name)
+			case "inputs":
+				c.Inputs = jsonread.Slice(r, c.Inputs, func(tok *string) { jsonread.String(r, tok) })
+			default:
+				return false
+			}
+			return true
+		})
+	})
 }
 
 // DuplicateCaseError reports a suite naming two test cases identically.

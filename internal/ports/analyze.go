@@ -59,8 +59,33 @@ func (m Map) Matcher() core.ObsMatcher { return matcher{m: m} }
 
 type matcher struct{ m Map }
 
+// Equal compares the two projections in place, without building them: for
+// each observer, one cursor per sequence walks that observer's events.
 func (x matcher) Equal(predicted, recorded []cfsm.Observation) bool {
-	return Project(x.m, predicted).Equal(Project(x.m, recorded))
+	for o := range x.m.names {
+		i, j := x.m.nextEvent(predicted, 0, o), x.m.nextEvent(recorded, 0, o)
+		for i < len(predicted) && j < len(recorded) {
+			if predicted[i] != recorded[j] {
+				return false
+			}
+			i, j = x.m.nextEvent(predicted, i+1, o), x.m.nextEvent(recorded, j+1, o)
+		}
+		if i < len(predicted) || j < len(recorded) {
+			return false
+		}
+	}
+	return true
+}
+
+// nextEvent returns the index of the first event of observer o in seq at or
+// after i, or len(seq) when there is none.
+func (m Map) nextEvent(seq []cfsm.Observation, i, o int) int {
+	for ; i < len(seq); i++ {
+		if ob := seq[i]; !Silent(ob) && m.obsOf[ob.Port] == o {
+			return i
+		}
+	}
+	return i
 }
 
 func (x matcher) Mismatch(predicted, recorded []cfsm.Observation) string {

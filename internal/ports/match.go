@@ -105,7 +105,7 @@ func Match(m Map, tc cfsm.TestCase, expected []cfsm.Observation, p Projection) (
 				epsBudget--
 			}
 		default:
-			port := m.portOf[exp.Port]
+			port := m.Port(exp.Port)
 			q := queues[port]
 			if next[port] < len(q) && q[next[port]] == exp {
 				next[port]++
@@ -133,7 +133,7 @@ func Match(m Map, tc cfsm.TestCase, expected []cfsm.Observation, p Projection) (
 	for j := 0; j < L; j++ {
 		exp := expected[j]
 		if !tc.Inputs[j].IsReset() && !Silent(exp) {
-			next[m.portOf[exp.Port]]++
+			next[m.Port(exp.Port)]++
 		}
 	}
 

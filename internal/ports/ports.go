@@ -44,18 +44,14 @@ const DefaultPort = "global"
 // Map assigns every machine's external port to a named observer. The zero
 // value is invalid; construct maps with Default, FromJSON or New.
 type Map struct {
-	portOf []string // machine index -> observer name
-	names  []string // distinct observer names, sorted
+	names []string // distinct observer names, sorted
+	obsOf []int    // machine index -> index of its observer in names
 }
 
 // Default returns the single-observer map: every machine reports to one
 // global observer, which sees the classical globally ordered sequence.
 func Default(sys *cfsm.System) Map {
-	portOf := make([]string, sys.N())
-	for i := range portOf {
-		portOf[i] = DefaultPort
-	}
-	return Map{portOf: portOf, names: []string{DefaultPort}}
+	return Map{names: []string{DefaultPort}, obsOf: make([]int, sys.N())}
 }
 
 // New builds a map from per-machine observer names (indexed by machine). It
@@ -76,7 +72,11 @@ func New(sys *cfsm.System, portOf []string) (Map, error) {
 		}
 	}
 	sort.Strings(names)
-	return Map{portOf: append([]string(nil), portOf...), names: names}, nil
+	obsOf := make([]int, len(portOf))
+	for i, name := range portOf {
+		obsOf[i] = sort.SearchStrings(names, name)
+	}
+	return Map{names: names, obsOf: obsOf}, nil
 }
 
 // FromJSON decodes a port-map document — a JSON object mapping machine names
@@ -115,9 +115,9 @@ func FromAssignments(doc map[string]string, sys *cfsm.System) (Map, error) {
 // needs the system to recover machine names, so Map serializes through
 // ToJSON instead of implementing json.Marshaler.
 func (m Map) ToJSON(sys *cfsm.System) ([]byte, error) {
-	doc := make(map[string]string, len(m.portOf))
-	for i, port := range m.portOf {
-		doc[sys.Machine(i).Name()] = port
+	doc := make(map[string]string, len(m.obsOf))
+	for i, o := range m.obsOf {
+		doc[sys.Machine(i).Name()] = m.names[o]
 	}
 	return json.Marshal(doc)
 }
@@ -128,13 +128,13 @@ func (m Map) ToJSON(sys *cfsm.System) ([]byte, error) {
 func (m Map) Single() bool { return len(m.names) <= 1 }
 
 // Port returns the observer name of a machine's external port.
-func (m Map) Port(machine int) string { return m.portOf[machine] }
+func (m Map) Port(machine int) string { return m.names[m.obsOf[machine]] }
 
 // PortNames returns the distinct observer names, sorted.
 func (m Map) PortNames() []string { return append([]string(nil), m.names...) }
 
 // Machines returns the number of machines the map covers.
-func (m Map) Machines() int { return len(m.portOf) }
+func (m Map) Machines() int { return len(m.obsOf) }
 
 // Silent reports whether an observation is invisible to every local
 // observer: ε (no output) or the Null reset output.
@@ -159,17 +159,16 @@ type Projection []LocalTrace
 // Project computes the per-port projection of a global observation sequence
 // under the map.
 func Project(m Map, global []cfsm.Observation) Projection {
-	byPort := make(map[string][]cfsm.Observation, len(m.names))
+	p := make(Projection, len(m.names))
+	for i, name := range m.names {
+		p[i].Port = name
+	}
 	for _, o := range global {
 		if Silent(o) {
 			continue
 		}
-		port := m.portOf[o.Port]
-		byPort[port] = append(byPort[port], o)
-	}
-	p := make(Projection, len(m.names))
-	for i, name := range m.names {
-		p[i] = LocalTrace{Port: name, Events: byPort[name]}
+		lt := &p[m.obsOf[o.Port]]
+		lt.Events = append(lt.Events, o)
 	}
 	return p
 }
@@ -245,7 +244,7 @@ func (m Map) validate(tc cfsm.TestCase, p Projection) error {
 			if Silent(e) {
 				return fmt.Errorf("ports: local trace %s records the silent observation %s", lt.Port, e)
 			}
-			if e.Port < 0 || e.Port >= len(m.portOf) || m.portOf[e.Port] != lt.Port {
+			if e.Port < 0 || e.Port >= len(m.obsOf) || m.Port(e.Port) != lt.Port {
 				return fmt.Errorf("ports: local trace %s records event %s of a machine assigned elsewhere", lt.Port, e)
 			}
 		}

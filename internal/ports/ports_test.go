@@ -7,6 +7,7 @@ package ports_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -462,5 +463,67 @@ func TestInterleavingsCounterSaturates(t *testing.T) {
 	}
 	if got := reg.Counter("cfsmdiag_ports_interleavings_explored_total", "").Value(); got != math.MaxInt64 {
 		t.Errorf("interleavings counter = %d, want saturated at %d", got, int64(math.MaxInt64))
+	}
+}
+
+// TestMatcherEqualsProjection holds the in-place matcher to its definition,
+// Project(m, a).Equal(Project(m, b)), on random port maps and random
+// observation pairs — half of them reorderings and perturbations of one
+// another, so both answers occur often — and checks that it allocates
+// nothing.
+func TestMatcherEqualsProjection(t *testing.T) {
+	fig := paper.MustFigure1()
+	rng := rand.New(rand.NewSource(1))
+	syms := []cfsm.Symbol{"a", "b", "c'", cfsm.Epsilon, cfsm.Null}
+	randomObs := func(n int) []cfsm.Observation {
+		seq := make([]cfsm.Observation, n)
+		for i := range seq {
+			seq[i] = cfsm.Observation{Sym: syms[rng.Intn(len(syms))], Port: rng.Intn(fig.N())}
+		}
+		return seq
+	}
+	equal := 0
+	for trial := 0; trial < 5000; trial++ {
+		portOf := make([]string, fig.N())
+		observers := 1 + rng.Intn(fig.N())
+		for i := range portOf {
+			portOf[i] = fmt.Sprintf("site-%d", rng.Intn(observers))
+		}
+		pm, err := ports.New(fig, portOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := randomObs(rng.Intn(8))
+		b := append([]cfsm.Observation(nil), a...)
+		if rng.Intn(2) == 0 {
+			b = randomObs(rng.Intn(8))
+		} else {
+			for k := rng.Intn(3); k > 0 && len(b) > 1; k-- {
+				i := rng.Intn(len(b) - 1)
+				switch rng.Intn(3) {
+				case 0:
+					b[i], b[i+1] = b[i+1], b[i]
+				case 1:
+					b[i].Sym = syms[rng.Intn(len(syms))]
+				default:
+					b = append(b[:i], b[i+1:]...)
+				}
+			}
+		}
+		got := pm.Matcher().Equal(a, b)
+		if want := ports.Project(pm, a).Equal(ports.Project(pm, b)); got != want {
+			t.Fatalf("map %v: Equal(%v, %v) = %v, projections say %v", portOf, a, b, got, want)
+		}
+		if got {
+			equal++
+		}
+	}
+	if equal < 500 {
+		t.Fatalf("only %d of 5000 pairs were equal; the test barely exercises equality", equal)
+	}
+	pm := perMachineMap(t, fig)
+	a := randomObs(12)
+	if allocs := testing.AllocsPerRun(100, func() { pm.Matcher().Equal(a, a) }); allocs != 0 {
+		t.Fatalf("Equal allocates %.0f times per call", allocs)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/jobs"
 	httpapi "cfsmdiag/internal/server/api"
-	"cfsmdiag/internal/testgen"
 )
 
 // The batch surface mounts the durable job queue (internal/jobs) as
@@ -291,9 +290,11 @@ func (s *api) handleJobCancel(mgr *jobs.Manager, w http.ResponseWriter, r *http.
 // execDiagnose is the "diagnose" job kind: the /v1/diagnose pipeline fed
 // from the queue. The payload is a canonicalized diagnoseRequest.
 func (s *api) execDiagnose(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
-	var req diagnoseRequest
-	if err := strictUnmarshal(payload, &req); err != nil {
-		return nil, fmt.Errorf("decode diagnose job: %w", err)
+	req, ok := readDiagnoseRequest(payload)
+	if !ok {
+		if err := strictUnmarshal(payload, &req); err != nil {
+			return nil, fmt.Errorf("decode diagnose job: %w", err)
+		}
 	}
 	if err := s.suiteSizeErr("suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }); err != nil {
 		return nil, err
@@ -345,7 +346,7 @@ func (s *api) execSweep(ctx context.Context, payload json.RawMessage) (json.RawM
 	if err != nil {
 		return nil, err
 	}
-	if suite, _, err = testgen.SuiteOrTour(spec, suite); err != nil {
+	if suite, err = specEntry.suiteOrTour(suite); err != nil {
 		return nil, err
 	}
 	workers := req.Workers

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 
@@ -16,27 +17,35 @@ import (
 	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/obs"
+	"cfsmdiag/internal/testgen"
 )
 
 // The content-addressed model registry. Every endpoint that accepts a system
-// resolves it through the registry, so a model is decoded, validated and
-// compiled once per content: an entry holds the validated *cfsm.System and,
-// compiled on first use as a specification, its *compiled.Program. Both are
-// immutable, so one entry is shared across concurrent requests and job
-// workers; each diagnosis builds its own single-goroutine compiled.Engine
-// over the shared program.
+// resolves it through the registry, so a model is decoded and validated once
+// per content: an entry holds the validated *cfsm.System and, each built on
+// first use, its canonical hash, its compiled program and its transition
+// tour. All are immutable once built, so one entry is shared across
+// concurrent requests and job workers; each diagnosis builds its own
+// single-goroutine compiled.Engine over the shared program.
 //
 // Two key namespaces share the cache, both naming entries:
 //
-//   - "<hex hash>": the canonical content hash (compiled.ModelHash), set on
-//     upload and after any successful inline resolution. Requests reference
-//     it via the *Ref request fields and GET /v1/models/{hash}.
+//   - "<hex hash>": the canonical content hash (compiled.ModelHash). An
+//     uploaded model is registered under it at once; an inline document
+//     only when it is first used as a specification (program), which is
+//     when its hash is computed. Requests reference it via the *Ref request
+//     fields and GET /v1/models/{hash}.
 //   - "doc:<hex hash>": the SHA-256 of an inline document's raw bytes, so a
 //     repeated inline submission skips decoding and validation altogether.
-//     Byte-different spellings of one model resolve to the entry already
-//     held under its canonical hash and share its compiled program.
+//     An inline document seen only as an implementation under test is
+//     reachable by this key alone and never pays for the canonical encoding.
+//     Byte-different spellings of one specification are separate entries
+//     that share the compiled program of whichever was hashed first.
 //
 // The cache is bounded by key count and evicts the least recently used key.
+// An inline entry not registered under its canonical hash is charged for
+// that key all the same, so computing hashes lazily does not let the cap
+// hold more models than when every inline entry had both keys.
 
 // Model registry metric families.
 const (
@@ -49,17 +58,38 @@ const (
 
 // modelEntry is one registered model.
 type modelEntry struct {
-	sys  *cfsm.System
-	hash string // compiled.ModelHash(sys)
+	reg *modelRegistry
+	sys *cfsm.System
+	// hash is compiled.ModelHash(sys), "" until the entry is uploaded or
+	// first used as a specification. Guarded by reg.mu.
+	hash string
+	// charged marks an entry whose document key is held but which is not
+	// registered under its canonical hash; the cap counts that key anyway.
+	// Guarded by reg.mu.
+	charged bool
 
 	compileOnce sync.Once
 	prog        *compiled.Program
+
+	tourOnce  sync.Once
+	tourCases []cfsm.TestCase
+	uncovered []cfsm.Ref
 }
 
-// program returns the entry's compiled program, compiling it on first use.
-// Only specifications call it, so IUT-only entries never compile.
+// program returns the entry's compiled program. On first use it computes the
+// canonical hash and registers the entry under it; when another entry
+// already holds the hash, that entry's program is shared instead of
+// compiling again. Only specifications call it, so IUT-only entries are
+// never hashed or compiled.
 func (e *modelEntry) program() *compiled.Program {
 	e.compileOnce.Do(func() {
+		// An entry waits here only on one that held the hash before this
+		// call; registration under a hash happens once per entry, on upload
+		// or in this very function, so the waits cannot form a cycle.
+		if held := e.reg.canonical(e); held != e {
+			e.prog = held.program()
+			return
+		}
 		// Compile fails only on a nil system, and a registered one never is.
 		e.prog, _ = compiled.Compile(e.sys)
 	})
@@ -74,12 +104,34 @@ func (e *modelEntry) engineOpts() []core.Option {
 	return []core.Option{core.WithEngine(eng)}
 }
 
+// tour returns the transition tour of the entry's system (testgen.Tour with
+// no length bound) and the transitions it cannot reach, generated on first
+// use. Every caller shares the slices, so none may modify them; the tour is
+// clipped so that an append copies instead of writing into it.
+func (e *modelEntry) tour() ([]cfsm.TestCase, []cfsm.Ref) {
+	e.tourOnce.Do(func() {
+		tour, uncovered := testgen.Tour(e.sys, 0)
+		e.tourCases, e.uncovered = slices.Clip(tour), slices.Clip(uncovered)
+	})
+	return e.tourCases, e.uncovered
+}
+
+// suiteOrTour is testgen.SuiteOrTour over the entry's cached tour.
+func (e *modelEntry) suiteOrTour(suite []cfsm.TestCase) ([]cfsm.TestCase, error) {
+	if len(suite) > 0 {
+		return suite, nil
+	}
+	tour, _, err := testgen.NonEmptyTour(e.tour())
+	return tour, err
+}
+
 // modelRegistry is a bounded LRU cache of registered models.
 type modelRegistry struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[string]*list.Element // key -> element of lru
 	lru     *list.List               // of keyedEntry, least recently used first
+	charged int                      // entries with charged set
 
 	hits    *obs.Counter
 	misses  *obs.Counter
@@ -117,41 +169,69 @@ func (mr *modelRegistry) get(key string) (*modelEntry, bool) {
 		return nil, false
 	}
 	e := el.Value.(keyedEntry).entry
-	if h, ok := mr.entries[e.hash]; ok && h.Value.(keyedEntry).entry == e {
+	if h, ok := mr.entries[e.hash]; e.hash != "" && ok {
 		mr.lru.MoveToBack(h)
 	}
 	mr.lru.MoveToBack(el)
 	return e, true
 }
 
-// put registers sys under its canonical hash and the extra keys, evicting
-// least recently used keys beyond the cap. A model already held under hash
-// keeps its entry, so every key of one content shares one compile. It
-// returns the entry and whether every key was already present.
-func (mr *modelRegistry) put(sys *cfsm.System, hash string, keys ...string) (*modelEntry, bool) {
+// add registers sys under key, with its canonical hash when known, unless
+// the key is taken; it returns the entry the key names and whether it was
+// already present.
+func (mr *modelRegistry) add(key string, sys *cfsm.System, hash string) (*modelEntry, bool) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
-	var e *modelEntry
+	if el, ok := mr.entries[key]; ok {
+		mr.lru.MoveToBack(el)
+		return el.Value.(keyedEntry).entry, true
+	}
+	e := &modelEntry{reg: mr, sys: sys, hash: hash, charged: hash == ""}
+	if e.charged {
+		mr.charged++
+	}
+	mr.insert(key, e)
+	return e, false
+}
+
+// canonical computes e's canonical hash if it is not known yet and returns
+// the entry held under it, registering e there when no entry is.
+func (mr *modelRegistry) canonical(e *modelEntry) *modelEntry {
+	// After the entry's creation only this call, made once per entry, writes
+	// e.hash, so reading it here needs no lock.
+	hash := e.hash
+	if hash == "" {
+		hash = compiled.ModelHash(e.sys)
+	}
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	e.hash = hash
 	if el, ok := mr.entries[hash]; ok {
-		e = el.Value.(keyedEntry).entry
-	} else {
-		e = &modelEntry{sys: sys, hash: hash}
+		mr.lru.MoveToBack(el)
+		return el.Value.(keyedEntry).entry
 	}
-	all := true
-	for _, key := range append([]string{hash}, keys...) {
-		if el, ok := mr.entries[key]; ok {
-			mr.lru.MoveToBack(el)
-			continue
-		}
-		all = false
-		mr.entries[key] = mr.lru.PushBack(keyedEntry{key: key, entry: e})
+	if e.charged {
+		e.charged = false
+		mr.charged--
 	}
-	for mr.lru.Len() > mr.cap {
+	mr.insert(hash, e)
+	return e
+}
+
+// insert adds a key and evicts least recently used keys beyond the cap;
+// mr.mu is held.
+func (mr *modelRegistry) insert(key string, e *modelEntry) {
+	mr.entries[key] = mr.lru.PushBack(keyedEntry{key: key, entry: e})
+	for mr.lru.Len() > 0 && mr.lru.Len()+mr.charged > mr.cap {
 		oldest := mr.lru.Remove(mr.lru.Front()).(keyedEntry)
 		delete(mr.entries, oldest.key)
+		// A charged entry's only key is its document key.
+		if oldest.entry.charged {
+			oldest.entry.charged = false
+			mr.charged--
+		}
 	}
 	mr.size.Set(int64(len(mr.entries)))
-	return e, all
 }
 
 // byHash returns the model stored under a content hash.
@@ -165,26 +245,9 @@ func (mr *modelRegistry) byHash(hash string) (*modelEntry, bool) {
 	return e, ok
 }
 
-// modelDecodeError reports an inline model document that does not decode
-// strictly (malformed JSON, an unknown field, a wrong type): a malformed
-// request, answered 400 like any other body that fails to decode.
-type modelDecodeError struct{ err error }
-
-func (e modelDecodeError) Error() string { return e.err.Error() }
-func (e modelDecodeError) Unwrap() error { return e.err }
-
-// decodeModel strictly decodes and validates a JSON system document.
-func decodeModel(doc []byte) (*cfsm.System, error) {
-	var sj cfsm.SystemJSON
-	if err := strictUnmarshal(doc, &sj); err != nil {
-		return nil, modelDecodeError{err: err}
-	}
-	return cfsm.FromJSON(sj)
-}
-
 // resolveInline resolves an inline JSON document, keyed by its raw bytes: a
-// hit skips decoding and validation, a miss decodes, validates and registers
-// the model under both its document key and its canonical hash.
+// hit skips decoding and validation, a miss decodes and validates the model
+// and registers it under its document key.
 func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error) {
 	if len(doc) == 0 {
 		// An omitted document reads as an explicit null: the empty system,
@@ -198,11 +261,11 @@ func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error)
 		return e, nil
 	}
 	mr.misses.Inc()
-	sys, err := decodeModel(doc)
+	sys, err := cfsm.ReadSystem(doc)
 	if err != nil {
 		return nil, err
 	}
-	e, _ := mr.put(sys, compiled.ModelHash(sys), docKey)
+	e, _ := mr.add(docKey, sys, "")
 	return e, nil
 }
 
@@ -270,13 +333,13 @@ func (s *api) handleModels(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-	} else if sys, err = decodeModel(data); err != nil {
+	} else if sys, err = cfsm.ReadSystem(data); err != nil {
 		s.models.rejects.Inc()
 		writePipelineErr(w, err)
 		return
 	}
 	hash := compiled.ModelHash(sys)
-	_, cached := s.models.put(sys, hash)
+	_, cached := s.models.add(hash, sys, hash)
 	s.models.uploads.Inc()
 	writeJSON(w, http.StatusOK, modelResponse{
 		Hash:        hash,

@@ -93,7 +93,8 @@ func TestInlineModelErrorContract(t *testing.T) {
 }
 
 // TestInlineSpellingsShareOneProgram: byte-different spellings of one model
-// are two document keys on one registry entry, compiled once.
+// are two registry entries, one per document key, that share one compiled
+// program once both are used as specifications.
 func TestInlineSpellingsShareOneProgram(t *testing.T) {
 	s := newTestAPI(Config{})
 	indented := readFixture(t, "figure1.json")
@@ -109,7 +110,7 @@ func TestInlineSpellingsShareOneProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b || a.program() != b.program() {
+	if a.program() != b.program() {
 		t.Fatal("two spellings of Figure 1 resolved to different programs")
 	}
 	if a.program() == nil || a.program().System() != a.sys {
@@ -210,8 +211,9 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 
 // FuzzResolveInline feeds arbitrary bytes as the inline spec of
 // /v1/validate: the handler never panics and answers only 200, 400 or 422,
-// and an accepted document is registered under the content hash of the
-// system cfsm.ParseSystem builds from the same bytes.
+// and an accepted document is registered under its document key; once used
+// as a specification it is registered under the content hash of the system
+// cfsm.ParseSystem builds from the same bytes.
 func FuzzResolveInline(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "testdata", "figure1*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -253,8 +255,46 @@ func FuzzResolveInline(f *testing.F) {
 		if !ok {
 			t.Fatal("accepted document is not registered")
 		}
-		if want := compiled.ModelHash(sys); e.hash != want || compiled.ModelHash(e.sys) != want {
-			t.Fatalf("registered hash %s, ParseSystem hashes to %s", e.hash, want)
+		want := compiled.ModelHash(sys)
+		if compiled.ModelHash(e.sys) != want {
+			t.Fatalf("registered system hashes to %s, ParseSystem's to %s", compiled.ModelHash(e.sys), want)
+		}
+		prog := e.program()
+		if held, ok := s.models.get(want); e.hash != want || !ok || held.program() != prog {
+			t.Fatalf("used as a specification, the entry has hash %q and the registry holds %s: %v", e.hash, want, ok)
 		}
 	})
+}
+
+// TestRegistryCapChargesCanonicalKeys: an inline document resolved only as
+// an implementation under test holds one key, its document key, but the cap
+// charges it for its canonical key too, so the registry holds as many
+// models as when both keys were registered. Using it as a specification
+// moves the charge onto the real key.
+func TestRegistryCapChargesCanonicalKeys(t *testing.T) {
+	s := newTestAPI(Config{ModelCacheEntries: 4})
+	spec := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 1})
+	var entries []*modelEntry
+	for _, f := range fault.Enumerate(spec)[:4] {
+		iut, err := f.Apply(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := s.resolveModel(systemDoc(t, iut), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	if got := len(s.models.entries); got != 2 || s.models.charged != 2 {
+		t.Fatalf("%d keys and %d charged entries under a cap of 4, want 2 and 2", got, s.models.charged)
+	}
+	last := entries[len(entries)-1]
+	last.program()
+	if got := len(s.models.entries); got != 3 || s.models.charged != 1 || last.charged {
+		t.Fatalf("after use as a specification: %d keys, %d charged, want 3 and 1", got, s.models.charged)
+	}
+	if _, ok := s.models.get(last.hash); !ok {
+		t.Fatal("the specification is not registered under its hash")
+	}
 }

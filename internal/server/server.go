@@ -23,10 +23,11 @@
 //	GET  /metrics                                               -> Prometheus text exposition
 //
 // Every endpoint that takes a system resolves it through a content-addressed
-// model registry: a model seen once (inline or uploaded) is cached by the
-// content hash of its canonical binary encoding, an inline document also by
-// the hash of its raw bytes, and is never decoded or re-validated again; a
-// specification is compiled once and its program shared by every diagnosis.
+// model registry: an inline document is cached by the hash of its raw bytes
+// and never decoded or re-validated again; an uploaded model, and an inline
+// one once it is used as a specification, is also cached by the content hash
+// of its canonical binary encoding. A specification is compiled once and its
+// program shared by every diagnosis.
 // Requests may replace an inline "spec"/"iut" document with a "specRef"/
 // "iutRef" content hash of a registered model. Registry traffic is measured
 // by the cfsmdiag_model_* metric families.
@@ -90,10 +91,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 	"net/http/pprof"
@@ -106,6 +109,7 @@ import (
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/jobs"
+	"cfsmdiag/internal/jsonread"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/resilient"
@@ -494,9 +498,8 @@ func (e invalidPortMapError) Unwrap() error { return e.err }
 func writePipelineErr(w http.ResponseWriter, err error) {
 	var dup cfsm.DuplicateCaseError
 	var pmErr invalidPortMapError
-	var decErr modelDecodeError
 	switch {
-	case errors.As(err, &decErr):
+	case errors.As(err, new(cfsm.DocumentError)):
 		writeErr(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("decode request: %w", err))
 	case errors.Is(err, context.DeadlineExceeded):
 		writeErr(w, http.StatusGatewayTimeout, codeTimeout, err)
@@ -662,7 +665,11 @@ func (s *api) handleSuite(w http.ResponseWriter, r *http.Request) {
 	switch req.Kind {
 	case "", "tour":
 		var uncovered []cfsm.Ref
-		suite, uncovered = testgen.Tour(sys, req.MaxLen)
+		if req.MaxLen == 0 {
+			suite, uncovered = spec.tour()
+		} else {
+			suite, uncovered = testgen.Tour(sys, req.MaxLen)
+		}
 		for _, ref := range uncovered {
 			resp.Uncovered = append(resp.Uncovered, sys.RefString(ref))
 		}
@@ -704,6 +711,77 @@ type diagnoseRequest struct {
 	// Omitted or single-observer maps run the classical global pipeline.
 	Ports map[string]string `json:"ports,omitempty"`
 }
+
+// readDiagnoseRequest reads a /v1/diagnose body or a diagnose job payload in
+// one pass, accepting exactly what s.decode and strictUnmarshal accept: spec
+// and iut are sub-slices of data, not copies, and every other field is
+// decoded on the way. It reports false for a body encoding/json rejects,
+// whose error callers then take from encoding/json.
+func readDiagnoseRequest(data []byte) (diagnoseRequest, bool) {
+	var req diagnoseRequest
+	r := jsonread.New(data, true)
+	r.Struct(func(key []byte) bool {
+		// Keys arrive folded: they are compared with lower-case field names.
+		switch string(key) {
+		case "spec":
+			req.Spec = r.Raw()
+		case "iut":
+			req.IUT = r.Raw()
+		case "specref":
+			jsonread.String(r, &req.SpecRef)
+		case "iutref":
+			jsonread.String(r, &req.IUTRef)
+		case "suite":
+			req.Suite = cfsm.ReadSuite(r, req.Suite)
+		case "maxadditionaltests":
+			r.Int(&req.MaxAdditionalTests)
+		case "ports":
+			req.Ports = r.StringMap(req.Ports)
+		default:
+			return false
+		}
+		return true
+	})
+	if !r.End() {
+		return diagnoseRequest{}, false
+	}
+	return req, true
+}
+
+// decodeDiagnose reads a /v1/diagnose body under the size cap with
+// readDiagnoseRequest. When the reader declines the body or the read fails,
+// s.decode runs on the same bytes followed by the same read error, so the
+// status and the message are the ones encoding/json gives.
+func (s *api) decodeDiagnose(w http.ResponseWriter, r *http.Request) (diagnoseRequest, bool) {
+	// A declared length sizes the buffer once, where io.ReadAll would double
+	// its way up to the body's size. The declaration is the client's word,
+	// so it reserves at most maxPresize before any byte has arrived.
+	size := min(max(r.ContentLength, 0), s.cfg.MaxBodyBytes, maxPresize)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	data := buf.Bytes()
+	if err == nil {
+		if req, ok := readDiagnoseRequest(data); ok {
+			return req, true
+		}
+	}
+	var rest io.Reader = bytes.NewReader(data)
+	if err != nil {
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	r.Body = io.NopCloser(rest)
+	var req diagnoseRequest
+	return req, s.decode(w, r, &req)
+}
+
+// maxPresize caps the buffer decodeDiagnose reserves from a declared
+// Content-Length; larger bodies grow it as they arrive.
+const maxPresize = 1 << 20
+
+// errReader replays a read error.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 type additionalTestJSON struct {
 	Target   string   `json:"target"`
@@ -791,7 +869,7 @@ func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.
 	if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
 		return nil, nil, nil, err
 	}
-	if suite, _, err = testgen.SuiteOrTour(spec.sys, suite); err != nil {
+	if suite, err = spec.suiteOrTour(suite); err != nil {
 		return nil, nil, nil, err
 	}
 	return spec, iut, suite, nil
@@ -911,8 +989,8 @@ func (s *api) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("structured tracing is disabled on this server; restart it with tracing enabled to use ?trace=1"))
 		return
 	}
-	var req diagnoseRequest
-	if !s.decode(w, r, &req) {
+	req, ok := s.decodeDiagnose(w, r)
+	if !ok {
 		return
 	}
 	if !s.checkSuiteSize(w, "suite", len(req.Suite), func(i int) int { return len(req.Suite[i].Inputs) }) {

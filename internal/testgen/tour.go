@@ -15,7 +15,13 @@ func SuiteOrTour(sys *cfsm.System, suite []cfsm.TestCase) ([]cfsm.TestCase, []cf
 	if len(suite) > 0 {
 		return suite, nil, nil
 	}
-	tour, uncovered := Tour(sys, 0)
+	return NonEmptyTour(Tour(sys, 0))
+}
+
+// NonEmptyTour passes a generated tour and its uncovered transitions
+// through, and fails when the tour is empty, as SuiteOrTour does; callers
+// that cache a specification's tour use it in place of SuiteOrTour.
+func NonEmptyTour(tour []cfsm.TestCase, uncovered []cfsm.Ref) ([]cfsm.TestCase, []cfsm.Ref, error) {
 	if len(tour) == 0 {
 		return nil, uncovered, fmt.Errorf("suite omitted and the generated transition tour is empty (%d transitions unreachable from the initial configuration); supply an explicit suite", len(uncovered))
 	}
