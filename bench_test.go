@@ -14,6 +14,7 @@ package cfsmdiag_test
 // BenchmarkE5FaultSweepParallel— worker-pool sweep, serial vs. NumCPU
 // BenchmarkE6CostPoint         — cost comparison on the Figure 1 system
 // BenchmarkE6Scaling           — diagnosis on random systems, N = 2..4
+// BenchmarkE18DistObs          — diagnosis under a per-machine port map
 // BenchmarkProductComposition  — the exponential baseline the paper avoids
 // BenchmarkTourGeneration      — transition-tour suite generation
 // BenchmarkDistinguish         — variant-distinguishing search
@@ -29,6 +30,7 @@ import (
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/randgen"
 	"cfsmdiag/internal/testgen"
 )
@@ -164,6 +166,56 @@ func BenchmarkE6Scaling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkE18DistObs diagnoses every single-transition mutant of the E18
+// systems (Figure 1 with its paper suite, randgen seeds 1 and 42 with
+// transition tours) through ports.Diagnose under the per-machine port map:
+// projected analysis and verification, the escalations under the matcher
+// and projected Step 6. The "mutants/s" metric is the throughput.
+func BenchmarkE18DistObs(b *testing.B) {
+	type target struct {
+		name  string
+		spec  *cfsm.System
+		suite []cfsm.TestCase
+	}
+	targets := []target{{"figure1", paper.MustFigure1(), paper.TestSuite()}}
+	for _, seed := range []int64{1, 42} {
+		cfg := randgen.DefaultConfig()
+		cfg.Seed = seed
+		sys := randgen.MustGenerate(cfg)
+		suite, _ := testgen.Tour(sys, 0)
+		targets = append(targets, target{fmt.Sprintf("rand-%d", seed), sys, suite})
+	}
+	for _, tg := range targets {
+		portOf := make([]string, tg.spec.N())
+		for i := range portOf {
+			portOf[i] = fmt.Sprintf("site-%02d", i)
+		}
+		pm, err := ports.New(tg.spec, portOf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var iuts []*cfsm.System
+		for _, f := range fault.Enumerate(tg.spec) {
+			iut, err := f.Apply(tg.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iuts = append(iuts, iut)
+		}
+		b.Run(tg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, iut := range iuts {
+					if _, _, err := ports.Diagnose(tg.spec, tg.suite, &core.SystemOracle{Sys: iut}, pm); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(iuts))*float64(b.N)/b.Elapsed().Seconds(), "mutants/s")
 		})
 	}
 }

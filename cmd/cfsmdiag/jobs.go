@@ -60,14 +60,6 @@ type jobDoc struct {
 	Result     json.RawMessage `json:"result,omitempty"`
 }
 
-func (j jobDoc) terminal() bool {
-	switch j.State {
-	case "succeeded", "failed", "canceled":
-		return true
-	}
-	return false
-}
-
 // jobsCall performs one API call and decodes the response or the error
 // envelope into a useful error.
 func jobsCall(method, url string, body []byte, v any) error {
@@ -190,8 +182,8 @@ func cmdJobsSubmit(args []string, out io.Writer) error {
 	iutPath := fs.String("iut", "", "implementation-under-test system JSON file (diagnose)")
 	suitePath := fs.String("suite", "", "test suite JSON file (optional)")
 	requestPath := fs.String("request", "", "raw request document file (overrides -paper/-spec/-iut/-suite)")
-	wait := fs.Bool("wait", false, "poll until the job is terminal and print its result")
-	interval := fs.Duration("interval", 250*time.Millisecond, "poll interval with -wait")
+	wait := fs.Bool("wait", false, "follow the job until it is terminal and print its result")
+	interval := fs.Duration("interval", 250*time.Millisecond, "pause before redialing a dropped event stream with -wait")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
@@ -294,7 +286,7 @@ func cmdJobsList(args []string, out io.Writer) error {
 func cmdJobsWatch(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("jobs watch", flag.ContinueOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "base URL of the running service")
-	interval := fs.Duration("interval", 250*time.Millisecond, "poll interval")
+	interval := fs.Duration("interval", 250*time.Millisecond, "pause before redialing a dropped event stream")
 	if err := parseArgs(fs, args); err != nil {
 		return err
 	}
@@ -314,16 +306,15 @@ type jobEventDoc struct {
 	Error    string `json:"error,omitempty"`
 }
 
-// watchState carries the resume position across reconnects and across the
-// fallback rungs, so no rung replays what another already printed.
+// watchState carries the resume position across reconnects and from the
+// stream to the long poll, so neither replays what the other already
+// printed.
 type watchState struct {
-	after int    // last event seq seen
-	last  string // last state printed (dedupes the legacy poll)
+	after int // last event seq seen
 }
 
 func (w *watchState) printEvent(out io.Writer, ev jobEventDoc) {
 	w.after = ev.Seq
-	w.last = ev.State
 	cached := ""
 	if ev.Cached {
 		cached = " (cached)"
@@ -356,8 +347,8 @@ func finishJob(base, id, state string, out io.Writer) error {
 // streamSSE holds one SSE connection to the events route and prints frames
 // as they arrive. finished means the terminal event was handled; supported
 // false means this server (or the path to it) cannot stream and the caller
-// should drop a rung. A true return with neither means the connection
-// dropped mid-stream — redial and resume from w.after.
+// should fall back to the long poll. A true return with neither means the
+// connection dropped mid-stream — redial and resume from w.after.
 func (w *watchState) streamSSE(base, id string, out io.Writer) (finished, supported bool, err error) {
 	req, err := http.NewRequest(http.MethodGet,
 		base+"/v1/jobs/"+id+"/events?after="+strconv.Itoa(w.after), nil)
@@ -397,76 +388,47 @@ func (w *watchState) streamSSE(base, id string, out io.Writer) (finished, suppor
 }
 
 // longPollOnce is the fallback for paths that cannot hold an SSE stream:
-// one GET ?wait=&after= returning the events as JSON.
-func (w *watchState) longPollOnce(base, id string, out io.Writer) (finished, supported bool, err error) {
+// one GET ?wait=&after= returning the events as JSON. Its error — a server
+// without the events route answers not_found — ends the watch.
+func (w *watchState) longPollOnce(base, id string, out io.Writer) (finished bool, err error) {
 	var doc struct {
 		Events []jobEventDoc `json:"events"`
 	}
 	url := base + "/v1/jobs/" + id + "/events?wait=30s&after=" + strconv.Itoa(w.after)
 	if err := jobsCall(http.MethodGet, url, nil, &doc); err != nil {
-		return false, false, nil
+		return false, err
 	}
 	for _, ev := range doc.Events {
 		w.printEvent(out, ev)
 		if ev.Terminal {
-			return true, true, finishJob(base, id, ev.State, out)
+			return true, finishJob(base, id, ev.State, out)
 		}
 	}
-	return false, true, nil
+	return false, nil
 }
 
-// watchJob follows a job to its terminal state, preferring push over poll:
-// SSE first, the long-poll surface when a stream will not hold, and the
-// legacy status-poll loop only against servers without the events route.
-// Against a streaming server it issues no status polls at all.
+// watchJob follows a job to its terminal state on the events route: SSE
+// first, and the long-poll surface when a stream will not hold. It issues
+// no status polls at all.
 func watchJob(addr, id string, interval time.Duration, out io.Writer) error {
 	base := strings.TrimRight(addr, "/")
 	w := &watchState{}
-	sseOK := true
-	for rung := 0; ; {
-		switch {
-		case rung == 0 && sseOK:
+	for sse := true; ; {
+		if sse {
 			finished, supported, err := w.streamSSE(base, id, out)
 			if finished || err != nil {
 				return err
 			}
-			if !supported {
-				rung = 1
+			if supported {
+				// Stream dropped mid-watch: pause briefly, redial, resume.
+				time.Sleep(interval)
 				continue
 			}
-			// Stream dropped mid-watch: pause briefly, redial, resume.
-			time.Sleep(interval)
-		case rung <= 1:
-			finished, supported, err := w.longPollOnce(base, id, out)
-			if finished || err != nil {
-				return err
-			}
-			if !supported {
-				rung = 2
-				continue
-			}
-		default:
-			return w.pollLegacy(base, id, interval, out)
+			sse = false
 		}
-	}
-}
-
-// pollLegacy is the original interval poll of the status route, kept as
-// the bottom rung for servers predating the events stream.
-func (w *watchState) pollLegacy(base, id string, interval time.Duration, out io.Writer) error {
-	for {
-		var j jobDoc
-		if err := jobsCall(http.MethodGet, base+"/v1/jobs/"+id, nil, &j); err != nil {
+		if finished, err := w.longPollOnce(base, id, out); finished || err != nil {
 			return err
 		}
-		if j.State != w.last {
-			printJob(out, j)
-			w.last = j.State
-		}
-		if j.terminal() {
-			return finishJob(base, id, j.State, out)
-		}
-		time.Sleep(interval)
 	}
 }
 

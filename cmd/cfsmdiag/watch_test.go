@@ -14,7 +14,7 @@ import (
 	"cfsmdiag/internal/server"
 )
 
-// isStatusPoll matches GET /v1/jobs/{id} exactly — the legacy poll target.
+// isStatusPoll matches GET /v1/jobs/{id} exactly, the status route.
 // The result fetch (/result suffix) and the events route are not polls.
 func isStatusPoll(r *http.Request) bool {
 	if r.Method != http.MethodGet {
@@ -88,14 +88,12 @@ func TestWatchStreamsWithoutStatusPolls(t *testing.T) {
 	}
 }
 
-// TestWatchFallsBackToPollingWithoutEventsRoute simulates a server predating
-// the events stream: the watch must drop down the ladder to the legacy
-// status poll and still complete.
-func TestWatchFallsBackToPollingWithoutEventsRoute(t *testing.T) {
+// TestWatchWithoutEventsRouteReportsError fronts the service with a proxy
+// that has no events route: the watch must end with the long poll's
+// not_found error, without falling back to polling the status route.
+func TestWatchWithoutEventsRouteReportsError(t *testing.T) {
 	srv, polls := newWatchServer(t)
-	// Front the real service with a proxy that pretends the events route
-	// does not exist.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	noEvents := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/events") {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusNotFound)
@@ -114,23 +112,22 @@ func TestWatchFallsBackToPollingWithoutEventsRoute(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		w.Write(buf.Bytes())
 	}))
-	defer legacy.Close()
+	defer noEvents.Close()
 
 	id := submitPaperJob(t, srv.URL)
 	var out bytes.Buffer
-	if err := watchJob(legacy.URL, id, 20*time.Millisecond, &out); err != nil {
-		t.Fatalf("watchJob: %v\n%s", err, out.String())
+	err := watchJob(noEvents.URL, id, 20*time.Millisecond, &out)
+	if err == nil || !strings.Contains(err.Error(), "not_found") {
+		t.Fatalf("err = %v, want the long poll's not_found envelope\n%s", err, out.String())
 	}
-	if got := out.String(); !strings.Contains(got, "state=succeeded") {
-		t.Fatalf("fallback watch did not reach the terminal state:\n%s", got)
-	}
-	if polls.Load() == 0 {
-		t.Fatalf("fallback watch never hit the status route — which rung served it?")
+	if n := polls.Load(); n != 0 {
+		t.Fatalf("watch issued %d status polls, want 0", n)
 	}
 }
 
-// TestWatchUnknownJobReportsNotFound pins the error path: a bogus ID walks
-// the ladder and surfaces the server's not_found envelope.
+// TestWatchUnknownJobReportsNotFound pins the error path: a bogus ID falls
+// from the stream to the long poll, which surfaces the server's not_found
+// envelope.
 func TestWatchUnknownJobReportsNotFound(t *testing.T) {
 	srv, _ := newWatchServer(t)
 	var out bytes.Buffer

@@ -23,8 +23,8 @@ type Analysis struct {
 	UstSet       []cfsm.Ref
 	FTCtr        [][]cfsm.Ref
 	FTCco        [][]cfsm.Ref
-	// The verified hypothesis sets; nil maps when Analyze ran without
-	// verification.
+	// The verified hypothesis sets (Step 5B); nil maps when there is no
+	// symptom.
 	EndStates map[cfsm.Ref][]cfsm.State
 	Outputs   map[cfsm.Ref][]cfsm.Symbol
 	StatOut   map[cfsm.Ref][]StateOutput
@@ -39,24 +39,54 @@ type Symptom struct {
 	Transition *cfsm.Ref
 }
 
-// StateOutput is one combined (next state, output) hypothesis
-// (core.StateOutput's shape).
+// StateOutput is one element of a statout set: the combined hypothesis
+// that a transition transfers to State and outputs Output. core.StateOutput
+// is an alias of it.
 type StateOutput struct {
 	State  cfsm.State
 	Output cfsm.Symbol
 }
 
-// Analyze runs Steps 1–5 of the diagnosis on the compiled program: symptom
+// Relation generalizes hypothesis verification's "predicted equals
+// recorded" test: Equal reports whether the observations a hypothesis
+// predicts for a test case are compatible with the recorded ones (both
+// answer the same inputs, so they have equal length). It must be implied by
+// exact equality and must not retain its arguments. A nil Relation is exact
+// equality; core.ObsMatcher satisfies the interface, and internal/ports
+// supplies the per-port projection relation of distributed observation.
+type Relation interface {
+	Equal(predicted, recorded []cfsm.Observation) bool
+}
+
+// evidence is what a hypothesis must explain: the compiled suite and the
+// recorded observations, compiled for exact comparison and as recorded for
+// rel (nil: exact equality).
+type evidence struct {
+	s    *Suite
+	obsC [][]cobs
+	obs  [][]cfsm.Observation
+	rel  Relation
+}
+
+// Analyze runs Steps 1–5B of the diagnosis on the compiled program: symptom
 // extraction against the precompiled expected observations, conflict sets
 // as first-execution prefixes, the Step-5A intersection as a bitset AND over
-// transition indices, the Step-5B candidate split and — when verify is set —
-// hypothesis verification by exact observation equality through overlays
-// synthesized without per-hypothesis fault construction. Callers comparing
-// observations through another relation verify the candidates themselves.
+// transition indices, the Step-5B candidate split and hypothesis
+// verification through overlays synthesized without per-hypothesis fault
+// construction. A hypothesis survives when every test case's prediction
+// relates to the recorded observations under rel (nil: exact equality).
+//
+// Under a relation the recorded symptom symbol no longer pins the faulty
+// output — the observers need not agree on which event fell on the symptom
+// slot — and the flag is computed from one canonical interleaving, so
+// neither narrows the hypothesis space soundly: the unique symptom
+// transition and the internal-output candidates are checked over the full
+// combined (state, output) space of their class alphabets instead, and
+// verification through rel prunes it back down.
 //
 // Errors are the interpreted analysis failures (simulation failure,
 // observation-count mismatch) with identical messages.
-func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, verify bool) (Analysis, error) {
+func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, rel Relation) (Analysis, error) {
 	p := e.p
 	s := e.suiteFor(suite)
 
@@ -193,22 +223,22 @@ func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, v
 			}
 		}
 	}
-	if !verify {
-		return a, nil
-	}
 
 	// Step 5B, verify: findendingstates over FTCtr and the ust (the DESIGN
 	// §3 amendment), ustprocessing, and inttransproc over FTCco. Map entries
 	// are assigned for every candidate — nil when no hypothesis survives —
 	// matching the interpreted entry-presence semantics; the map the flag
-	// leaves unused stays empty but non-nil, as interpreted.
+	// (or the relation) leaves unused stays empty but non-nil, as
+	// interpreted.
+	ev := &evidence{s: s, obsC: obsC, obs: observed, rel: rel}
+	combined := a.Flag || rel != nil
 	nTr, nCo := len(a.UstSet), 0
 	for m := 0; m < n; m++ {
 		nTr += len(e.anFTCtr[m])
 		nCo += len(e.anFTCco[m])
 	}
 	a.EndStates = make(map[cfsm.Ref][]cfsm.State, nTr)
-	if a.Flag {
+	if combined {
 		a.StatOut = make(map[cfsm.Ref][]StateOutput, nCo+len(a.UstSet))
 		a.Outputs = make(map[cfsm.Ref][]cfsm.Symbol)
 	} else {
@@ -217,25 +247,28 @@ func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, v
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCtr[m] {
-			a.EndStates[p.Ref(idx)] = e.endStates(s, obsC, idx)
+			a.EndStates[p.Ref(idx)] = e.endStates(ev, idx)
 		}
 	}
 	if len(a.UstSet) > 0 {
 		r := a.UstSet[0]
-		a.EndStates[r] = e.endStates(s, obsC, ustIdx)
-		if a.Flag {
-			a.StatOut[r] = e.ustStatOut(s, obsC, ustIdx, uso)
-		} else {
-			a.Outputs[r] = e.ustOutputs(s, obsC, ustIdx, uso)
+		a.EndStates[r] = e.endStates(ev, ustIdx)
+		switch {
+		case rel != nil:
+			a.StatOut[r] = e.coStatOut(ev, ustIdx)
+		case a.Flag:
+			a.StatOut[r] = e.statOut(ev, ustIdx, []cfsm.Symbol{uso})
+		default:
+			a.Outputs[r] = e.ustOutputs(ev, ustIdx, uso)
 		}
 	}
 	for m := 0; m < n; m++ {
 		for _, idx := range e.anFTCco[m] {
 			r := p.Ref(idx)
-			if a.Flag {
-				a.StatOut[r] = e.coStatOut(s, obsC, idx)
+			if combined {
+				a.StatOut[r] = e.coStatOut(ev, idx)
 			} else {
-				a.Outputs[r] = e.coOutputs(s, obsC, idx)
+				a.Outputs[r] = e.coOutputs(ev, idx)
 			}
 		}
 	}
@@ -269,7 +302,7 @@ func scratchSets(buf [][]int32, n int) [][]int32 {
 // pure transfer hypothesis explains all observations — by overlaying the
 // transition's next state directly (state-ID order equals the interpreted
 // sorted States() order).
-func (e *Engine) endStates(s *Suite, observed [][]cobs, idx int32) []cfsm.State {
+func (e *Engine) endStates(ev *evidence, idx int32) []cfsm.State {
 	p := e.p
 	t := p.trans[idx]
 	mp := &p.machines[t.Machine]
@@ -278,7 +311,7 @@ func (e *Engine) endStates(s *Suite, observed [][]cobs, idx int32) []cfsm.State 
 		if sid == t.To {
 			continue
 		}
-		if e.explainsOverlay(s, observed, Overlay{t: idx, output: t.Output, to: sid, dest: t.Dest}) {
+		if e.explainsOverlay(ev, Overlay{t: idx, output: t.Output, to: sid, dest: t.Dest}) {
 			out = append(out, mp.states[sid])
 		}
 	}
@@ -289,37 +322,17 @@ func (e *Engine) endStates(s *Suite, observed [][]cobs, idx int32) []cfsm.State 
 // uso (the observed unique symptom output). The interpreted skip and
 // validation rules apply: ε, the empty symbol, the specified output and
 // outputs foreign to the class alphabet survive nothing.
-func (e *Engine) ustOutputs(s *Suite, observed [][]cobs, idx int32, uso cfsm.Symbol) []cfsm.Symbol {
+func (e *Engine) ustOutputs(ev *evidence, idx int32, uso cfsm.Symbol) []cfsm.Symbol {
 	p := e.p
 	t := p.trans[idx]
 	oid, ok := e.legalAltOutput(idx, uso)
 	if !ok {
 		return nil
 	}
-	if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: t.To, dest: t.Dest}) {
+	if e.explainsOverlay(ev, Overlay{t: idx, output: oid, to: t.To, dest: t.Dest}) {
 		return []cfsm.Symbol{p.syms[oid]}
 	}
 	return nil
-}
-
-// ustStatOut computes statout(ust) for the single candidate faulty output
-// uso: couples (s, uso) over every state of the machine, the s = NextState
-// couple degenerating to the pure output hypothesis (same overlay).
-func (e *Engine) ustStatOut(s *Suite, observed [][]cobs, idx int32, uso cfsm.Symbol) []StateOutput {
-	p := e.p
-	t := p.trans[idx]
-	oid, ok := e.legalAltOutput(idx, uso)
-	if !ok {
-		return nil
-	}
-	mp := &p.machines[t.Machine]
-	var out []StateOutput
-	for sid := int32(0); sid < mp.numStates; sid++ {
-		if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: sid, dest: t.Dest}) {
-			out = append(out, StateOutput{State: mp.states[sid], Output: p.syms[oid]})
-		}
-	}
-	return out
 }
 
 // legalAltOutput resolves a candidate faulty output against the interpreted
@@ -346,7 +359,7 @@ func (e *Engine) legalAltOutput(idx int32, o cfsm.Symbol) (int32, bool) {
 // coOutputs computes outputs(T_k) for an internal-output candidate over its
 // full class alphabet (the precompiled altOuts, in the interpreted
 // AlternativeOutputs order).
-func (e *Engine) coOutputs(s *Suite, observed [][]cobs, idx int32) []cfsm.Symbol {
+func (e *Engine) coOutputs(ev *evidence, idx int32) []cfsm.Symbol {
 	p := e.p
 	t := p.trans[idx]
 	var out []cfsm.Symbol
@@ -354,29 +367,52 @@ func (e *Engine) coOutputs(s *Suite, observed [][]cobs, idx int32) []cfsm.Symbol
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}
-		if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: t.To, dest: t.Dest}) {
+		if e.explainsOverlay(ev, Overlay{t: idx, output: oid, to: t.To, dest: t.Dest}) {
 			out = append(out, p.syms[oid])
 		}
 	}
 	return out
 }
 
-// coStatOut computes statout(T_k) for an internal-output candidate: couples
-// (s, o) over the class alphabet and every state of the machine, in the
-// interpreted output-major order.
-func (e *Engine) coStatOut(s *Suite, observed [][]cobs, idx int32) []StateOutput {
+// coStatOut computes statout(T_k) over the transition's full class
+// alphabet: the internal-output candidates' combined space, and the unique
+// symptom transition's under a relation.
+func (e *Engine) coStatOut(ev *evidence, idx int32) []StateOutput {
 	p := e.p
-	t := p.trans[idx]
-	mp := &p.machines[t.Machine]
 	var out []StateOutput
-	for _, oid := range t.altOuts {
+	for _, oid := range p.trans[idx].altOuts {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}
-		for sid := int32(0); sid < mp.numStates; sid++ {
-			if e.explainsOverlay(s, observed, Overlay{t: idx, output: oid, to: sid, dest: t.Dest}) {
-				out = append(out, StateOutput{State: mp.states[sid], Output: p.syms[oid]})
-			}
+		out = e.appendStatOut(out, ev, idx, oid)
+	}
+	return out
+}
+
+// statOut computes statout(T_k) over the given candidate faulty outputs,
+// each resolved by legalAltOutput: the ust's under the flag (its observed
+// output alone) and the combined-fault escalation's.
+func (e *Engine) statOut(ev *evidence, idx int32, outputs []cfsm.Symbol) []StateOutput {
+	var out []StateOutput
+	for _, o := range outputs {
+		if oid, ok := e.legalAltOutput(idx, o); ok {
+			out = e.appendStatOut(out, ev, idx, oid)
+		}
+	}
+	return out
+}
+
+// appendStatOut appends the surviving couples (s, o) of output oid, over
+// every state of the transition's machine in the interpreted sorted order;
+// the s = NextState couple degenerates to the pure output hypothesis (the
+// same overlay).
+func (e *Engine) appendStatOut(out []StateOutput, ev *evidence, idx, oid int32) []StateOutput {
+	p := e.p
+	t := p.trans[idx]
+	mp := &p.machines[t.Machine]
+	for sid := int32(0); sid < mp.numStates; sid++ {
+		if e.explainsOverlay(ev, Overlay{t: idx, output: oid, to: sid, dest: t.Dest}) {
+			out = append(out, StateOutput{State: mp.states[sid], Output: p.syms[oid]})
 		}
 	}
 	return out

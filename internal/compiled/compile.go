@@ -1,8 +1,9 @@
 // Package compiled lowers a validated cfsm.System into a dense, integer-
 // indexed representation — interned state and symbol IDs, flat transition
 // tables, global configurations as vectors of state IDs — and runs every
-// single-fault search against it: test-suite replay (Explains) and the
-// detection matrix (Detects), behavioural variants, the Step-6
+// single-fault search against it: the Steps 1–5B analysis with hypothesis
+// verification under any observation relation (Analyze, Explains,
+// StatOut), the detection matrix (Detects), behavioural variants, the Step-6
 // transfer/distinguishing searches, the transition tour (Tour) and the
 // reachability pass of specification analysis (Reach).
 //

@@ -8,12 +8,15 @@ import (
 )
 
 // Engine executes the diagnosis hot paths against a compiled Program: the
-// Steps 1–5 analysis (Analyze), hypothesis verification (Explains),
-// behavioural variants and the Step-6 searches. internal/core builds one per
-// diagnosis, for every validated specification. Verdict-level behaviour is
-// byte-for-byte identical to core's interpreted reference engine; only the
-// representation differs — dense tables, one-cell overlays and vectors of
-// state IDs instead of string-keyed maps and system clones.
+// Steps 1–5B analysis with production's one hypothesis verification
+// (Analyze), the escalations' per-hypothesis and per-transition verifiers
+// (Explains, StatOut), behavioural variants and the Step-6 searches. Every
+// verifier takes the observation Relation as a parameter. internal/core
+// builds one per diagnosis, for every validated specification.
+// Verdict-level behaviour is byte-for-byte identical to core's interpreted
+// reference engine; only the representation differs — dense tables,
+// one-cell overlays and vectors of state IDs instead of string-keyed maps
+// and system clones.
 //
 // An Engine is NOT safe for concurrent use: every exported method may read
 // and write the scratch fields below (the runner's configuration buffer, the
@@ -26,8 +29,8 @@ type Engine struct {
 	p *Program
 	r *Runner // scratch runner for explains and variant runs
 
-	// Compiled-suite cache: sweeps call Explains (and AnalyzeInto) with the
-	// same base suite for every hypothesis of every mutant. SetSuite installs
+	// Compiled-suite cache: sweeps call Analyze and Detects with the same
+	// base suite for every hypothesis of every mutant. SetSuite installs
 	// a suite compiled once per sweep and shared — it is immutable — across
 	// every worker engine; otherwise suiteFor compiles lazily, keyed by
 	// slice identity.
@@ -37,8 +40,10 @@ type Engine struct {
 	observed  [][]cobs
 	inBuf     []cin
 	searchBuf search
+	// pred is the prediction scratch of verification under a Relation.
+	pred []cfsm.Observation
 
-	// Analysis scratch (see analysis.go), reused across AnalyzeInto calls.
+	// Analysis scratch (see analysis.go), reused across Analyze calls.
 	anInter Bits
 	anCur   Bits
 	anITC   [][]int32
@@ -93,8 +98,8 @@ func EngineFor(p *Program) (*Engine, error) {
 // Program returns the engine's compiled program.
 func (e *Engine) Program() *Program { return e.p }
 
-// SetSuite installs a suite compiled once (NewSuite) for reuse by Explains
-// and AnalyzeInto. A sweep compiles the suite a single time and installs it
+// SetSuite installs a suite compiled once (NewSuite) for reuse by Analyze
+// and the verifiers. A sweep compiles the suite a single time and installs it
 // on every worker engine; the Suite is immutable, so the sharing is safe.
 // The suite must have been compiled against this engine's program.
 func (e *Engine) SetSuite(s *Suite) {
@@ -116,8 +121,8 @@ func (e *Engine) suiteFor(suite []cfsm.TestCase) *Suite {
 }
 
 // compileObserved lowers the observation sequences, cached by slice
-// identity: one analysis calls Explains once per hypothesis with the same
-// observations.
+// identity: an analysis and its escalations verify every hypothesis against
+// the same observations.
 func (e *Engine) compileObserved(observed [][]cfsm.Observation) {
 	if len(observed) > 0 && e.obsKey == &observed[0] && e.obsLen == len(observed) {
 		return
@@ -137,42 +142,88 @@ func (e *Engine) compileObserved(observed [][]cfsm.Observation) {
 	e.obsLen = len(observed)
 }
 
-// Explains reports whether injecting f makes every suite case reproduce the
-// matching observation sequence — the compiled form of the interpreted
+// Explains reports whether injecting f makes every suite case predict
+// observations related to the matching recorded sequence under rel (nil:
+// exact equality) — the compiled form of the interpreted
 // apply-and-resimulate check, with the per-mutant system clone replaced by
-// an overlay and an early exit on the first divergent observation (the
+// an overlay and an early exit on the first unexplained case (the
 // comparison is deterministic, so the verdict is unchanged).
-func (e *Engine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
+func (e *Engine) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault, rel Relation) bool {
 	ov, ok := e.overlayFor(f)
 	if !ok {
 		return false
 	}
+	ev := e.evidenceFor(suite, observed, rel)
+	return e.explainsOverlay(&ev, ov)
+}
+
+// StatOut computes statout(r) over the candidate faulty outputs under rel
+// (nil: exact equality): the couples (s, o) whose combined hypothesis — the
+// pure output hypothesis when s is r's specified next state — explains
+// every case, output-major in candidate order and states in sorted order.
+// Candidates the interpreted fault validation rejects (ε, the specified
+// output, outputs outside r's class alphabet) yield nothing. The
+// combined-fault escalation verifies its widened hypotheses through it.
+func (e *Engine) StatOut(suite []cfsm.TestCase, observed [][]cfsm.Observation, r cfsm.Ref, outputs []cfsm.Symbol, rel Relation) []StateOutput {
+	idx, ok := e.p.refIdx[r]
+	if !ok {
+		return nil
+	}
+	ev := e.evidenceFor(suite, observed, rel)
+	return e.statOut(&ev, idx, outputs)
+}
+
+// evidenceFor resolves the compiled suite and observations a verification
+// runs against.
+func (e *Engine) evidenceFor(suite []cfsm.TestCase, observed [][]cfsm.Observation, rel Relation) evidence {
 	s := e.suiteFor(suite)
 	e.compileObserved(observed)
-	return e.explainsOverlay(s, e.observed, ov)
+	return evidence{s: s, obsC: e.observed, obs: observed, rel: rel}
 }
 
 // explainsOverlay is Explains after fault lowering: it replays the compiled
-// suite under the overlay and compares against the compiled observations.
-// The compiled analysis (AnalyzeInto) calls it directly with overlays it
-// synthesizes, skipping the per-hypothesis fault construction and validation.
+// suite under the overlay and compares against the evidence. The compiled
+// analysis calls it directly with overlays it synthesizes, skipping the
+// per-hypothesis fault construction and validation.
 //
 // A single-cell overlay on transition t behaves exactly like the
 // specification until t first executes, and an overlay never changes when t
 // fires (its From/Input guard is not overlaid). The replay therefore skips
-// the simulation up to fireStep(t): the prefix is compared against the
-// precomputed expected observations, and the simulation resumes from the
-// suite's configuration snapshot. A case in which t never executes reduces
-// to the prefix comparison alone.
-func (e *Engine) explainsOverlay(s *Suite, observed [][]cobs, ov Overlay) bool {
+// the simulation up to fireStep(t): the prefix is the precomputed expected
+// observations, and the simulation resumes from the suite's configuration
+// snapshot. A case in which t never executes reduces to the prefix alone.
+func (e *Engine) explainsOverlay(ev *evidence, ov Overlay) bool {
 	e.r.ov = ov
 	defer e.r.Flush()
-	for i := range s.cases {
-		if !e.replays(&s.cases[i], observed[i]) {
+	for i := range ev.s.cases {
+		c := &ev.s.cases[i]
+		if ev.rel == nil {
+			if !e.replays(c, ev.obsC[i]) {
+				return false
+			}
+		} else if !e.predicts(c, ev.obs[i], ev.rel) {
 			return false
 		}
 	}
 	return true
+}
+
+// resume positions the scratch runner for case c's replay under its
+// overlay and returns the first step to simulate: fireStep of the overlaid
+// transition from the suite's snapshot, or 0 from the initial
+// configuration when the case has no snapshot.
+func (e *Engine) resume(c *suiteCase) int {
+	r := e.r
+	if r.ov.t < 0 || !c.snap {
+		r.restart()
+		return 0
+	}
+	j0 := c.fireStep(r.ov.t)
+	if j0 < len(c.inputs) {
+		n := len(e.p.machines)
+		copy(r.cfg, c.cfgs[j0*n:(j0+1)*n])
+	}
+	return j0
 }
 
 // replays reports whether case c, run under the scratch runner's overlay,
@@ -181,30 +232,40 @@ func (e *Engine) replays(c *suiteCase, want []cobs) bool {
 	if c.badInput || len(want) != len(c.inputs) {
 		return false
 	}
-	r := e.r
-	n := len(e.p.machines)
-	j0 := 0
-	if r.ov.t >= 0 && c.snap {
-		j0 = c.fireStep(r.ov.t)
-		for j := 0; j < j0; j++ {
-			if c.expC[j] != want[j] {
-				return false
-			}
+	j0 := e.resume(c)
+	for j := 0; j < j0; j++ {
+		if c.expC[j] != want[j] {
+			return false
 		}
-		if j0 == len(c.inputs) {
-			return true
-		}
-		copy(r.cfg, c.cfgs[j0*n:(j0+1)*n])
-	} else {
-		r.restart()
 	}
 	for j := j0; j < len(c.inputs); j++ {
-		o, _, _, err := r.step(c.inputs[j])
+		o, _, _, err := e.r.step(c.inputs[j])
 		if err != nil || o != want[j] {
 			return false
 		}
 	}
 	return true
+}
+
+// predicts reports whether the observations case c predicts under the
+// scratch runner's overlay — the expected prefix up to the resume step, then
+// the overlaid suffix, built in the engine's scratch buffer — relate to
+// recorded under rel.
+func (e *Engine) predicts(c *suiteCase, recorded []cfsm.Observation, rel Relation) bool {
+	if c.badInput || len(recorded) != len(c.inputs) {
+		return false
+	}
+	j0 := e.resume(c)
+	pred := append(e.pred[:0], c.exp[:j0]...)
+	for j := j0; j < len(c.inputs); j++ {
+		o, _, _, err := e.r.step(c.inputs[j])
+		if err != nil {
+			return false
+		}
+		pred = append(pred, e.p.decodeObs(o))
+	}
+	e.pred = pred
+	return rel.Equal(pred, recorded)
 }
 
 // Detects reports whether case i of the compiled suite, run on the mutant

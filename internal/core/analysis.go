@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
 )
 
@@ -46,10 +47,7 @@ type Symptom struct {
 
 // StateOutput is one element of a statout set: a combined hypothesis that a
 // transition transfers to State and outputs Output.
-type StateOutput struct {
-	State  cfsm.State
-	Output cfsm.Symbol
-}
+type StateOutput = compiled.StateOutput
 
 // MachineSets holds one per-machine family of transition sets, indexed by
 // machine.

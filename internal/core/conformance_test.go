@@ -246,10 +246,12 @@ func TestSurfacesConform(t *testing.T) {
 }
 
 // TestMultiPortMatchesReference pins matcher mode on the compiled engine —
-// projected verification and the projected distinguishing search — to the
-// interpreted reference: every mutant of the E18 systems, diagnosed under a
-// per-machine port map, must localize identically, down to the additional
-// tests and the locally ambiguous candidates.
+// projected verification, the combined and address escalations under the
+// matcher, and the projected distinguishing search — to the interpreted
+// reference: every single-transition and every addressing mutant of the E18
+// systems, diagnosed under a per-machine port map, must localize
+// identically, down to the additional tests and the locally ambiguous
+// candidates.
 func TestMultiPortMatchesReference(t *testing.T) {
 	type view struct {
 		Outcome          outcome
@@ -284,7 +286,7 @@ func TestMultiPortMatchesReference(t *testing.T) {
 					Report:           rep,
 				}
 			}
-			for _, f := range fault.Enumerate(sys.spec) {
+			for _, f := range append(fault.Enumerate(sys.spec), fault.EnumerateAddress(sys.spec)...) {
 				iut, err := f.Apply(sys.spec)
 				if err != nil {
 					t.Fatalf("apply %s: %v", f.Describe(sys.spec), err)

@@ -8,16 +8,19 @@ import (
 )
 
 // engine is the execution substrate behind the pipeline: Steps 1–5B of the
-// analysis, hypothesis verification (explains), behavioural variant
-// execution, and the Step-6 transfer/distinguishing searches. The pipeline's
-// control flow — Step 5C, the refinement rounds, escalations and verdicts —
-// never depends on which engine runs underneath.
+// analysis including hypothesis verification, the escalations' verifiers,
+// behavioural variant execution, and the Step-6 transfer/distinguishing
+// searches. Every comparison of a prediction with recorded observations
+// goes through the analysis' observation matcher (exact equality without
+// one). The pipeline's control flow — Step 5C, the refinement rounds,
+// escalations and verdicts — never depends on which engine runs underneath.
 //
 // Production has one engine: every diagnosis runs on compiled.Engine (dense
 // tables, one-cell fault overlays, configurations as vectors of state IDs),
-// which accepts every validated specification. The interface is the seam
-// that lets core's tests run the same control flow on the interpreted
-// reference engine, which lives in the test files and which the
+// which accepts every validated specification and verifies hypotheses under
+// every observation relation. The interface is the seam that lets core's
+// tests run the same control flow on the interpreted reference engine, which
+// lives in the test files with its own Steps 1–5B and which the
 // differential tests compare the compiled engine against.
 //
 // An engine is bound to one specification and, like compiled.Engine, to one
@@ -28,9 +31,14 @@ type engine interface {
 	// specification's runs to simCase when tr is enabled.
 	analyze(a *Analysis, tr *trace.Tracer) error
 	// explains reports whether injecting f into the specification makes
-	// every test case of the suite reproduce the matching observation
-	// sequence exactly. Faults that fail validation explain nothing.
-	explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool
+	// every test case of a's suite predict observations a's matcher accepts
+	// for the recorded ones. Faults that fail validation explain nothing.
+	explains(a *Analysis, f fault.Fault) bool
+	// statOut computes statout(r) over the candidate faulty outputs: the
+	// couples (s, o) whose combined hypothesis — the pure output hypothesis
+	// when s is r's specified next state — explains a's observations,
+	// output-major in candidate order with states in sorted order.
+	statOut(a *Analysis, r cfsm.Ref, candidates []cfsm.Symbol) []StateOutput
 	// variant returns an executable handle for the specification rewired
 	// with f, or for the specification itself when f is nil. The error
 	// mirrors fault.Fault.Apply's validation.
@@ -90,11 +98,9 @@ type compiledEngine struct {
 	e *compiled.Engine
 }
 
-// analyze runs Steps 1–5 on the compiled tables. With tracing on, the
+// analyze runs Steps 1–5B on the compiled tables. With tracing on, the
 // compiled suite's specification runs go to the sim.* emitter case by case
 // up to the first failure, exactly as the interpreted analysis reports them.
-// Under an observation matcher the compiled verification (exact equality) is
-// skipped and core's verification runs over compiled variants instead.
 func (c compiledEngine) analyze(a *Analysis, tr *trace.Tracer) error {
 	if tr.Enabled() {
 		for i, tc := range a.Suite {
@@ -105,7 +111,7 @@ func (c compiledEngine) analyze(a *Analysis, tr *trace.Tracer) error {
 			}
 		}
 	}
-	r, err := c.e.Analyze(a.Suite, a.Observed, a.matcher == nil)
+	r, err := c.e.Analyze(a.Suite, a.Observed, a.matcher)
 	if err != nil {
 		return err
 	}
@@ -122,26 +128,16 @@ func (c compiledEngine) analyze(a *Analysis, tr *trace.Tracer) error {
 		a.Conflicts[i] = sets
 	}
 	a.ITC, a.UstSet, a.FTCtr, a.FTCco = r.ITC, r.UstSet, r.FTCtr, r.FTCco
-	if a.matcher != nil {
-		a.verifyHypotheses()
-		return nil
-	}
-	a.EndStates, a.Outputs = r.EndStates, r.Outputs
-	for ref, sos := range r.StatOut {
-		var conv []StateOutput
-		if sos != nil {
-			conv = make([]StateOutput, len(sos))
-			for i, so := range sos {
-				conv[i] = StateOutput(so)
-			}
-		}
-		a.StatOut[ref] = conv
-	}
+	a.EndStates, a.Outputs, a.StatOut = r.EndStates, r.Outputs, r.StatOut
 	return nil
 }
 
-func (c compiledEngine) explains(suite []cfsm.TestCase, observed [][]cfsm.Observation, f fault.Fault) bool {
-	return c.e.Explains(suite, observed, f)
+func (c compiledEngine) explains(a *Analysis, f fault.Fault) bool {
+	return c.e.Explains(a.Suite, a.Observed, f, a.matcher)
+}
+
+func (c compiledEngine) statOut(a *Analysis, r cfsm.Ref, candidates []cfsm.Symbol) []StateOutput {
+	return c.e.StatOut(a.Suite, a.Observed, r, candidates, a.matcher)
 }
 
 func (c compiledEngine) variant(f *fault.Fault) (variantRunner, error) {

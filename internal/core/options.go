@@ -96,7 +96,8 @@ type ObsMatcher interface {
 }
 
 // WithObsMatcher installs an observation matcher for the whole pipeline:
-// hypothesis verification (explains), Step-6 variant elimination and the
+// hypothesis verification (the compiled engine's, which takes the matcher
+// as its compiled.Relation), Step-6 variant elimination and the
 // discriminating-test search all compare observation sequences through it.
 // Analyze additionally widens the unique-symptom-transition and internal-
 // output hypothesis spaces to the full combined (state, output) space, since
