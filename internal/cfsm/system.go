@@ -16,7 +16,7 @@ package cfsm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cfsmdiag/internal/fsm"
@@ -71,23 +71,28 @@ func (t Transition) String() string {
 // Machine is one deterministic partial FSM of a system. Machines are
 // immutable after construction (the rewiring operations return modified
 // copies), so they are safe for concurrent use by any number of goroutines.
+//
+// The transitions are stored once, sorted by (From, Input) — the order
+// Transitions reports and every hot loop (validation, Refs, the alphabet
+// accessors, fault enumeration) walks. Two indexes point into that slice:
+// a (From, Input) map for the simulator's Lookup, and the positions sorted
+// by name for ByName's binary search. A rewire keeps every transition's
+// name and key, and so its position, so a rewired copy shares both indexes
+// and the state list with its source and copies only the transitions.
 type Machine struct {
 	name    string
 	initial State
-	states  []State
-	trans   map[fsm.Key]Transition
-	byName  map[string]fsm.Key
-	// sorted caches the transitions ordered by (From, Input); it is built at
-	// construction and kept in sync by setTransition, so the hot loops over
-	// Transitions (validation, Refs, the alphabet accessors, fault
-	// enumeration) never re-sort.
-	sorted []Transition
+	states  []State      // declared states, sorted
+	sorted  []Transition // sorted by (From, Input)
+	index   map[fsm.Key]int32
+	names   []int32 // positions in sorted, ordered by transition name
 }
 
 // NewMachine builds one machine of a system. Determinism, unique transition
 // names and declared endpoints are validated here; the cross-machine rules
 // (destination indices, alphabet partition, internal-chain restriction) are
-// validated by NewSystem.
+// validated by NewSystem. An invalid machine is reported by its first
+// offending state, or else its first offending transition, in input order.
 func NewMachine(name string, initial State, states []State, transitions []Transition) (*Machine, error) {
 	if name == "" {
 		return nil, fmt.Errorf("cfsm: machine name must not be empty")
@@ -95,82 +100,112 @@ func NewMachine(name string, initial State, states []State, transitions []Transi
 	if len(states) == 0 {
 		return nil, fmt.Errorf("cfsm %s: at least one state is required", name)
 	}
-	stateSet := make(map[State]bool, len(states))
-	for _, s := range states {
-		if s == "" {
-			return nil, fmt.Errorf("cfsm %s: empty state name", name)
-		}
-		if stateSet[s] {
-			return nil, fmt.Errorf("cfsm %s: duplicate state %q", name, s)
-		}
-		stateSet[s] = true
+	m := &Machine{name: name, initial: initial, states: slices.Clone(states)}
+	slices.Sort(m.states)
+	if m.states[0] == "" || hasAdjacentDup(m.states, func(a, b State) bool { return a == b }) {
+		return nil, stateError(name, states)
 	}
-	if !stateSet[initial] {
+	if !m.HasState(initial) {
 		return nil, fmt.Errorf("cfsm %s: initial state %q is not declared", name, initial)
 	}
-	m := &Machine{
-		name:    name,
-		initial: initial,
-		states:  append([]State(nil), states...),
-		trans:   make(map[fsm.Key]Transition, len(transitions)),
-		byName:  make(map[string]fsm.Key, len(transitions)),
+	m.sorted = slices.Clone(transitions)
+	slices.SortFunc(m.sorted, compareKey)
+	m.names = make([]int32, len(m.sorted))
+	for i := range m.names {
+		m.names[i] = int32(i)
 	}
-	sort.Slice(m.states, func(i, j int) bool { return m.states[i] < m.states[j] })
-	for _, t := range transitions {
-		if t.Name == "" {
-			return nil, fmt.Errorf("cfsm %s: transition %v has no name", name, t)
-		}
-		if _, dup := m.byName[t.Name]; dup {
-			return nil, fmt.Errorf("cfsm %s: duplicate transition name %q", name, t.Name)
-		}
-		if !stateSet[t.From] || !stateSet[t.To] {
-			return nil, fmt.Errorf("cfsm %s: transition %s references an undeclared state", name, t.Name)
-		}
-		if t.Input == "" || t.Output == "" {
-			return nil, fmt.Errorf("cfsm %s: transition %s has an empty symbol", name, t.Name)
-		}
-		if t.Input == Epsilon || t.Output == Epsilon || t.Input == Null || t.Output == Null {
-			return nil, fmt.Errorf("cfsm %s: transition %s uses a reserved symbol", name, t.Name)
-		}
-		k := fsm.Key{From: t.From, Input: t.Input}
-		if prev, clash := m.trans[k]; clash {
-			return nil, fmt.Errorf("cfsm %s: nondeterminism: %s and %s share state %q and input %q",
-				name, prev.Name, t.Name, t.From, t.Input)
-		}
-		m.trans[k] = t
-		m.byName[t.Name] = k
+	slices.SortFunc(m.names, func(a, b int32) int { return strings.Compare(m.sorted[a].Name, m.sorted[b].Name) })
+	bad := hasAdjacentDup(m.sorted, func(a, b Transition) bool { return compareKey(a, b) == 0 }) ||
+		hasAdjacentDup(m.names, func(a, b int32) bool { return m.sorted[a].Name == m.sorted[b].Name })
+	for i := 0; i < len(m.sorted) && !bad; i++ {
+		bad = transitionFault(m, &m.sorted[i]) != ""
 	}
-	m.rebuildSorted()
+	if bad {
+		return nil, transitionError(m, transitions)
+	}
+	m.index = make(map[fsm.Key]int32, len(m.sorted))
+	for i, t := range m.sorted {
+		m.index[fsm.Key{From: t.From, Input: t.Input}] = int32(i)
+	}
 	return m, nil
 }
 
-// rebuildSorted recomputes the cached (From, Input)-ordered transition slice
-// from the transition map.
-func (m *Machine) rebuildSorted() {
-	m.sorted = make([]Transition, 0, len(m.trans))
-	for _, t := range m.trans {
-		m.sorted = append(m.sorted, t)
+// compareKey orders transitions by (From, Input).
+func compareKey(a, b Transition) int {
+	if c := strings.Compare(string(a.From), string(b.From)); c != 0 {
+		return c
 	}
-	sort.Slice(m.sorted, func(i, j int) bool {
-		if m.sorted[i].From != m.sorted[j].From {
-			return m.sorted[i].From < m.sorted[j].From
-		}
-		return m.sorted[i].Input < m.sorted[j].Input
-	})
+	return strings.Compare(string(a.Input), string(b.Input))
 }
 
-// setTransition replaces the transition stored under k, keeping the sorted
-// cache consistent. The replacement must preserve the transition's name and
-// (From, Input) key — exactly what the rewiring operations do — so the cache
-// order is unaffected and only the matching entry needs updating.
-func (m *Machine) setTransition(k fsm.Key, t Transition) {
-	m.trans[k] = t
-	for i := range m.sorted {
-		if m.sorted[i].Name == t.Name {
-			m.sorted[i] = t
-			return
+// hasAdjacentDup reports whether two neighbours of a sorted slice are equal.
+func hasAdjacentDup[E any](s []E, eq func(a, b E) bool) bool {
+	for i := 1; i < len(s); i++ {
+		if eq(s[i-1], s[i]) {
+			return true
 		}
 	}
+	return false
+}
+
+// stateError reports the first state, in input order, that is empty or
+// repeats an earlier one. Only a state list that failed the sorted checks
+// reaches it.
+func stateError(name string, states []State) error {
+	seen := make(map[State]bool, len(states))
+	for _, s := range states {
+		if s == "" {
+			return fmt.Errorf("cfsm %s: empty state name", name)
+		}
+		if seen[s] {
+			return fmt.Errorf("cfsm %s: duplicate state %q", name, s)
+		}
+		seen[s] = true
+	}
+	panic("cfsm: stateError on valid states")
+}
+
+// transitionFault names what is wrong with one transition on its own — a
+// missing name, an undeclared state, an empty or a reserved symbol — as the
+// tail of its error message, or returns "".
+func transitionFault(m *Machine, t *Transition) string {
+	switch {
+	case t.Name == "":
+		return fmt.Sprintf("transition %v has no name", *t)
+	case !m.HasState(t.From) || !m.HasState(t.To):
+		return fmt.Sprintf("transition %s references an undeclared state", t.Name)
+	case t.Input == "" || t.Output == "":
+		return fmt.Sprintf("transition %s has an empty symbol", t.Name)
+	case t.Input == Epsilon || t.Output == Epsilon || t.Input == Null || t.Output == Null:
+		return fmt.Sprintf("transition %s uses a reserved symbol", t.Name)
+	}
+	return ""
+}
+
+// transitionError reports the first offending transition in input order,
+// checking each in turn for a missing name, a name an earlier transition
+// took, its own faults, and a (From, Input) pair an earlier transition
+// defines. Only a transition list that failed the sorted checks reaches it.
+func transitionError(m *Machine, ts []Transition) error {
+	names := make(map[string]bool, len(ts))
+	keys := make(map[fsm.Key]string, len(ts))
+	for i := range ts {
+		t := &ts[i]
+		fault := transitionFault(m, t)
+		if t.Name != "" && names[t.Name] {
+			fault = fmt.Sprintf("duplicate transition name %q", t.Name)
+		}
+		if fault != "" {
+			return fmt.Errorf("cfsm %s: %s", m.name, fault)
+		}
+		k := fsm.Key{From: t.From, Input: t.Input}
+		if prev, clash := keys[k]; clash {
+			return fmt.Errorf("cfsm %s: nondeterminism: %s and %s share state %q and input %q",
+				m.name, prev, t.Name, t.From, t.Input)
+		}
+		names[t.Name], keys[k] = true, t.Name
+	}
+	panic("cfsm: transitionError on valid transitions")
 }
 
 // Name returns the machine's display name.
@@ -184,59 +219,61 @@ func (m *Machine) States() []State { return append([]State(nil), m.states...) }
 
 // HasState reports whether s is declared in the machine.
 func (m *Machine) HasState(s State) bool {
-	for _, st := range m.states {
-		if st == s {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(m.states, s)
+	return ok
 }
 
 // Lookup returns the transition defined for (state, input), if any.
 func (m *Machine) Lookup(from State, input Symbol) (Transition, bool) {
-	t, ok := m.trans[fsm.Key{From: from, Input: input}]
-	return t, ok
+	i, ok := m.index[fsm.Key{From: from, Input: input}]
+	if !ok {
+		return Transition{}, false
+	}
+	return m.sorted[i], true
 }
 
 // ByName returns the transition with the given name, if any.
 func (m *Machine) ByName(name string) (Transition, bool) {
-	k, ok := m.byName[name]
+	i, ok := m.position(name)
 	if !ok {
 		return Transition{}, false
 	}
-	return m.trans[k], true
+	return m.sorted[i], true
+}
+
+// position returns the named transition's position in the sorted slice.
+func (m *Machine) position(name string) (int32, bool) {
+	k, ok := slices.BinarySearchFunc(m.names, name, func(i int32, name string) int {
+		return strings.Compare(m.sorted[i].Name, name)
+	})
+	if !ok {
+		return -1, false
+	}
+	return m.names[k], true
 }
 
 // Transitions returns all transitions sorted by (From, Input). The slice is a
-// copy of a cache precomputed at construction time, so calling it in hot
-// loops costs one copy, never a re-sort.
+// copy of the stored order, so calling it in hot loops costs one copy, never
+// a sort.
 func (m *Machine) Transitions() []Transition {
 	return append([]Transition(nil), m.sorted...)
 }
 
-// transitions returns the cached sorted slice without copying, for
+// transitions returns the sorted slice without copying, for
 // package-internal read-only iteration on hot paths.
 func (m *Machine) transitions() []Transition { return m.sorted }
 
 // NumTransitions returns the number of defined transitions.
-func (m *Machine) NumTransitions() int { return len(m.trans) }
+func (m *Machine) NumTransitions() int { return len(m.sorted) }
 
-func (m *Machine) clone() *Machine {
-	c := &Machine{
-		name:    m.name,
-		initial: m.initial,
-		states:  append([]State(nil), m.states...),
-		trans:   make(map[fsm.Key]Transition, len(m.trans)),
-		byName:  make(map[string]fsm.Key, len(m.byName)),
-		sorted:  append([]Transition(nil), m.sorted...),
-	}
-	for k, t := range m.trans {
-		c.trans[k] = t
-	}
-	for n, k := range m.byName {
-		c.byName[n] = k
-	}
-	return c
+// withTransition returns a copy of the machine in which the transition at
+// position i is replaced by t, which keeps its name and (From, Input) key:
+// the copy shares the states and both indexes.
+func (m *Machine) withTransition(i int32, t Transition) *Machine {
+	c := *m
+	c.sorted = slices.Clone(m.sorted)
+	c.sorted[i] = t
+	return &c
 }
 
 // ResetSymbol is the distinguished input that resets every machine of a
@@ -452,23 +489,13 @@ func (s *System) Rewire(r Ref, newOutput Symbol, newTo State) (*System, error) {
 		return nil, fmt.Errorf("cfsm: rewire %s: %q is not a state of %s",
 			s.RefString(r), newTo, s.machines[r.Machine].name)
 	}
-	ms := make([]*Machine, len(s.machines))
-	copy(ms, s.machines)
-	mc := s.machines[r.Machine].clone()
-	k := mc.byName[r.Name]
 	if newOutput != "" {
 		t.Output = newOutput
 	}
 	if newTo != "" {
 		t.To = newTo
 	}
-	mc.setTransition(k, t)
-	ms[r.Machine] = mc
-	out := &System{machines: ms}
-	if err := out.validate(); err != nil {
-		return nil, fmt.Errorf("cfsm: rewire %s: %w", s.RefString(r), err)
-	}
-	return out, nil
+	return s.replace(r, t)
 }
 
 // RewireAddress returns a copy of the system in which the referenced
@@ -490,13 +517,17 @@ func (s *System) RewireAddress(r Ref, newDest int) (*System, error) {
 	if newDest != DestEnv && (newDest < 0 || newDest >= len(s.machines)) {
 		return nil, fmt.Errorf("cfsm: rewire %s: unknown destination %d", s.RefString(r), newDest)
 	}
-	ms := make([]*Machine, len(s.machines))
-	copy(ms, s.machines)
-	mc := s.machines[r.Machine].clone()
-	k := mc.byName[r.Name]
 	t.Dest = newDest
-	mc.setTransition(k, t)
-	ms[r.Machine] = mc
+	return s.replace(r, t)
+}
+
+// replace returns a re-validated copy of the system in which the referenced
+// transition is t, which keeps the transition's name and (From, Input) key.
+func (s *System) replace(r Ref, t Transition) (*System, error) {
+	m := s.machines[r.Machine]
+	i, _ := m.position(r.Name)
+	ms := slices.Clone(s.machines)
+	ms[r.Machine] = m.withTransition(i, t)
 	out := &System{machines: ms}
 	if err := out.validate(); err != nil {
 		return nil, fmt.Errorf("cfsm: rewire %s: %w", s.RefString(r), err)

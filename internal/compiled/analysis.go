@@ -276,12 +276,13 @@ func (e *Engine) Analyze(suite []cfsm.TestCase, observed [][]cfsm.Observation, r
 }
 
 // analysisBits returns the engine's two transition-indexed bitset scratch
-// buffers, allocated on first use.
+// buffers, sized for the bound program; their storage outlives a rebinding.
 func (e *Engine) analysisBits() (inter, cur Bits) {
-	if e.anInter == nil {
-		e.anInter = NewBits(len(e.p.trans))
-		e.anCur = NewBits(len(e.p.trans))
+	n := (len(e.p.trans) + 63) / 64
+	if cap(e.anInter) < n {
+		e.anInter, e.anCur = NewBits(len(e.p.trans)), NewBits(len(e.p.trans))
 	}
+	e.anInter, e.anCur = e.anInter[:n], e.anCur[:n]
 	return e.anInter, e.anCur
 }
 

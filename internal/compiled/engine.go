@@ -2,6 +2,8 @@ package compiled
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
@@ -23,8 +25,14 @@ import (
 // suite/observation caches, the Ref memo, the search and analysis scratch),
 // none of which are synchronized. The concurrency contract is
 // one-goroutine-per-Engine: give each worker its own Engine over a shared,
-// immutable Program (EngineFor is cheap), the sharing the sweep's worker
-// pool implements and TestEngineSharingAcrossWorkers exercises under -race.
+// immutable Program, the sharing the sweep's worker pool implements and
+// TestEngineSharingAcrossWorkers exercises under -race.
+//
+// The scratch is what a fresh engine pays for: its first pair search alone
+// allocates and zeroes a visited array the size of the configuration-pair
+// space. A caller done with an engine hands it back with Release, and
+// EngineFor rebinds a released engine to the next program asked for, keeping
+// the scratch (see enginePool).
 type Engine struct {
 	p *Program
 	r *Runner // scratch runner for explains and variant runs
@@ -85,14 +93,55 @@ func NewEngine(sys *cfsm.System) (*Engine, error) {
 	return EngineFor(p)
 }
 
+// enginePool holds released engines. One pool serves every program: a
+// released engine is rebound to whichever program EngineFor is asked for
+// next, so the scratch kept stays bounded by the engines in use at once, not
+// by the number of programs.
+var enginePool sync.Pool
+
 // EngineFor returns an engine over an already-compiled program, sharing the
-// program with any number of sibling engines. It fails only on a nil
-// program.
+// program with any number of sibling engines. The engine is a released one
+// rebound to p when the pool has one, and otherwise a new one. It fails only
+// on a nil program.
 func EngineFor(p *Program) (*Engine, error) {
 	if p == nil {
 		return nil, fmt.Errorf("compiled: nil program")
 	}
-	return &Engine{p: p, r: p.NewRunner()}, nil
+	e, ok := enginePool.Get().(*Engine)
+	if !ok {
+		return newEngine(p), nil
+	}
+	e.bind(p)
+	return e, nil
+}
+
+func newEngine(p *Program) *Engine { return &Engine{p: p, r: p.NewRunner()} }
+
+// bind points a released engine, and its runner, at p.
+func (e *Engine) bind(p *Program) {
+	e.p = p
+	e.r.p = p
+	e.r.cfg = slices.Grow(e.r.cfg[:0], len(p.machines))[:len(p.machines)]
+	e.r.SetOverlay(None())
+}
+
+// unbind drops the program and every cache keyed by identity.
+func (e *Engine) unbind() {
+	e.p, e.r.p = nil, nil
+	e.csuite, e.obsKey, e.obsLen = nil, nil, 0
+	e.memoRef, e.memoSet = cfsm.Ref{}, false
+}
+
+// Release hands the engine back to EngineFor's pool. Its program and the
+// caches keyed by identity (the installed suite, the compiled observations,
+// the Ref memo) are dropped; the search arena, the visited structure and the
+// observation and analysis buffers are kept for the next program. Release
+// must be called exactly once, by the engine's only owner, after its last
+// use: once EngineFor hands the engine out again it belongs to its new
+// owner, so neither it nor any Variant of it may be touched after Release.
+func (e *Engine) Release() {
+	e.unbind()
+	enginePool.Put(e)
 }
 
 // Program returns the engine's compiled program.

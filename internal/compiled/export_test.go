@@ -14,3 +14,13 @@ func (e *Engine) NextUncovered(cfg []int32, covered cfsm.RefSet) ([]cfsm.Input, 
 	}
 	return e.transferSearch(cfg, goal{covered: bits}, nil)
 }
+
+// FreshEngine returns an engine no program has used, bypassing the pool.
+func FreshEngine(p *Program) *Engine { return newEngine(p) }
+
+// Rebind does to e what Release and an EngineFor(p) that draws e from the
+// pool do, without the pool, which may drop what it is given.
+func (e *Engine) Rebind(p *Program) {
+	e.unbind()
+	e.bind(p)
+}

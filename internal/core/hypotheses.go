@@ -79,19 +79,28 @@ func (a *Analysis) EscalateCombined() bool {
 	a.Escalated = true
 	before := len(a.Diagnoses)
 
+	// With the flag set, or a matcher installed, Step 5B verified the
+	// combined space of every candidate already — the ust over its symptom
+	// output or its whole class alphabet, the FTCco transitions over theirs
+	// — so verifying again adds no couple
+	// (TestEscalateCombinedRedundantAfterCombinedStep5B) and only the empty
+	// entries are dropped.
+	verified := a.Flag || a.matcher != nil
 	merge := func(r cfsm.Ref, candidates []cfsm.Symbol) {
-		have := make(map[StateOutput]bool, len(a.StatOut[r]))
-		for _, so := range a.StatOut[r] {
-			have[so] = true
-		}
-		for _, so := range a.engine().statOut(a, r, candidates) {
-			t, _ := a.Spec.Transition(r)
-			if so.State == t.To {
-				continue // pure output faults are already covered by Outputs
-			}
-			if !have[so] {
+		if !verified {
+			have := make(map[StateOutput]bool, len(a.StatOut[r]))
+			for _, so := range a.StatOut[r] {
 				have[so] = true
-				a.StatOut[r] = append(a.StatOut[r], so)
+			}
+			for _, so := range a.engine().statOut(a, r, candidates) {
+				t, _ := a.Spec.Transition(r)
+				if so.State == t.To {
+					continue // pure output faults are already covered by Outputs
+				}
+				if !have[so] {
+					have[so] = true
+					a.StatOut[r] = append(a.StatOut[r], so)
+				}
 			}
 		}
 		if len(a.StatOut[r]) == 0 {

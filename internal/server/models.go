@@ -15,7 +15,6 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
-	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/obs"
 	"cfsmdiag/internal/testgen"
 )
@@ -23,10 +22,18 @@ import (
 // The content-addressed model registry. Every endpoint that accepts a system
 // resolves it through the registry, so a model is decoded and validated once
 // per content: an entry holds the validated *cfsm.System and, each built on
-// first use, its canonical hash, its compiled program and its transition
-// tour. All are immutable once built, so one entry is shared across
-// concurrent requests and job workers; each diagnosis builds its own
-// single-goroutine compiled.Engine over the shared program.
+// first use, its canonical hash, its compiled program, its transition tour
+// and the compiled suites diagnoses of it run. All are immutable once built,
+// so one entry is shared across concurrent requests and job workers; each
+// diagnosis takes its own single-goroutine compiled.Engine over the shared
+// program from compiled.EngineFor and releases it when done, so requests
+// pay only for what differs between them: the implementation under test and
+// its observations.
+//
+// A request suite, or the tour a suite-less request runs, is interned
+// (modelEntry.compiledSuite): a suite equal in names and inputs to the
+// entry's last one reuses that one's slice and compiled form, so the
+// engine's identity-keyed suite cache hits.
 //
 // Two key namespaces share the cache, both naming entries:
 //
@@ -74,6 +81,12 @@ type modelEntry struct {
 	tourOnce  sync.Once
 	tourCases []cfsm.TestCase
 	uncovered []cfsm.Ref
+
+	// lastCases and lastSuite are a one-slot cache of the suite last
+	// diagnosed, clipped and compiled. Guarded by suiteMu.
+	suiteMu   sync.Mutex
+	lastCases []cfsm.TestCase
+	lastSuite *compiled.Suite
 }
 
 // program returns the entry's compiled program. On first use it computes the
@@ -96,12 +109,16 @@ func (e *modelEntry) program() *compiled.Program {
 	return e.prog
 }
 
-// engineOpts runs a diagnosis of the entry's system on a fresh engine over
-// the shared program.
-func (e *modelEntry) engineOpts() []core.Option {
+// engine returns an engine over the shared program with the compiled suite
+// cs installed when it is not nil. The caller releases it after its last
+// use.
+func (e *modelEntry) engine(cs *compiled.Suite) *compiled.Engine {
 	// EngineFor fails only on a nil program, and program() never returns one.
 	eng, _ := compiled.EngineFor(e.program())
-	return []core.Option{core.WithEngine(eng)}
+	if cs != nil {
+		eng.SetSuite(cs)
+	}
+	return eng
 }
 
 // tour returns the transition tour of the entry's system (testgen.Tour with
@@ -123,6 +140,30 @@ func (e *modelEntry) suiteOrTour(suite []cfsm.TestCase) ([]cfsm.TestCase, error)
 	}
 	tour, _, err := testgen.NonEmptyTour(e.tour())
 	return tour, err
+}
+
+// compiledSuite interns a suite in the entry's one-slot cache: a suite equal
+// in names and inputs to the cached one resolves to its shared slice and
+// compiled form, and any other suite is clipped, compiled and takes the
+// slot. Nothing is compiled for an empty suite.
+func (e *modelEntry) compiledSuite(suite []cfsm.TestCase) ([]cfsm.TestCase, *compiled.Suite) {
+	if len(suite) == 0 {
+		return suite, nil
+	}
+	e.suiteMu.Lock()
+	cases, cs := e.lastCases, e.lastSuite
+	e.suiteMu.Unlock()
+	if slices.EqualFunc(cases, suite, func(a, b cfsm.TestCase) bool {
+		return a.Name == b.Name && slices.Equal(a.Inputs, b.Inputs)
+	}) {
+		return cases, cs
+	}
+	cases = slices.Clip(suite)
+	cs = compiled.NewSuite(e.program(), cases)
+	e.suiteMu.Lock()
+	e.lastCases, e.lastSuite = cases, cs
+	e.suiteMu.Unlock()
+	return cases, cs
 }
 
 // modelRegistry is a bounded LRU cache of registered models.

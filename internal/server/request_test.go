@@ -64,7 +64,7 @@ func outcomeOf(t testing.TB, s *api, body []byte, reference bool) diagnoseOutcom
 			spec, iut, out.suite, err = referencePrepare(s, out.req)
 		} else {
 			var entry *modelEntry
-			entry, iut, out.suite, err = s.prepareDiagnose(out.req)
+			entry, iut, out.suite, _, err = s.prepareDiagnose(out.req)
 			if entry != nil {
 				spec = entry.sys
 			}
@@ -252,12 +252,19 @@ func FuzzDiagnoseRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkDiagnoseRequest(t, s, body) })
 }
 
-// BenchmarkDiagnoseInline posts /v1/diagnose requests for randgen 4×4 seed 2
-// with its tour and a distinct inline mutant IUT per request, so every IUT
-// misses the registry as in the diagnose_large workload.
+// BenchmarkDiagnoseInline posts /v1/diagnose requests for randgen 4×4
+// specifications with their tours and a distinct inline mutant IUT per
+// request, so every IUT misses the registry as in the diagnose_large
+// workload. specs=1 diagnoses seed 2 alone; specs=4 rotates seeds 2, 3, 4
+// and 7 request by request, so a pooled engine is rebound to another
+// program for nearly every request, as under perfbench's sixteen specs.
 func BenchmarkDiagnoseInline(b *testing.B) {
-	spec := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 2})
-	tour, _ := testgen.Tour(spec, 0)
+	for _, seeds := range [][]int64{{2}, {2, 3, 4, 7}} {
+		b.Run(fmt.Sprintf("specs=%d", len(seeds)), func(b *testing.B) { benchDiagnoseInline(b, seeds) })
+	}
+}
+
+func benchDiagnoseInline(b *testing.B, seeds []int64) {
 	compact := func(sys *cfsm.System) []byte {
 		doc, err := sys.MarshalJSON()
 		if err != nil {
@@ -269,29 +276,36 @@ func BenchmarkDiagnoseInline(b *testing.B) {
 		}
 		return out.Bytes()
 	}
-	suite, err := json.Marshal(cfsm.EncodeSuite(tour))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prefix := append(append(append([]byte(`{"spec":`), compact(spec)...), `,"suite":`...), suite...)
-	var bodies [][]byte
-	for _, f := range fault.Enumerate(spec) {
-		iut, err := f.Apply(spec)
+	bodies := make([][][]byte, len(seeds))
+	for k, seed := range seeds {
+		spec := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: seed})
+		tour, _ := testgen.Tour(spec, 0)
+		suite, err := json.Marshal(cfsm.EncodeSuite(tour))
 		if err != nil {
 			b.Fatal(err)
 		}
-		body := append(append(append(bytes.Clone(prefix), `,"iut":`...), compact(iut)...), '}')
-		bodies = append(bodies, body)
+		prefix := append(append(append([]byte(`{"spec":`), compact(spec)...), `,"suite":`...), suite...)
+		for _, f := range fault.Enumerate(spec) {
+			iut, err := f.Apply(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			body := append(append(append(bytes.Clone(prefix), `,"iut":`...), compact(iut)...), '}')
+			bodies[k] = append(bodies[k], body)
+		}
 	}
-	// A cap of 8 keys evicts every IUT long before its body comes round
-	// again, while the specification's keys stay hot.
-	s := newTestAPI(Config{ModelCacheEntries: 8})
+	// Every specification holds two keys (its document and its canonical
+	// hash) and stays hot; the four keys per specification left over evict
+	// every IUT long before its body comes round again.
+	s := newTestAPI(Config{ModelCacheEntries: 4*len(seeds) + 4})
 	h := s.post(s.handleDiagnose)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		specBodies := bodies[i%len(seeds)]
+		body := specBodies[i/len(seeds)%len(specBodies)]
 		rr := httptest.NewRecorder()
-		h(rr, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(bodies[i%len(bodies)])))
+		h(rr, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)))
 		if rr.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rr.Code, rr.Body)
 		}

@@ -105,6 +105,7 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/cluster"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/experiments"
 	"cfsmdiag/internal/fault"
@@ -856,23 +857,24 @@ func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, bo
 // Suite sizes are NOT checked here — the HTTP handler rejects them with
 // the suite_too_large code before calling in, and the job executors call
 // suiteSizeErr themselves.
-func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.System, suite []cfsm.TestCase, err error) {
+func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.System, suite []cfsm.TestCase, cs *compiled.Suite, err error) {
 	spec, err = s.resolveModel(req.Spec, req.SpecRef)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("spec: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("spec: %w", err)
 	}
 	iutEntry, err := s.resolveModel(req.IUT, req.IUTRef)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("iut: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("iut: %w", err)
 	}
 	iut = iutEntry.sys
 	if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if suite, err = spec.suiteOrTour(suite); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
-	return spec, iut, suite, nil
+	suite, cs = spec.compiledSuite(suite)
+	return spec, iut, suite, cs, nil
 }
 
 // oracleFor wraps the IUT in the configured resilient retry layer. The
@@ -892,10 +894,10 @@ func (s *api) oracleFor(iut *cfsm.System) (core.Oracle, *core.SystemOracle) {
 }
 
 // diagnoseOpts are the core options shared by every diagnosis entry point:
-// the server's registry and an engine over the specification's cached
+// the server's registry and the engine over the specification's cached
 // program.
-func (s *api) diagnoseOpts(spec *modelEntry, req diagnoseRequest) []core.Option {
-	opts := append(spec.engineOpts(), core.WithRegistry(s.cfg.Registry))
+func (s *api) diagnoseOpts(eng *compiled.Engine, req diagnoseRequest) []core.Option {
+	opts := []core.Option{core.WithEngine(eng), core.WithRegistry(s.cfg.Registry)}
 	if req.MaxAdditionalTests > 0 {
 		opts = append(opts, core.WithMaxAdditionalTests(req.MaxAdditionalTests))
 	}
@@ -947,7 +949,7 @@ var errTraceMultiPort = errors.New("?trace=1 is not supported with a multi-port 
 // With a tracer the run is traced, replay header included; the jobs
 // executor passes none. Errors are pipeline errors.
 func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tracer) (*diagnoseResponse, error) {
-	specEntry, iut, suite, err := s.prepareDiagnose(req)
+	specEntry, iut, suite, cs, err := s.prepareDiagnose(req)
 	if err != nil {
 		return nil, err
 	}
@@ -959,7 +961,9 @@ func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tr
 	if tr != nil && !pm.Single() {
 		return nil, errTraceMultiPort
 	}
-	opts := s.diagnoseOpts(specEntry, req)
+	eng := specEntry.engine(cs)
+	defer eng.Release()
+	opts := s.diagnoseOpts(eng, req)
 	if tr != nil {
 		opts = append(opts, core.WithTrace(tr))
 	}
@@ -1070,6 +1074,7 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writePipelineErr(w, err)
 		return
 	}
+	suite, cs := specEntry.compiledSuite(suite)
 	observed, err := cfsm.DecodeObservations(req.Observations)
 	if err != nil {
 		writeErr(w, http.StatusUnprocessableEntity, codeUnprocessable, err)
@@ -1084,7 +1089,11 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		a   *core.Analysis
 		rep *ports.Report
 	)
-	opts := append(specEntry.engineOpts(), core.WithRegistry(s.cfg.Registry))
+	// encodeAnalysis plans the next tests on the engine as well, so it is
+	// released only once the response is written.
+	eng := specEntry.engine(cs)
+	defer eng.Release()
+	opts := []core.Option{core.WithEngine(eng), core.WithRegistry(s.cfg.Registry)}
 	if hasPorts {
 		a, rep, err = ports.AnalyzeObserved(spec, suite, observed, pm,
 			ports.WithCoreOptions(opts...),
@@ -1096,6 +1105,13 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writePipelineErr(w, err)
 		return
 	}
+	writeJSON(w, http.StatusOK, encodeAnalysis(spec, a, rep))
+}
+
+// encodeAnalysis renders an analysis, its planned next tests and the
+// distributed-observation report (nil without a port map) as the wire
+// response.
+func encodeAnalysis(spec *cfsm.System, a *core.Analysis, rep *ports.Report) analyzeResponse {
 	resp := analyzeResponse{Symptoms: len(a.Symptoms), Report: a.Report()}
 	if rep != nil {
 		resp.Ports = &portsReportJSON{
@@ -1123,5 +1139,5 @@ func (s *api) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Planned = append(resp.Planned, pj)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
