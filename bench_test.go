@@ -32,6 +32,7 @@ import (
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/ports"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -248,11 +249,11 @@ func BenchmarkTourGeneration(b *testing.B) {
 
 func BenchmarkDistinguish(b *testing.B) {
 	spec := paper.MustFigure1()
-	a := testgen.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s1"}}
-	c := testgen.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
+	a := refsearch.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s1"}}
+	c := refsearch.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, _ := testgen.Distinguish(a, c, spec.AllInputs(), nil, false); !ok {
+		if _, ok, _ := refsearch.Distinguish(a, c, spec.AllInputs(), nil, false); !ok {
 			b.Fatal("distinguish failed")
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 )
 
 // Oracle executes unsynchronized scripts against the implementation under
@@ -164,25 +164,22 @@ func Localize(a *Analysis, oracle Oracle) (*Localization, error) {
 		return loc, nil
 	}
 
+	eng, err := compiled.NewEngine(a.Spec)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Release()
 	type variantT struct {
-		f   *fault.Fault
-		sys *cfsm.System
+		f *fault.Fault
+		v compiled.Variant
 	}
-	live := []variantT{{f: nil, sys: a.Spec}}
+	spec, _ := eng.Variant(nil)
+	_, start, _ := spec.RunInputs(nil)
+	live := []variantT{{f: nil, v: spec}}
 	for i := range a.Hypotheses {
-		sys, err := a.Hypotheses[i].Apply(a.Spec)
-		if err != nil {
-			continue
+		if v, err := eng.Variant(&a.Hypotheses[i]); err == nil {
+			live = append(live, variantT{f: &a.Hypotheses[i], v: v})
 		}
-		live = append(live, variantT{f: &a.Hypotheses[i], sys: sys})
-	}
-
-	portInputs := func(port int) []cfsm.Input {
-		var out []cfsm.Input
-		for _, sym := range a.Spec.Inputs(port) {
-			out = append(out, cfsm.Input{Port: port, Sym: sym})
-		}
-		return out
 	}
 
 	for len(live) > 1 {
@@ -191,14 +188,7 @@ func Localize(a *Analysis, oracle Oracle) (*Localization, error) {
 		for i := 0; i < len(live) && probe == nil; i++ {
 			for j := i + 1; j < len(live) && probe == nil; j++ {
 				for port := 0; port < a.Spec.N(); port++ {
-					// The interpreted search: a probe is a single-port
-					// sequence, a restricted input universe the compiled
-					// searches do not offer.
-					seq, ok, _ := testgen.Distinguish(
-						testgen.Variant{Sys: live[i].sys, Cfg: live[i].sys.InitialConfig()},
-						testgen.Variant{Sys: live[j].sys, Cfg: live[j].sys.InitialConfig()},
-						portInputs(port), nil, false,
-					)
+					seq, ok := eng.DistinguishPort(port, live[i].v, start, live[j].v, start)
 					if !ok {
 						continue
 					}
@@ -224,7 +214,7 @@ func Localize(a *Analysis, oracle Oracle) (*Localization, error) {
 		loc.Probes = append(loc.Probes, *probe)
 		var next []variantT
 		for _, v := range live {
-			if predictSinglePort(v.sys, probeSeq).Equal(observed) {
+			if predictSinglePort(v.v, a.Spec.N(), probeSeq).Equal(observed) {
 				next = append(next, v)
 			}
 		}
@@ -258,18 +248,14 @@ func Localize(a *Analysis, oracle Oracle) (*Localization, error) {
 	return loc, nil
 }
 
-// predictSinglePort runs a race-free single-port sequence on a system and
-// returns the deterministic outcome.
-func predictSinglePort(sys *cfsm.System, seq []cfsm.Input) Outcome {
-	cfg := sys.InitialConfig()
-	streams := make([][]cfsm.Symbol, sys.N())
-	for _, in := range seq {
-		next, obs, _, err := sys.Apply(cfg, in)
-		if err != nil {
-			return Outcome{Streams: streams}
-		}
-		cfg = next
-		streams[obs.Port] = append(streams[obs.Port], obs.Sym)
+// predictSinglePort runs a race-free single-port sequence on an n-machine
+// variant and returns the deterministic outcome. A validated variant runs
+// every sequence over its own inputs without error.
+func predictSinglePort(v compiled.Variant, n int, seq []cfsm.Input) Outcome {
+	streams := make([][]cfsm.Symbol, n)
+	obs, _, _ := v.RunInputs(seq)
+	for _, o := range obs {
+		streams[o.Port] = append(streams[o.Port], o.Sym)
 	}
 	return Outcome{Streams: streams}
 }

@@ -188,13 +188,3 @@ func OutcomesQueued(sys *cfsm.System, script Script) (OutcomeSet, error) {
 	}
 	return outcomes, nil
 }
-
-// PossibleQueued reports whether the system admits the observed outcome for
-// the script under the queued semantics.
-func PossibleQueued(sys *cfsm.System, script Script, observed Outcome) (bool, error) {
-	set, err := OutcomesQueued(sys, script)
-	if err != nil {
-		return false, err
-	}
-	return set.Contains(observed), nil
-}

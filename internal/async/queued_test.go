@@ -73,13 +73,15 @@ func TestQueuedEqualsAtomicOnChainRestrictedSystems(t *testing.T) {
 func TestPossibleQueued(t *testing.T) {
 	sys := paper.MustFigure1()
 	script := SinglePort(sys.N(), paper.M1, []cfsm.Symbol{"a"})
-	ok, err := PossibleQueued(sys, script, Outcome{Streams: [][]cfsm.Symbol{{"c'"}, nil, nil}})
-	if err != nil || !ok {
-		t.Fatalf("PossibleQueued = %v %v, want true", ok, err)
+	set, err := OutcomesQueued(sys, script)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ok, err = PossibleQueued(sys, script, Outcome{Streams: [][]cfsm.Symbol{{"d'"}, nil, nil}})
-	if err != nil || ok {
-		t.Fatalf("PossibleQueued(bad) = %v %v, want false", ok, err)
+	if !set.Contains(Outcome{Streams: [][]cfsm.Symbol{{"c'"}, nil, nil}}) {
+		t.Fatalf("queued outcomes %v lack c' at port 1", set.Keys())
+	}
+	if set.Contains(Outcome{Streams: [][]cfsm.Symbol{{"d'"}, nil, nil}}) {
+		t.Fatalf("queued outcomes %v admit d' at port 1", set.Keys())
 	}
 }
 

@@ -2,6 +2,7 @@ package async
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -50,7 +51,8 @@ func TestAsyncConservativeOnSpec(t *testing.T) {
 // is sound — it never convicts a wrong transition and never declares
 // in-model observations inconsistent. Detection is naturally weaker than in
 // the synchronized setting (the projection loses ordering), which the test
-// records but does not require.
+// records but does not require. Every localization is pinned byte for byte
+// by testdata/sweep.golden.
 func TestAsyncSweepSampled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("async sweep is slow")
@@ -72,6 +74,7 @@ func TestAsyncSweepSampled(t *testing.T) {
 		}
 	}
 	faults := fault.Enumerate(spec)
+	var golden strings.Builder
 	detected, correct := 0, 0
 	for i := 0; i < len(faults); i += 5 {
 		f := faults[i]
@@ -84,6 +87,7 @@ func TestAsyncSweepSampled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("diagnose %s: %v", f.Describe(spec), err)
 		}
+		renderLocalization(&golden, f.Describe(spec), spec, loc)
 		switch loc.Verdict {
 		case core.VerdictNoFault:
 			// The observed interleaving happened to be explainable; fine.
@@ -111,6 +115,7 @@ func TestAsyncSweepSampled(t *testing.T) {
 			t.Errorf("%s: verdict %v", f.Describe(spec), loc.Verdict)
 		}
 	}
+	checkGolden(t, "sweep.golden", golden.String())
 	if detected == 0 {
 		t.Fatal("no mutant was detected by the projected scripts")
 	}

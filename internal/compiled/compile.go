@@ -1,22 +1,27 @@
 // Package compiled lowers a validated cfsm.System into a dense, integer-
 // indexed representation — interned state and symbol IDs, flat transition
 // tables, global configurations as vectors of state IDs — and runs every
-// single-fault search against it: the Steps 1–5B analysis with hypothesis
+// search in production against it: the Steps 1–5B analysis with hypothesis
 // verification under any observation relation (Analyze, Explains,
 // StatOut), the detection matrix (Detects), behavioural variants, the Step-6
-// transfer/distinguishing searches, the transition tour (Tour) and the
-// reachability pass of specification analysis (Reach).
+// transfer/distinguishing searches (whole input universe or one port), the
+// transition tour (Tour) and the reachability pass of specification
+// analysis (Reach).
 //
 // The string-keyed cfsm.System stays the construction, validation and
-// reporting layer; a Program is a read-only view of one. Fault hypotheses
-// are realized as one-cell table overlays (Overlay) instead of deep system
-// copies, which removes the clone-and-revalidate cost that dominates the
-// interpreted sweep. internal/core runs every diagnosis on an Engine, which
+// reporting layer; a Program is a read-only view of one. Single-fault
+// hypotheses are realized as one-cell table overlays (Overlay) instead of
+// deep system copies, which removes the clone-and-revalidate cost that
+// dominates the interpreted sweep; a validated system of the
+// specification's shape with several faults (the multi-fault extension's
+// hypotheses) becomes a variant with its own copy of the transition table
+// (Engine.VariantOf). internal/core runs every diagnosis on an Engine, which
 // accepts every validated system whatever the size of its configuration
 // space; its contract is byte-for-byte verdict equality with core's
 // interpreted reference engine, pinned by the differential tests in core, by
 // the suite-generation parity tests in testgen and by the search-parity
-// tests in this package.
+// tests in this package against the interpreted searches of
+// internal/refsearch.
 //
 // The package also defines the versioned binary on-disk codec for systems
 // (codec.go) used by `cfsmdiag convert`/`cfsmdiag info` and the server's
@@ -84,6 +89,10 @@ type Program struct {
 	trans    []Trans
 	refIdx   map[cfsm.Ref]int32
 	inputs   []stim // cfsm.System.AllInputs order
+	// portInputs[k] is the index in inputs of port k's first input, with a
+	// final entry len(inputs): AllInputs is port-major, so port k's inputs
+	// are inputs[portInputs[k]:portInputs[k+1]].
+	portInputs []int32
 
 	// Mixed-radix index of a global configuration, or of a pair of them: the
 	// sum of state ID times stride per machine, the second configuration of
@@ -192,9 +201,14 @@ func Compile(sys *cfsm.System) (*Program, error) {
 		}
 	}
 
-	// External-input universe, in AllInputs order.
-	for _, in := range sys.AllInputs() {
-		p.inputs = append(p.inputs, stim{port: int32(in.Port), sym: p.symID[in.Sym]})
+	// External-input universe, in AllInputs order: each port's input
+	// alphabet in turn.
+	p.portInputs = make([]int32, 1, sys.N()+1)
+	for port := 0; port < sys.N(); port++ {
+		for _, sym := range sys.Inputs(port) {
+			p.inputs = append(p.inputs, stim{port: int32(port), sym: p.symID[sym]})
+		}
+		p.portInputs = append(p.portInputs, int32(len(p.inputs)))
 	}
 
 	// Configuration indexing.

@@ -18,6 +18,7 @@ import (
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/protocols"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -243,7 +244,7 @@ func TestEquivalencePredicatesMatchInterpreted(t *testing.T) {
 				if err != nil {
 					t.Fatalf("apply: %v", err)
 				}
-				want := testgen.SystemsEquivalent(fx.sys, mut)
+				want := refsearch.SystemsEquivalent(fx.sys, mut)
 				if got := eng.Equivalent(nil, &f); got != want {
 					t.Errorf("Equivalent(spec, %s) = %v, interpreted %v", f.Describe(fx.sys), got, want)
 				}
@@ -261,7 +262,7 @@ func TestEquivalencePredicatesMatchInterpreted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := testgen.SystemsEquivalent(sa, sb)
+				want := refsearch.SystemsEquivalent(sa, sb)
 				if got := eng.Equivalent(&a, &b); got != want {
 					t.Errorf("Equivalent(%s, %s) = %v, interpreted %v",
 						a.Describe(fx.sys), b.Describe(fx.sys), got, want)

@@ -334,11 +334,13 @@ func (e *Engine) Detects(s *Suite, i int, f fault.Fault) bool {
 	return !e.replays(c, c.expC)
 }
 
-// Variant is a compiled behavioural hypothesis: the engine's program under
-// one overlay. It shares the engine's scratch runner, so it follows the
-// engine's one-goroutine contract.
+// Variant is a compiled behavioural hypothesis: a transition table of the
+// engine's program — the program's own, or a shape-equal copy (VariantOf) —
+// under one overlay. It shares the engine's scratch runner, so it follows
+// the engine's one-goroutine contract.
 type Variant struct {
 	e  *Engine
+	p  *Program // e.p, or a copy of it with its own transition table
 	ov Overlay
 }
 
@@ -347,7 +349,7 @@ type Variant struct {
 // interpreted fault.Validate error so callers see identical messages.
 func (e *Engine) Variant(f *fault.Fault) (Variant, error) {
 	if f == nil {
-		return Variant{e: e, ov: None()}, nil
+		return Variant{e: e, p: e.p, ov: None()}, nil
 	}
 	ov, ok := e.overlayFor(*f)
 	if !ok {
@@ -358,13 +360,86 @@ func (e *Engine) Variant(f *fault.Fault) (Variant, error) {
 		// differential tests pin this branch closed.
 		return Variant{}, fmt.Errorf("compiled: fault %s has no overlay", f.Describe(e.p.src))
 	}
-	return Variant{e: e, ov: ov}, nil
+	return Variant{e: e, p: e.p, ov: ov}, nil
 }
+
+// VariantOf returns the executable handle for a validated system of the
+// specification's shape — the same machines, initial states and states,
+// and transitions of the same names on the same (From, Input) keys, as
+// every system multifault.Hypothesis.Apply builds — whose transitions may
+// differ from the specification's in output, next state and destination.
+// Its transition table is a copy of the program's with the k differing
+// cells rewritten; every interned table (symbols, states, lookups, inputs)
+// is shared. A system of another shape, or with an output symbol the
+// specification does not use, is an error.
+func (e *Engine) VariantOf(sys *cfsm.System) (Variant, error) {
+	p := e.p
+	if sys.N() != len(p.machines) {
+		return Variant{}, fmt.Errorf("compiled: %d machines, the specification has %d", sys.N(), len(p.machines))
+	}
+	var trans []Trans // nil until a cell differs
+	off := 0
+	for i := range p.machines {
+		spec, m := p.src.Machine(i), sys.Machine(i)
+		if m == spec {
+			// Rewire shares every machine it leaves alone.
+			off += spec.NumTransitions()
+			continue
+		}
+		mp := &p.machines[i]
+		if m.Name() != mp.name || m.Initial() != mp.states[mp.initial] ||
+			m.NumTransitions() != spec.NumTransitions() || !slices.Equal(m.States(), mp.states) {
+			return Variant{}, fmt.Errorf("compiled: machine %s differs in shape from the specification's", m.Name())
+		}
+		for idx := off; idx < off+spec.NumTransitions(); idx++ {
+			ct := &p.trans[idx]
+			t, ok := m.ByName(ct.Name)
+			if !ok || t.From != mp.states[ct.From] || t.Input != p.syms[ct.Input] {
+				return Variant{}, fmt.Errorf("compiled: transition %s.%s differs in shape from the specification's", m.Name(), ct.Name)
+			}
+			out, to := ct.Output, ct.To
+			if t.Output != p.syms[out] {
+				var ok bool
+				if out, ok = p.symID[t.Output]; !ok {
+					return Variant{}, fmt.Errorf("compiled: %s.%s outputs %s, which the specification does not use", m.Name(), t.Name, t.Output)
+				}
+			}
+			if t.To != mp.states[to] {
+				to = mp.stateID[t.To]
+			}
+			if out == ct.Output && to == ct.To && int32(t.Dest) == ct.Dest {
+				continue
+			}
+			if trans == nil {
+				trans = slices.Clone(p.trans)
+			}
+			trans[idx].Output, trans[idx].To, trans[idx].Dest = out, to, int32(t.Dest)
+		}
+		off += spec.NumTransitions()
+	}
+	if trans == nil {
+		return Variant{e: e, p: p, ov: None()}, nil
+	}
+	vp := *p
+	vp.src, vp.trans = sys, trans
+	return Variant{e: e, p: &vp, ov: None()}, nil
+}
+
+// runner points the engine's scratch runner at the variant's table and
+// overlay. The caller points it back at the engine's table with restore.
+func (v Variant) runner() *Runner {
+	r := v.e.r
+	r.p, r.ov = v.p, v.ov
+	return r
+}
+
+// restore points the scratch runner back at the engine's program.
+func (v Variant) restore() { v.e.r.p = v.e.p }
 
 // Run executes a test case for the variant from the initial configuration.
 func (v Variant) Run(tc cfsm.TestCase) ([]cfsm.Observation, error) {
-	r := v.e.r
-	r.ov = v.ov
+	r := v.runner()
+	defer v.restore()
 	r.restart()
 	return r.Run(tc)
 }
@@ -379,8 +454,8 @@ func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int32, er
 		return nil, nil, err
 	}
 	e.inBuf = cis
-	r := e.r
-	r.ov = v.ov
+	r := v.runner()
+	defer v.restore()
 	r.restart()
 	defer r.Flush()
 	obs := make([]cfsm.Observation, 0, len(cis))
@@ -392,6 +467,16 @@ func (v Variant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int32, er
 		obs = append(obs, e.p.decodeObs(o))
 	}
 	return obs, append([]int32(nil), r.cfg...), nil
+}
+
+// Explains reports whether the variant, run from the initial configuration,
+// observes exactly the recorded sequence on every case of the suite: the
+// hypothesis verification of the multi-fault extension.
+func (v Variant) Explains(suite []cfsm.TestCase, observed [][]cfsm.Observation) bool {
+	ev := v.e.evidenceFor(suite, observed, nil)
+	v.e.r.p = v.p
+	defer v.restore()
+	return v.e.explainsOverlay(&ev, v.ov)
 }
 
 // TransferToState finds a shortest avoid-respecting input sequence from the
@@ -412,7 +497,16 @@ func (e *Engine) TransferToState(machine int, target cfsm.State, avoid cfsm.RefS
 // globalOnly reports that a silence-only difference was seen instead. Both
 // variants must come from this engine.
 func (e *Engine) Distinguish(a Variant, ca []int32, b Variant, cb []int32, avoid cfsm.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
-	return e.distinguishSearch(a.ov, ca, b.ov, cb, avoid, projected)
+	return e.distinguishSearch(a, ca, b, cb, avoid, projected, 0, int32(len(e.p.inputs)))
+}
+
+// DistinguishPort is Distinguish over the inputs of one port only, with no
+// avoid set: a single-port sequence is free of cross-port races, so under
+// unsynchronized ports it is the one kind of test that behaves
+// deterministically.
+func (e *Engine) DistinguishPort(port int, a Variant, ca []int32, b Variant, cb []int32) ([]cfsm.Input, bool) {
+	seq, ok, _ := e.distinguishSearch(a, ca, b, cb, nil, false, e.p.portInputs[port], e.p.portInputs[port+1])
+	return seq, ok
 }
 
 // Equivalent reports whether the mutants realized by two faults — nil
@@ -421,17 +515,11 @@ func (e *Engine) Distinguish(a Variant, ca []int32, b Variant, cb []int32, avoid
 // A fault with no legal overlay realizes no mutant and is equivalent to
 // nothing.
 func (e *Engine) Equivalent(a, b *fault.Fault) bool {
-	ovs := [2]Overlay{None(), None()}
-	for i, f := range [2]*fault.Fault{a, b} {
-		if f == nil {
-			continue
-		}
-		ov, ok := e.overlayFor(*f)
-		if !ok {
-			return false
-		}
-		ovs[i] = ov
+	va, errA := e.Variant(a)
+	vb, errB := e.Variant(b)
+	if errA != nil || errB != nil {
+		return false
 	}
-	_, distinguishable, _ := e.distinguishSearch(ovs[0], e.p.start, ovs[1], e.p.start, nil, false)
+	_, distinguishable, _ := e.Distinguish(va, e.p.start, vb, e.p.start, nil, false)
 	return !distinguishable
 }

@@ -9,7 +9,7 @@ import (
 
 // searchLimit bounds the number of configurations (or configuration pairs)
 // a search may visit, and must equal the limit of the interpreted reference
-// searches (internal/testgen) for parity.
+// searches (internal/refsearch) for parity.
 const searchLimit = 200_000
 
 // stampThreshold is the largest key space (configurations, or pairs of
@@ -180,7 +180,7 @@ func (g *goal) reached(cfg []int32, e1, e2 int32) bool {
 // transferSearch finds a shortest input sequence from configuration from to
 // the goal: breadth-first over the specification's configurations, skipping
 // no-progress inputs and avoided transitions, in the order of the
-// interpreted testgen.TransferToState (state goal) and NextUncovered
+// interpreted reference TransferToState (state goal) and NextUncovered
 // (covered goal). The goal test precedes the visited test; for a state goal
 // that is immaterial, since a visited goal configuration ends the search.
 func (e *Engine) transferSearch(from []int32, g goal, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
@@ -224,13 +224,15 @@ func (e *Engine) transferSearch(from []int32, g goal, avoid cfsm.RefSet) ([]cfsm
 }
 
 // distinguishSearch is the pair search: breadth-first over pairs of
-// configurations, one side per overlay, returning the first input sequence
-// whose observations differ (checked before the visited test), in the
-// interpreted testgen.Distinguish's order. With projected set, a difference
-// where both sides stay silent (ε or Null) is invisible to every local
-// observer, so it only sets globalOnly and the search explores through it.
-func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []int32, avoid cfsm.RefSet, projected bool) (seq []cfsm.Input, ok, globalOnly bool) {
-	p := e.p
+// configurations, each side stepping on its own variant's table and
+// overlay, over the inputs[lo:hi] of the input universe, returning the first
+// input sequence whose observations differ (checked before the visited
+// test), in the interpreted reference Distinguish's order. With projected
+// set, a difference where both sides stay silent (ε or Null) is invisible to
+// every local observer, so it only sets globalOnly and the search explores
+// through it.
+func (e *Engine) distinguishSearch(a Variant, ca []int32, b Variant, cb []int32, avoid cfsm.RefSet, projected bool, lo, hi int32) (seq []cfsm.Input, ok, globalOnly bool) {
+	p, pa, pb := e.p, a.p, b.p
 	s := e.initSearch(true)
 	mask := e.avoidMask(avoid)
 	var steps int64
@@ -246,11 +248,11 @@ func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []in
 	s.push(-1, -1, cur)
 	for head := 0; head < len(s.nodes) && seenCount < searchLimit; head++ {
 		node := s.vec(head)
-		for ii := range p.inputs {
+		for ii := lo; ii < hi; ii++ {
 			copy(cur, node)
 			steps += 2
-			oA, a1, a2, okA := p.stepCfg(curA, ovA, p.inputs[ii])
-			oB, b1, b2, okB := p.stepCfg(curB, ovB, p.inputs[ii])
+			oA, a1, a2, okA := pa.stepCfg(curA, a.ov, p.inputs[ii])
+			oB, b1, b2, okB := pb.stepCfg(curB, b.ov, p.inputs[ii])
 			if !okA || !okB {
 				continue
 			}
@@ -259,7 +261,7 @@ func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []in
 			}
 			if oA != oB {
 				if !projected || !p.silent(oA) || !p.silent(oB) {
-					return e.path(s, int32(head), int32(ii)), true, false
+					return e.path(s, int32(head), ii), true, false
 				}
 				globalOnly = true
 			}
@@ -267,7 +269,7 @@ func (e *Engine) distinguishSearch(ovA Overlay, ca []int32, ovB Overlay, cb []in
 				continue
 			}
 			seenCount++
-			s.push(int32(head), int32(ii), cur)
+			s.push(int32(head), ii, cur)
 		}
 	}
 	return nil, false, globalOnly
@@ -296,7 +298,7 @@ type Reachability struct {
 
 // Reach explores the configurations reachable from the initial one,
 // breadth-first over every input up to the search limit — discovering
-// exactly the configurations of the interpreted testgen.ReachableConfigs —
+// exactly the configurations of the interpreted reference ReachableConfigs —
 // and collects the transitions each discovered configuration fires. A
 // complete pass also decides strong connectivity: every configuration is
 // reachable from the initial one, so the graph is strongly connected iff

@@ -1,7 +1,8 @@
 // Search-parity tests: the compiled searches — Step 6's transfer and
-// distinguishing searches, the transition tour's step search and the
+// distinguishing searches (over every input or one port's, between
+// single-fault or two-fault variants), the transition tour's step search and the
 // reachability pass of specification analysis — must return exactly what
-// the interpreted reference searches in internal/testgen return: the same
+// the interpreted reference searches in internal/refsearch return: the same
 // sequence, the same verdict, the same reachable configurations,
 // executable transitions and strong connectivity. They are checked on
 // configuration spaces small enough for the dense visited array, large
@@ -16,12 +17,13 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/multifault"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/randgen"
-	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/refsearch"
 )
 
-// parity compares one engine's searches with testgen's over its source
+// parity compares one engine's searches with the reference's over its source
 // system.
 type parity struct {
 	t      *testing.T
@@ -68,18 +70,52 @@ func (p parity) avoidOne(i int) cfsm.RefSet {
 func (p parity) transfer(machine int, target cfsm.State, avoid cfsm.RefSet) bool {
 	p.t.Helper()
 	got, gotOK := p.eng.TransferToState(machine, target, avoid)
-	want, wantOK := testgen.TransferToState(p.sys, machine, target, avoid)
+	want, wantOK := refsearch.TransferToState(p.sys, machine, target, avoid)
 	if gotOK != wantOK || !slices.Equal(got, want.Inputs) {
-		p.t.Errorf("TransferToState(%d, %s, avoid %v): compiled %v %v, testgen %v %v",
+		p.t.Errorf("TransferToState(%d, %s, avoid %v): compiled %v %v, refsearch %v %v",
 			machine, target, avoid, got, gotOK, want.Inputs, wantOK)
 	}
 	return gotOK
 }
 
-// distinguish runs both sides' distinguishing search between mutants a and
-// b (-1: the specification) from the configurations they reach on prefix,
-// and returns the compiled sequence.
-func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid cfsm.RefSet, projected bool) []cfsm.Input {
+// sides is one pair of variants run on a prefix on both engines: the
+// compiled variants with the configurations they reach, and the
+// interpreted ones.
+type sides struct {
+	va, vb compiled.Variant
+	ca, cb []int32
+	ta, tb refsearch.Variant
+}
+
+// run positions the compiled variants va and vb, realizing the systems sa
+// and sb, at the configurations they reach on prefix. ok is false when the
+// prefix fails, which it must do on both engines alike.
+func (p parity) run(va compiled.Variant, sa *cfsm.System, vb compiled.Variant, sb *cfsm.System, prefix []cfsm.Input) (sides, bool) {
+	p.t.Helper()
+	_, ca, errA := va.RunInputs(prefix)
+	_, cb, errB := vb.RunInputs(prefix)
+	cfgA, wantErrA := runPrefix(sa, prefix)
+	cfgB, wantErrB := runPrefix(sb, prefix)
+	if (errA == nil) != (wantErrA == nil) || (errB == nil) != (wantErrB == nil) {
+		p.t.Fatalf("prefix %v: compiled errors %v/%v, interpreted %v/%v", prefix, errA, errB, wantErrA, wantErrB)
+	}
+	if errA != nil || errB != nil {
+		return sides{}, false
+	}
+	for i, cfg := range [2][]int32{ca, cb} {
+		want := [2]cfsm.Config{cfgA, cfgB}[i]
+		for m, id := range cfg {
+			if got := p.sys.Machine(m).States()[id]; got != want[m] {
+				p.t.Fatalf("prefix %v: compiled side %d reaches %s in machine %d, interpreted %s", prefix, i, got, m, want[m])
+			}
+		}
+	}
+	return sides{va: va, vb: vb, ca: ca, cb: cb,
+		ta: refsearch.Variant{Sys: sa, Cfg: cfgA}, tb: refsearch.Variant{Sys: sb, Cfg: cfgB}}, true
+}
+
+// mutants runs mutants a and b (-1: the specification) on prefix.
+func (p parity) mutants(a, b int, prefix []cfsm.Input) (sides, bool) {
 	p.t.Helper()
 	fa, sa := p.mutant(a)
 	fb, sb := p.mutant(b)
@@ -91,24 +127,102 @@ func (p parity) distinguish(a, b int, prefix []cfsm.Input, avoid cfsm.RefSet, pr
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	_, ca, errA := va.RunInputs(prefix)
-	_, cb, errB := vb.RunInputs(prefix)
-	cfgA, wantErrA := runPrefix(sa, prefix)
-	cfgB, wantErrB := runPrefix(sb, prefix)
-	if (errA == nil) != (wantErrA == nil) || (errB == nil) != (wantErrB == nil) {
-		p.t.Fatalf("prefix %v: compiled errors %v/%v, interpreted %v/%v", prefix, errA, errB, wantErrA, wantErrB)
-	}
-	if errA != nil || errB != nil {
-		return nil
-	}
-	got, gotOK, gotGlobal := p.eng.Distinguish(va, ca, vb, cb, avoid, projected)
-	tA, tB := testgen.Variant{Sys: sa, Cfg: cfgA}, testgen.Variant{Sys: sb, Cfg: cfgB}
-	want, wantOK, wantGlobal := testgen.Distinguish(tA, tB, p.sys.AllInputs(), avoid, projected)
+	return p.run(va, sa, vb, sb, prefix)
+}
+
+// distinguish runs both sides' distinguishing search between the variants
+// and returns the compiled sequence.
+func (p parity) distinguish(s sides, avoid cfsm.RefSet, projected bool) []cfsm.Input {
+	p.t.Helper()
+	got, gotOK, gotGlobal := p.eng.Distinguish(s.va, s.ca, s.vb, s.cb, avoid, projected)
+	want, wantOK, wantGlobal := refsearch.Distinguish(s.ta, s.tb, p.sys.AllInputs(), avoid, projected)
 	if gotOK != wantOK || gotGlobal != wantGlobal || !slices.Equal(got, want) {
-		p.t.Errorf("Distinguish(%d, %d, prefix %v, avoid %v, projected %v): compiled %v %v %v, testgen %v %v %v",
-			a, b, prefix, avoid, projected, got, gotOK, gotGlobal, want, wantOK, wantGlobal)
+		p.t.Errorf("Distinguish(%v, %v, avoid %v, projected %v): compiled %v %v %v, refsearch %v %v %v",
+			s.ta.Cfg, s.tb.Cfg, avoid, projected, got, gotOK, gotGlobal, want, wantOK, wantGlobal)
 	}
 	return got
+}
+
+// distinguishMutants is distinguish between mutants a and b (-1: the
+// specification) from the configurations they reach on prefix.
+func (p parity) distinguishMutants(a, b int, prefix []cfsm.Input, avoid cfsm.RefSet, projected bool) []cfsm.Input {
+	p.t.Helper()
+	s, ok := p.mutants(a, b, prefix)
+	if !ok {
+		return nil
+	}
+	return p.distinguish(s, avoid, projected)
+}
+
+// distinguishPort compares the port-restricted search with the reference
+// search over the port's inputs.
+func (p parity) distinguishPort(s sides, port int) {
+	p.t.Helper()
+	var inputs []cfsm.Input
+	for _, sym := range p.sys.Inputs(port) {
+		inputs = append(inputs, cfsm.Input{Port: port, Sym: sym})
+	}
+	got, gotOK := p.eng.DistinguishPort(port, s.va, s.ca, s.vb, s.cb)
+	want, wantOK, _ := refsearch.Distinguish(s.ta, s.tb, inputs, nil, false)
+	if gotOK != wantOK || !slices.Equal(got, want) {
+		p.t.Errorf("DistinguishPort(%d, %v, %v): compiled %v %v, refsearch %v %v",
+			port, s.ta.Cfg, s.tb.Cfg, got, gotOK, want, wantOK)
+	}
+}
+
+// pair checks the two-fault variant of fault a and fault b — b indexing the
+// single-transition faults followed by the addressing faults, modulo their
+// count — built by multifault.Hypothesis.Apply and lowered by VariantOf,
+// against that system run interpreted: a test case's observations, the
+// configuration reached on prefix, suite verification, and the
+// distinguishing searches against the specification, over every input and
+// per port. The variant's runs must leave the engine's own table in place,
+// which verifying fault a against its own mutant's run right after them
+// observes.
+func (p parity) pair(a, b int, prefix []cfsm.Input, avoid cfsm.RefSet, projected bool) {
+	p.t.Helper()
+	pool := append(slices.Clip(p.faults), fault.EnumerateAddress(p.sys)...)
+	h := multifault.Hypothesis{Faults: []fault.Fault{p.faults[a], pool[b%len(pool)]}}
+	sys, err := h.Apply(p.sys)
+	if err != nil {
+		return // Apply is the acceptance check; nothing to lower
+	}
+	v, err := p.eng.VariantOf(sys)
+	if err != nil {
+		p.t.Fatalf("VariantOf(%s): %v", h.Describe(p.sys), err)
+	}
+	tc := cfsm.TestCase{Name: "pair", Inputs: append([]cfsm.Input{cfsm.Reset()}, prefix...)}
+	got, gotErr := v.Run(tc)
+	want, wantErr := sys.Run(tc)
+	if (gotErr == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+		p.t.Errorf("Run(%s, %v): compiled %v %v, interpreted %v %v", h.Describe(p.sys), prefix, got, gotErr, want, wantErr)
+	}
+	suite := []cfsm.TestCase{tc}
+	for _, truth := range []*cfsm.System{sys, p.sys} {
+		observed, err := truth.RunSuite(suite)
+		if err != nil {
+			continue
+		}
+		if got, want := v.Explains(suite, observed), wantErr == nil && slices.Equal(want, observed[0]); got != want {
+			p.t.Errorf("Explains(%s, %v): compiled %v, interpreted %v", h.Describe(p.sys), observed[0], got, want)
+		}
+	}
+	_, mutant := p.mutant(a)
+	if observed, err := mutant.RunSuite(suite); err == nil && !p.eng.Explains(suite, observed, p.faults[a], nil) {
+		p.t.Errorf("Explains(%s) of its own mutant's run failed right after the pair variant ran", p.faults[a].Describe(p.sys))
+	}
+	spec, err := p.eng.Variant(nil)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	s, ok := p.run(v, sys, spec, p.sys, prefix)
+	if !ok {
+		return
+	}
+	p.distinguish(s, avoid, projected)
+	for port := 0; port < p.sys.N(); port++ {
+		p.distinguishPort(s, port)
+	}
 }
 
 // equivalent compares Equivalent and returns the compiled verdict.
@@ -116,9 +230,9 @@ func (p parity) equivalent(a, b int) bool {
 	p.t.Helper()
 	fa, sa := p.mutant(a)
 	fb, sb := p.mutant(b)
-	got, want := p.eng.Equivalent(fa, fb), testgen.SystemsEquivalent(sa, sb)
+	got, want := p.eng.Equivalent(fa, fb), refsearch.SystemsEquivalent(sa, sb)
 	if got != want {
-		p.t.Errorf("Equivalent(%d, %d): compiled %v, testgen %v", a, b, got, want)
+		p.t.Errorf("Equivalent(%d, %d): compiled %v, refsearch %v", a, b, got, want)
 	}
 	return got
 }
@@ -147,23 +261,23 @@ func (p parity) tourStep(prefix []cfsm.Input, set cfsm.RefSet) []cfsm.Input {
 	if err != nil {
 		return nil
 	}
-	want, _, wantOK := testgen.NextUncovered(p.sys, mustPrefix(p.t, p.sys, prefix), set)
+	want, _, wantOK := refsearch.NextUncovered(p.sys, mustPrefix(p.t, p.sys, prefix), set)
 	got, gotOK := p.eng.NextUncovered(cfg, set)
 	if gotOK != wantOK || !slices.Equal(got, want) {
-		p.t.Errorf("NextUncovered(prefix %v, %d covered): compiled %v %v, testgen %v %v",
+		p.t.Errorf("NextUncovered(prefix %v, %d covered): compiled %v %v, refsearch %v %v",
 			prefix, len(set), got, gotOK, want, wantOK)
 	}
 	return got
 }
 
 // reach compares Program.Reach with the interpreted reference: the
-// configurations testgen.ReachableConfigs discovers, the transitions they
+// configurations refsearch.ReachableConfigs discovers, the transitions they
 // fire, and — for a complete pass — strong connectivity, decided by a
 // string-keyed reverse search from the initial configuration.
 func (p parity) reach() compiled.Reachability {
 	p.t.Helper()
 	got := p.eng.Program().Reach()
-	configs := testgen.ReachableConfigs(p.sys)
+	configs := refsearch.ReachableConfigs(p.sys)
 	inputs := p.sys.AllInputs()
 	truncated := len(configs) >= 200_000
 	fired := cfsm.RefSet{}
@@ -189,7 +303,7 @@ func (p parity) reach() compiled.Reachability {
 		}
 	}
 	if got.Configs != len(configs) || got.Truncated != truncated || !slices.Equal(got.Unexecutable, unexecutable) {
-		p.t.Errorf("Reach: compiled %d configurations (truncated %v), unexecutable %v; testgen %d (truncated %v), %v",
+		p.t.Errorf("Reach: compiled %d configurations (truncated %v), unexecutable %v; refsearch %d (truncated %v), %v",
 			got.Configs, got.Truncated, got.Unexecutable, len(configs), truncated, unexecutable)
 	}
 	if truncated {
@@ -209,7 +323,7 @@ func (p parity) reach() compiled.Reachability {
 		}
 	}
 	if want := len(back) == len(configs); got.StronglyConnected != want {
-		p.t.Errorf("Reach: compiled strongly connected %v, testgen %v", got.StronglyConnected, want)
+		p.t.Errorf("Reach: compiled strongly connected %v, refsearch %v", got.StronglyConnected, want)
 	}
 	return got
 }
@@ -308,7 +422,7 @@ func torus(t *testing.T, n int) *cfsm.System {
 	return sys
 }
 
-// TestSearchParity compares the compiled searches with testgen's on
+// TestSearchParity compares the compiled searches with the reference's on
 // Figure 1 and randgen 4×4 seed 1 (every search on the dense visited array),
 // a 6^4-configuration system (dense for single configurations, the visited
 // map for pairs), and a 2^32- and a 2^68-configuration system (the map
@@ -344,10 +458,19 @@ func TestSearchParity(t *testing.T) {
 			}
 			for i := -1; i < len(p.faults); i += fx.every {
 				projected := i%2 == 0
-				p.distinguish(-1, i, nil, nil, projected)
-				p.distinguish(-1, i, walk(fx.sys, 3, i+1), p.avoidOne(i+1), !projected)
+				p.distinguishMutants(-1, i, nil, nil, projected)
+				p.distinguishMutants(-1, i, walk(fx.sys, 3, i+1), p.avoidOne(i+1), !projected)
 				p.equivalent(-1, i)
 				p.equivalent(i, (i*7+3)%len(p.faults))
+				if i >= 0 {
+					j := (i*11 + 5) % len(p.faults)
+					if s, ok := p.mutants(i, j, walk(fx.sys, 2, i)); ok {
+						for port := 0; port < fx.sys.N(); port++ {
+							p.distinguishPort(s, port)
+						}
+					}
+					p.pair(i, i*13+5, walk(fx.sys, i%4, i), p.avoidOne(j), projected)
+				}
 			}
 		})
 	}
@@ -378,10 +501,10 @@ func TestSearchParity(t *testing.T) {
 			muts := p.initialFaults(2)
 			for k, i := range muts {
 				for _, projected := range []bool{false, true} {
-					p.distinguish(-1, i, nil, nil, projected)
-					p.distinguish(-1, i, nil, p.avoidOne(len(p.sys.Refs())-1-k), projected)
+					p.distinguishMutants(-1, i, nil, nil, projected)
+					p.distinguishMutants(-1, i, nil, p.avoidOne(len(p.sys.Refs())-1-k), projected)
 				}
-				p.distinguish(i, muts[(k+1)%len(muts)], nil, nil, false)
+				p.distinguishMutants(i, muts[(k+1)%len(muts)], nil, nil, false)
 				p.equivalent(-1, i)
 			}
 		})
@@ -400,7 +523,7 @@ func TestSearchParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.faults = []fault.Fault{{Ref: cfsm.Ref{Machine: 0, Name: "t300"}, Kind: fault.KindOutput, Output: "wrapA"}}
-		if seq := p.distinguish(-1, 0, nil, nil, false); len(seq) != 301 {
+		if seq := p.distinguishMutants(-1, 0, nil, nil, false); len(seq) != 301 {
 			t.Errorf("distinguishing sequence of %d inputs, want 301", len(seq))
 		}
 		if p.transfer(0, "zz-undeclared", nil) || !p.equivalent(-1, -1) {
@@ -420,9 +543,11 @@ func TestSearchParity(t *testing.T) {
 }
 
 // FuzzSearchParity compares the compiled searches and reachability pass
-// with testgen's on small random systems — up to 5 machines of up to 6
-// states, so both the dense visited array and the visited map are reached —
-// from random mutants, prefixes, avoid sets and covered sets.
+// with the reference's on small random systems — up to 5 machines of up to
+// 6 states, so both the dense visited array and the visited map are reached
+// — from random mutants, prefixes, avoid sets and covered sets, including
+// the port-restricted search and the two-fault variant of the fuzzed pair
+// of mutants (multifault.Hypothesis.Apply run interpreted).
 func FuzzSearchParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(0), uint8(1), uint8(2), uint8(0), false)
 	f.Add(int64(7), uint8(4), uint8(4), uint8(5), uint8(9), uint8(3), uint8(1), true)
@@ -446,7 +571,13 @@ func FuzzSearchParity(f *testing.F) {
 		m := int(mutant) % sys.N()
 		states0 := sys.Machine(m).States()
 		p.transfer(m, states0[int(other)%len(states0)], av)
-		p.distinguish(a, b, walk(sys, int(prefix)%6, int(seed&0xff)), av, projected)
+		p.distinguishMutants(a, b, walk(sys, int(prefix)%6, int(seed&0xff)), av, projected)
+		if s, ok := p.mutants(a, b, walk(sys, int(prefix)%4, int(seed&0xff))); ok {
+			p.distinguishPort(s, int(other)%sys.N())
+		}
+		if a >= 0 {
+			p.pair(a, int(other)+int(avoid), walk(sys, int(prefix)%6, int(seed&0xff)), av, projected)
+		}
 		p.equivalent(a, b)
 		p.tourStep(walk(sys, int(prefix)%6, int(seed&0xff)), p.someRefs(int(other)%(len(p.faults)+1)))
 		p.reach()

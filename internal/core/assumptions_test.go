@@ -11,7 +11,7 @@ import (
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/protocols"
 	"cfsmdiag/internal/randgen"
-	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/refsearch"
 )
 
 func hasWarning(ws []Warning, code string) bool {
@@ -114,7 +114,7 @@ func TestWarningString(t *testing.T) {
 }
 
 // refCheckAssumptions is CheckAssumptions on the interpreted searches: the
-// executable transitions over testgen.ReachableConfigs, and strong
+// executable transitions over refsearch.ReachableConfigs, and strong
 // connectivity by a breadth-first search from every reachable configuration.
 func refCheckAssumptions(spec *cfsm.System) []Warning {
 	var out []Warning
@@ -165,11 +165,11 @@ func refCheckAssumptions(spec *cfsm.System) []Warning {
 }
 
 // refUnreachable is the unreachable-transition warnings over the
-// configurations testgen.ReachableConfigs discovers. The probe stops once
+// configurations refsearch.ReachableConfigs discovers. The probe stops once
 // every transition has fired: the set cannot grow further.
 func refUnreachable(spec *cfsm.System) []Warning {
 	executable := make(cfsm.RefSet)
-	for _, cfg := range testgen.ReachableConfigs(spec) {
+	for _, cfg := range refsearch.ReachableConfigs(spec) {
 		if len(executable) == spec.NumTransitions() {
 			break
 		}
@@ -199,7 +199,7 @@ func refUnreachable(spec *cfsm.System) []Warning {
 // refStronglyConnected reports whether every reachable configuration can
 // reach every other without using the reset.
 func refStronglyConnected(spec *cfsm.System) bool {
-	configs := testgen.ReachableConfigs(spec)
+	configs := refsearch.ReachableConfigs(spec)
 	inputs := spec.AllInputs()
 	for _, start := range configs {
 		seen := map[string]bool{start.Key(): true}

@@ -31,7 +31,10 @@ func LocalizeContext(ctx context.Context, a *Analysis, oracle Oracle, opts ...Op
 // DiagnoseContext is Diagnose with cancellation: suite execution, analysis
 // and localization all stop at the next oracle or round boundary once the
 // context is done. Under WithTrace the replay header (RecordRun) goes into
-// the trace between suite execution and the analysis events.
+// the trace between suite execution and the analysis events. Without an
+// engine from WithEngine for spec, the engine the diagnosis builds is
+// released once the localization returns; later uses of the returned
+// Analysis build a new one.
 func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCase, oracle Oracle, opts ...Option) (*Localization, error) {
 	cfg := defaultSettings()
 	for _, opt := range opts {
@@ -50,9 +53,14 @@ func DiagnoseContext(ctx context.Context, spec *cfsm.System, suite []cfsm.TestCa
 	if err := RecordRun(cfg.trace, spec, suite, observed); err != nil {
 		return nil, err
 	}
+	built := cfg.buildsEngine(spec)
 	a, err := Analyze(spec, suite, observed, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return localize(ctx, a, oracle, &cfg)
+	loc, err := localize(ctx, a, oracle, &cfg)
+	if built {
+		a.releaseEngine()
+	}
+	return loc, err
 }

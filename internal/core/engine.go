@@ -170,3 +170,23 @@ func (s *settings) engineFor(spec *cfsm.System) engine {
 	}
 	return newEngine(spec)
 }
+
+// buildsEngine reports whether engineFor(spec) builds a fresh engine rather
+// than binding the caller's.
+func (s *settings) buildsEngine(spec *cfsm.System) bool {
+	if s.engine == nil {
+		return true
+	}
+	_, ok := s.engine.bind(spec)
+	return !ok
+}
+
+// releaseEngine hands a compiled engine core built itself back to
+// compiled.EngineFor's pool and forgets it; Analysis.engine builds a new one
+// for any later use.
+func (a *Analysis) releaseEngine() {
+	if c, ok := a.eng.(compiledEngine); ok {
+		c.e.Release()
+	}
+	a.eng = nil
+}

@@ -13,6 +13,7 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -76,7 +77,7 @@ func diagEquivalent(t *testing.T, spec *cfsm.System, diagnosed fault.Fault, muta
 	if err != nil {
 		return false
 	}
-	return testgen.SystemsEquivalent(sys, mutant)
+	return refsearch.SystemsEquivalent(sys, mutant)
 }
 
 // TestPropertyCandidatesContainTruth: whenever a mutant is detected, the

@@ -10,7 +10,7 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/trace"
 )
 
@@ -70,14 +70,14 @@ func (e systemEngine) variant(f *fault.Fault) (variantRunner, error) {
 }
 
 func (e systemEngine) transferToState(machine int, target cfsm.State, avoid cfsm.RefSet) ([]cfsm.Input, bool) {
-	res, ok := testgen.TransferToState(e.spec, machine, target, avoid)
+	res, ok := refsearch.TransferToState(e.spec, machine, target, avoid)
 	return res.Inputs, ok
 }
 
 func (e systemEngine) distinguish(a, b variantAt, avoid cfsm.RefSet, projected bool) ([]cfsm.Input, bool, bool) {
 	va := a.v.(systemVariant).at(a.cfg)
 	vb := b.v.(systemVariant).at(b.cfg)
-	return testgen.Distinguish(va, vb, e.spec.AllInputs(), avoid, projected)
+	return refsearch.Distinguish(va, vb, e.spec.AllInputs(), avoid, projected)
 }
 
 // systemVariant executes one hypothesis against its interpreted system.
@@ -108,12 +108,12 @@ func (v systemVariant) RunInputs(inputs []cfsm.Input) ([]cfsm.Observation, []int
 }
 
 // at is the variant positioned at a configuration RunInputs reported.
-func (v systemVariant) at(ids []int32) testgen.Variant {
+func (v systemVariant) at(ids []int32) refsearch.Variant {
 	cfg := make(cfsm.Config, len(ids))
 	for i, id := range ids {
 		cfg[i] = v.sys.Machine(i).States()[id]
 	}
-	return testgen.Variant{Sys: v.sys, Cfg: cfg}
+	return refsearch.Variant{Sys: v.sys, Cfg: cfg}
 }
 
 // analyzeInterpreted runs Steps 1–5B against the string-keyed specification:

@@ -9,6 +9,7 @@ import (
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -36,7 +37,7 @@ func referenceSweep(t *testing.T, spec *cfsm.System, suite []cfsm.TestCase, faul
 					return false
 				}
 			}
-			return testgen.SystemsEquivalent(sys, mut)
+			return refsearch.SystemsEquivalent(sys, mut)
 		})
 		out = append(out, report)
 	}

@@ -20,15 +20,20 @@
 //     elimination: repeatedly find an input sequence on which two surviving
 //     variants predict different outputs, execute it on the IUT, and drop
 //     the variants it contradicts.
+//
+// Hypothesis.Apply is the one acceptance check of a hypothesis; the system
+// it builds is lowered to a compiled variant (compiled.Engine.VariantOf),
+// which the suite re-simulation, the distinguishing search and the
+// predictions all run on.
 package multifault
 
 import (
 	"fmt"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/compiled"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
-	"cfsmdiag/internal/testgen"
 )
 
 // Hypothesis is a set of one or two single-transition faults on distinct
@@ -163,21 +168,14 @@ func Analyze(spec *cfsm.System, suite []cfsm.TestCase, observed [][]cfsm.Observa
 		}
 	}
 
+	eng, err := compiled.NewEngine(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Release()
 	explains := func(h Hypothesis) bool {
-		mutant, err := h.Apply(spec)
-		if err != nil {
-			return false
-		}
-		for i, tc := range suite {
-			predicted, err := mutant.Run(tc)
-			if err != nil {
-				return false
-			}
-			if !cfsm.ObsEqual(predicted, a.Observed[i]) {
-				return false
-			}
-		}
-		return true
+		v, ok := variant(eng, h)
+		return ok && v.Explains(suite, observed)
 	}
 
 	// Single-fault hypotheses first (the class includes them).
@@ -224,6 +222,19 @@ type Localization struct {
 	AdditionalTests []cfsm.TestCase
 }
 
+// variant lowers the system Hypothesis.Apply builds for h onto the engine's
+// tables; ok is false when Apply rejects the hypothesis (or, for a
+// hypothesis not drawn from the specification's fault space, when the
+// system uses an output symbol the specification does not).
+func variant(eng *compiled.Engine, h Hypothesis) (compiled.Variant, bool) {
+	sys, err := h.Apply(eng.Program().System())
+	if err != nil {
+		return compiled.Variant{}, false
+	}
+	v, err := eng.VariantOf(sys)
+	return v, err == nil
+}
+
 // Localize discriminates the surviving hypotheses by variant elimination
 // against the oracle.
 func Localize(a *Analysis, oracle core.Oracle) (*Localization, error) {
@@ -237,35 +248,33 @@ func Localize(a *Analysis, oracle core.Oracle) (*Localization, error) {
 		return loc, nil
 	}
 
+	eng, err := compiled.NewEngine(a.Spec)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Release()
 	type variantT struct {
 		hyp *Hypothesis
-		sys *cfsm.System
+		v   compiled.Variant
 	}
-	live := []variantT{{hyp: nil, sys: a.Spec}}
+	spec, _ := eng.Variant(nil)
+	_, start, _ := spec.RunInputs(nil)
+	live := []variantT{{hyp: nil, v: spec}}
 	for i := range a.Hypotheses {
-		sys, err := a.Hypotheses[i].Apply(a.Spec)
-		if err != nil {
-			continue
+		if v, ok := variant(eng, a.Hypotheses[i]); ok {
+			live = append(live, variantT{hyp: &a.Hypotheses[i], v: v})
 		}
-		live = append(live, variantT{hyp: &a.Hypotheses[i], sys: sys})
 	}
 
 	// The spec variant contradicts the observed symptoms by construction,
 	// but keeping it makes the elimination uniform: each test removes at
 	// least one variant.
-	// Pair hypotheses rewire two transitions, which no one-cell compiled
-	// overlay realizes, so the variants run on the interpreted search.
-	inputs := a.Spec.AllInputs()
 	for len(live) > 1 {
 		// Find a distinguishing test for some live pair.
 		var test *cfsm.TestCase
 		for i := 0; i < len(live) && test == nil; i++ {
 			for j := i + 1; j < len(live); j++ {
-				seq, ok, _ := testgen.Distinguish(
-					testgen.Variant{Sys: live[i].sys, Cfg: live[i].sys.InitialConfig()},
-					testgen.Variant{Sys: live[j].sys, Cfg: live[j].sys.InitialConfig()},
-					inputs, nil, false,
-				)
+				seq, ok, _ := eng.Distinguish(live[i].v, start, live[j].v, start, nil, false)
 				if !ok {
 					continue
 				}
@@ -286,7 +295,7 @@ func Localize(a *Analysis, oracle core.Oracle) (*Localization, error) {
 		loc.AdditionalTests = append(loc.AdditionalTests, *test)
 		var next []variantT
 		for _, v := range live {
-			predicted, err := v.sys.Run(*test)
+			predicted, err := v.v.Run(*test)
 			if err != nil {
 				continue
 			}

@@ -2,6 +2,7 @@ package multifault
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -15,7 +16,8 @@ import (
 // faults on distinct transitions of the Figure 1 system and checks the
 // at-most-two-faults diagnosis is sound: whenever it convicts, the convicted
 // transitions are exactly the injected ones (or an ambiguity set containing
-// them survives); it never reports the observations as inconsistent.
+// them survives); it never reports the observations as inconsistent. Every
+// localization is pinned byte for byte by testdata/sweep.golden.
 func TestDoubleFaultSampledSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double-fault sweep is slow")
@@ -25,6 +27,7 @@ func TestDoubleFaultSampledSweep(t *testing.T) {
 	all := fault.Enumerate(spec)
 	rng := rand.New(rand.NewSource(99))
 
+	var golden strings.Builder
 	trials := 0
 	for trials < 6 {
 		f1 := all[rng.Intn(len(all))]
@@ -42,6 +45,7 @@ func TestDoubleFaultSampledSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("diagnose %s: %v", h.Describe(spec), err)
 		}
+		renderLocalization(&golden, h.Describe(spec), spec, loc)
 		wantRefs := map[cfsm.Ref]bool{f1.Ref: true, f2.Ref: true}
 		switch loc.Verdict {
 		case core.VerdictNoFault:
@@ -74,4 +78,5 @@ func TestDoubleFaultSampledSweep(t *testing.T) {
 			t.Errorf("%s: verdict %v", h.Describe(spec), loc.Verdict)
 		}
 	}
+	checkGolden(t, "sweep.golden", golden.String())
 }

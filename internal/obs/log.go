@@ -26,14 +26,6 @@ func NewLogger(w io.Writer, level slog.Level, json bool) *Logger {
 	return &Logger{s: slog.New(h)}
 }
 
-// WrapSlog adapts an existing slog logger (nil yields the no-op Logger).
-func WrapSlog(s *slog.Logger) *Logger {
-	if s == nil {
-		return nil
-	}
-	return &Logger{s: s}
-}
-
 // Slog returns the underlying slog logger (nil on the no-op Logger).
 func (l *Logger) Slog() *slog.Logger {
 	if l == nil {

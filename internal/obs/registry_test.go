@@ -215,7 +215,4 @@ func TestLoggerOutput(t *testing.T) {
 	if !strings.Contains(buf.String(), `"route":"/healthz"`) {
 		t.Errorf("json log malformed: %s", buf.String())
 	}
-	if WrapSlog(nil) != nil {
-		t.Fatal("WrapSlog(nil) should be nil")
-	}
 }

@@ -13,7 +13,7 @@ import (
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/ports"
-	"cfsmdiag/internal/testgen"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/trace"
 )
 
@@ -181,9 +181,9 @@ func TestNoWrongConvictionUnderProjection(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: convicted fault does not apply: %v", f.Describe(fx.sys), err)
 					}
-					seq, distinguishable, _ := testgen.Distinguish(
-						testgen.Variant{Sys: convicted, Cfg: convicted.InitialConfig()},
-						testgen.Variant{Sys: mut, Cfg: mut.InitialConfig()},
+					seq, distinguishable, _ := refsearch.Distinguish(
+						refsearch.Variant{Sys: convicted, Cfg: convicted.InitialConfig()},
+						refsearch.Variant{Sys: mut, Cfg: mut.InitialConfig()},
 						fx.sys.AllInputs(), nil, true)
 					if distinguishable {
 						t.Errorf("%s: convicted %s although %v visibly distinguishes them",

@@ -6,6 +6,7 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/core"
 	"cfsmdiag/internal/fault"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -139,7 +140,7 @@ func TestGoBackNSweepSampled(t *testing.T) {
 		case core.VerdictNoFault:
 			// The verification suite guarantees detection of detectable
 			// mutants; an undetected one must be equivalent.
-			if !testgen.SystemsEquivalent(spec, mutant) {
+			if !refsearch.SystemsEquivalent(spec, mutant) {
 				t.Errorf("verification suite missed %s", f.Describe(spec))
 			}
 		default:

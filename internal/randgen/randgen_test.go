@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"cfsmdiag/internal/cfsm"
+	"cfsmdiag/internal/refsearch"
 	"cfsmdiag/internal/testgen"
 )
 
@@ -111,7 +112,7 @@ func TestGeneratedTourCoverage(t *testing.T) {
 		// state... unless the transition is only triggerable via a queue
 		// symbol that no peer sends; verify via executed traces from all
 		// reachable configurations.
-		reach := testgen.ReachableConfigs(sys)
+		reach := refsearch.ReachableConfigs(sys)
 		executable := make(map[cfsm.Ref]bool)
 		for _, c := range reach {
 			for _, in := range sys.AllInputs() {

@@ -15,6 +15,7 @@ import (
 	"cfsmdiag/internal/paper"
 	"cfsmdiag/internal/protocols"
 	"cfsmdiag/internal/randgen"
+	"cfsmdiag/internal/refsearch"
 )
 
 // refMutant pairs a fault with the system clone it produces.
@@ -52,7 +53,7 @@ func refTour(sys *cfsm.System, maxLen int) (suite []cfsm.TestCase, uncovered []c
 		cfg = sys.InitialConfig()
 	}
 	for len(covered) < total {
-		seq, end, ok := NextUncovered(sys, cfg, covered)
+		seq, end, ok := refsearch.NextUncovered(sys, cfg, covered)
 		if !ok {
 			if len(current.Inputs) > 1 {
 				closeCase()
@@ -107,9 +108,9 @@ func refVerificationSuite(sys *cfsm.System) (suite []cfsm.TestCase, undetectable
 		if covers(m.sys) {
 			continue
 		}
-		seq, ok, _ := Distinguish(
-			Variant{Sys: sys, Cfg: sys.InitialConfig()},
-			Variant{Sys: m.sys, Cfg: m.sys.InitialConfig()},
+		seq, ok, _ := refsearch.Distinguish(
+			refsearch.Variant{Sys: sys, Cfg: sys.InitialConfig()},
+			refsearch.Variant{Sys: m.sys, Cfg: m.sys.InitialConfig()},
 			sys.AllInputs(), nil, false,
 		)
 		if !ok {
@@ -218,7 +219,7 @@ func refDetection(spec *cfsm.System, suite []cfsm.TestCase, includeAddress, chec
 			report.Detected[m.fault.Describe(spec)] = caseIdx
 			continue
 		}
-		if checkEquivalence && SystemsEquivalent(spec, m.sys) {
+		if checkEquivalence && refsearch.SystemsEquivalent(spec, m.sys) {
 			report.Undetectable = append(report.Undetectable, m.fault)
 			continue
 		}

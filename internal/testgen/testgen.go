@@ -3,11 +3,9 @@
 // fault-model-complete verification suites, their minimization, and the
 // detection report of a suite against the single-transition fault model.
 // Each compiles the specification once and runs on the compiled engine's
-// searches and one-cell fault overlays (internal/compiled).
-//
-// reference.go keeps the interpreted breadth-first searches: the parity
-// reference for the compiled ones, and the search of the multi-fault and
-// asynchronous extensions.
+// searches and one-cell fault overlays (internal/compiled). The parity
+// tests compare each with its interpreted form over the reference searches
+// of internal/refsearch.
 package testgen
 
 import (

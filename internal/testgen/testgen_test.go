@@ -5,6 +5,7 @@ import (
 
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/refsearch"
 )
 
 func TestTransferToState(t *testing.T) {
@@ -13,7 +14,7 @@ func TestTransferToState(t *testing.T) {
 	t.Run("paper transfer to start of t7", func(t *testing.T) {
 		// Step 6 of the paper: "A possible transfer sequence which will take
 		// the machine M1 to the starting state s2 of t7 is R, c^1."
-		res, ok := TransferToState(sys, paper.M1, "s2", nil)
+		res, ok := refsearch.TransferToState(sys, paper.M1, "s2", nil)
 		if !ok {
 			t.Fatal("no transfer sequence found")
 		}
@@ -28,7 +29,7 @@ func TestTransferToState(t *testing.T) {
 	t.Run("paper transfer to start of t\"4", func(t *testing.T) {
 		// "A possible transfer sequence which will take the machine M3 to
 		// the starting state s1 of t\"4 is R, c'^3."
-		res, ok := TransferToState(sys, paper.M3, "s1", nil)
+		res, ok := refsearch.TransferToState(sys, paper.M3, "s1", nil)
 		if !ok {
 			t.Fatal("no transfer sequence found")
 		}
@@ -38,7 +39,7 @@ func TestTransferToState(t *testing.T) {
 	})
 
 	t.Run("already satisfied", func(t *testing.T) {
-		res, ok := TransferToState(sys, paper.M1, "s0", nil)
+		res, ok := refsearch.TransferToState(sys, paper.M1, "s0", nil)
 		if !ok || len(res.Inputs) != 0 {
 			t.Fatalf("res = %v ok %v, want empty sequence", res, ok)
 		}
@@ -47,7 +48,7 @@ func TestTransferToState(t *testing.T) {
 	t.Run("avoid forces detour", func(t *testing.T) {
 		// Avoiding t2 (s0 -c-> s2) forces the longer route through s1.
 		avoid := cfsm.NewRefSet(cfsm.Ref{Machine: paper.M1, Name: "t2"})
-		res, ok := TransferToState(sys, paper.M1, "s2", avoid)
+		res, ok := refsearch.TransferToState(sys, paper.M1, "s2", avoid)
 		if !ok {
 			t.Fatal("no transfer sequence found")
 		}
@@ -61,8 +62,10 @@ func TestTransferToState(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Apply: %v", err)
 			}
-			if hitsAvoid(avoid, trace) {
-				t.Fatalf("sequence executed avoided transition: %v", trace)
+			for _, e := range trace {
+				if avoid[e.Ref()] {
+					t.Fatalf("sequence executed avoided transition: %v", trace)
+				}
 			}
 			cfg = next
 		}
@@ -74,7 +77,7 @@ func TestTransferToState(t *testing.T) {
 	t.Run("unreachable target", func(t *testing.T) {
 		// Avoid every transition: only the initial configuration is reachable.
 		avoid := cfsm.NewRefSet(sys.Refs()...)
-		if _, ok := TransferToState(sys, paper.M1, "s2", avoid); ok {
+		if _, ok := refsearch.TransferToState(sys, paper.M1, "s2", avoid); ok {
 			t.Fatal("target should be unreachable when everything is avoided")
 		}
 	})
@@ -82,7 +85,7 @@ func TestTransferToState(t *testing.T) {
 
 func TestReachableConfigs(t *testing.T) {
 	sys := paper.MustFigure1()
-	configs := ReachableConfigs(sys)
+	configs := refsearch.ReachableConfigs(sys)
 	if len(configs) == 0 || len(configs) > 27 {
 		t.Fatalf("ReachableConfigs returned %d configurations", len(configs))
 	}
@@ -97,9 +100,9 @@ func TestDistinguishStates(t *testing.T) {
 	t.Run("distinguish M3 s0 from s1", func(t *testing.T) {
 		// The paper distinguishes M3's s0 and s1 (after the suspect t"4)
 		// with input v^3: in s1 it yields b^3, in s0 it is undefined (ε^3).
-		a := Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s1"}}
-		b := Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
-		seq, ok, _ := Distinguish(a, b, spec.AllInputs(), nil, false)
+		a := refsearch.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s1"}}
+		b := refsearch.Variant{Sys: spec, Cfg: cfsm.Config{"s0", "s0", "s0"}}
+		seq, ok, _ := refsearch.Distinguish(a, b, spec.AllInputs(), nil, false)
 		if !ok {
 			t.Fatal("s1 and s0 of M3 must be distinguishable")
 		}
@@ -112,12 +115,12 @@ func TestDistinguishStates(t *testing.T) {
 	})
 
 	t.Run("identical variants are equivalent", func(t *testing.T) {
-		v := Variant{Sys: spec, Cfg: spec.InitialConfig()}
-		if _, ok, _ := Distinguish(v, v, spec.AllInputs(), nil, false); ok {
+		v := refsearch.Variant{Sys: spec, Cfg: spec.InitialConfig()}
+		if _, ok, _ := refsearch.Distinguish(v, v, spec.AllInputs(), nil, false); ok {
 			t.Fatal("identical variants must not be distinguishable")
 		}
-		if !SystemsEquivalent(spec, spec) {
-			t.Fatal("SystemsEquivalent(spec, spec) = false")
+		if !refsearch.SystemsEquivalent(spec, spec) {
+			t.Fatal("refsearch.SystemsEquivalent(spec, spec) = false")
 		}
 	})
 
@@ -126,16 +129,16 @@ func TestDistinguishStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("FaultyImplementation: %v", err)
 		}
-		if SystemsEquivalent(spec, iut) {
+		if refsearch.SystemsEquivalent(spec, iut) {
 			t.Fatal("the paper's faulty IUT must be distinguishable from the spec")
 		}
 	})
 
 	t.Run("mismatched machine count", func(t *testing.T) {
-		a := Variant{Sys: spec, Cfg: spec.InitialConfig()}
+		a := refsearch.Variant{Sys: spec, Cfg: spec.InitialConfig()}
 		small := twoMachineSystem(t)
-		b := Variant{Sys: small, Cfg: small.InitialConfig()}
-		if _, ok, _ := Distinguish(a, b, spec.AllInputs(), nil, false); ok {
+		b := refsearch.Variant{Sys: small, Cfg: small.InitialConfig()}
+		if _, ok, _ := refsearch.Distinguish(a, b, spec.AllInputs(), nil, false); ok {
 			t.Fatal("mismatched systems must not be comparable")
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
 	"cfsmdiag/internal/paper"
+	"cfsmdiag/internal/refsearch"
 )
 
 func TestVerificationSuiteShape(t *testing.T) {
@@ -44,7 +45,7 @@ func TestVerificationSuiteDetectsEverything(t *testing.T) {
 	suite, undetectable := VerificationSuite(sys)
 	skip := make(map[string]bool, len(undetectable))
 	for _, f := range undetectable {
-		if !SystemsEquivalent(sys, mustApply(t, sys, f)) {
+		if !refsearch.SystemsEquivalent(sys, mustApply(t, sys, f)) {
 			t.Errorf("mutant %s declared undetectable but is distinguishable", f.Describe(sys))
 		}
 		skip[f.Describe(sys)] = true

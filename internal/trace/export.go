@@ -89,9 +89,9 @@ func ValidateJSONL(r io.Reader) (int, error) {
 // Validate checks decoded trace events against the exporter's schema: every
 // event has a known kind, sequence numbers are strictly increasing, phases
 // are ""/"B"/"E", span ids appear exactly on span edges, and every B is
-// closed by a matching E of the same kind.  Ring-truncated traces (which may
-// have lost a B edge) do not validate; validation targets complete exported
-// traces.
+// closed by a matching E of the same kind.  Validation targets complete
+// exported traces; a truncated one (which may have lost a B edge) does not
+// validate.
 func Validate(events []Event) error {
 	var lastSeq uint64
 	open := make(map[uint64]Kind)

@@ -138,31 +138,17 @@ type KV struct{ K, V string }
 // A builds an attribute; shorthand for KV{k, v}.
 func A(k, v string) KV { return KV{K: k, V: v} }
 
-// Tracer collects events.  The zero value (via New) grows without bound;
-// NewRing caps memory for always-on use by dropping the oldest events.
+// Tracer collects events, without bound.
 type Tracer struct {
 	mu       sync.Mutex
 	events   []Event
-	limit    int // 0 = unbounded
-	head     int // ring read position when full
-	full     bool
 	seq      uint64
 	clock    uint64
 	nextSpan uint64
-	dropped  uint64
 }
 
-// New returns an unbounded tracer.
+// New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
-
-// NewRing returns a tracer that retains at most capacity events, discarding
-// the oldest once full.  Dropped reports how many were discarded.
-func NewRing(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{limit: capacity, events: make([]Event, 0, capacity)}
-}
 
 // Enabled reports whether events will be recorded.  It is safe on nil.
 func (t *Tracer) Enabled() bool { return t != nil }
@@ -199,23 +185,11 @@ func attrMap(attrs []KV) map[string]string {
 	return m
 }
 
-// record appends under the lock, honoring the ring bound.
+// record appends under the lock.
 func (t *Tracer) record(kind Kind, phase string, span uint64, attrs []KV) {
 	t.mu.Lock()
 	t.seq++
-	ev := Event{Seq: t.seq, Clock: t.clock, Kind: kind, Phase: phase, Span: span, Attrs: attrMap(attrs)}
-	if t.limit == 0 {
-		t.events = append(t.events, ev)
-	} else if len(t.events) < t.limit && !t.full {
-		t.events = append(t.events, ev)
-		if len(t.events) == t.limit {
-			t.full = true
-		}
-	} else {
-		t.events[t.head] = ev
-		t.head = (t.head + 1) % t.limit
-		t.dropped++
-	}
+	t.events = append(t.events, Event{Seq: t.seq, Clock: t.clock, Kind: kind, Phase: phase, Span: span, Attrs: attrMap(attrs)})
 	t.mu.Unlock()
 }
 
@@ -267,14 +241,7 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.events))
-	if t.full {
-		out = append(out, t.events[t.head:]...)
-		out = append(out, t.events[:t.head]...)
-	} else {
-		out = append(out, t.events...)
-	}
-	return out
+	return append(make([]Event, 0, len(t.events)), t.events...)
 }
 
 // Len returns the number of retained events.
@@ -287,16 +254,6 @@ func (t *Tracer) Len() int {
 	return len(t.events)
 }
 
-// Dropped returns how many events a ring tracer has discarded.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Reset discards all recorded events and restarts the clocks.
 func (t *Tracer) Reset() {
 	if t == nil {
@@ -304,12 +261,9 @@ func (t *Tracer) Reset() {
 	}
 	t.mu.Lock()
 	t.events = t.events[:0]
-	t.head = 0
-	t.full = false
 	t.seq = 0
 	t.clock = 0
 	t.nextSpan = 0
-	t.dropped = 0
 	t.mu.Unlock()
 }
 

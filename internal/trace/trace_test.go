@@ -21,7 +21,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if got := tr.Events(); got != nil {
 		t.Fatalf("nil tracer returned events: %v", got)
 	}
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Clock() != 0 {
+	if tr.Len() != 0 || tr.Clock() != 0 {
 		t.Fatal("nil tracer reports nonzero state")
 	}
 }
@@ -57,23 +57,6 @@ func TestEmitAndSpans(t *testing.T) {
 	}
 	if evs[1].Attrs["case"] != "tc1" || evs[1].Attrs["step"] != "6" {
 		t.Fatalf("attrs lost: %v", evs[1].Attrs)
-	}
-}
-
-func TestRingDropsOldest(t *testing.T) {
-	tr := NewRing(3)
-	for i := 0; i < 5; i++ {
-		tr.Emit(KindSimStep, A("i", string(rune('a'+i))))
-	}
-	if tr.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", tr.Dropped())
-	}
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("retained %d, want 3", len(evs))
-	}
-	if evs[0].Seq != 3 || evs[2].Seq != 5 {
-		t.Fatalf("ring kept wrong window: seqs %d..%d", evs[0].Seq, evs[2].Seq)
 	}
 }
 
