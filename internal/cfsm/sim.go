@@ -204,11 +204,6 @@ func (r *Runner) Reset() {
 	}
 }
 
-// Config returns the runner's current configuration. The slice is the
-// runner's scratch state: it is valid until the next Step or Reset and must
-// be cloned before being retained or mutated.
-func (r *Runner) Config() Config { return r.cfg }
-
 // Step processes one input in place, advancing the runner's configuration.
 // It has the exact semantics of System.Apply but reuses the runner's scratch
 // buffers: the returned Executed slice is valid only until the next Step or

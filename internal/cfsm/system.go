@@ -561,16 +561,3 @@ func (c Config) Key() string {
 	}
 	return strings.Join(parts, "|")
 }
-
-// Equal reports whether two configurations are identical.
-func (c Config) Equal(o Config) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}

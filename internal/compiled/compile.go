@@ -252,9 +252,6 @@ func (p *Program) System() *cfsm.System { return p.src }
 // N returns the number of machines.
 func (p *Program) N() int { return len(p.machines) }
 
-// NumTransitions returns the number of compiled transitions.
-func (p *Program) NumTransitions() int { return len(p.trans) }
-
 // NumSymbols returns the size of the interned symbol table (reserved symbols
 // included).
 func (p *Program) NumSymbols() int { return len(p.syms) }

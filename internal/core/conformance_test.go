@@ -73,17 +73,9 @@ func outcomeOf(spec *cfsm.System, loc *core.Localization, oracle *core.SystemOra
 // postDiagnose runs one in-process POST /v1/diagnose.
 func postDiagnose(t *testing.T, h http.Handler, path string, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
 	t.Helper()
-	specDoc, err := spec.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iutDoc, err := iut.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	body, err := json.Marshal(map[string]any{
-		"spec":  json.RawMessage(specDoc),
-		"iut":   json.RawMessage(iutDoc),
+		"spec":  json.RawMessage(marshalSystem(t, spec)),
+		"iut":   json.RawMessage(marshalSystem(t, iut)),
 		"suite": cfsm.EncodeSuite(suite),
 	})
 	if err != nil {
@@ -92,6 +84,58 @@ func postDiagnose(t *testing.T, h http.Handler, path string, spec, iut *cfsm.Sys
 	var o outcome
 	call(t, h, http.MethodPost, path, body, http.StatusOK, &o)
 	return o
+}
+
+// postDiagnoseRespelled runs one in-process POST /v1/diagnose with the
+// specification indented, a spelling byte-different from postDiagnose's.
+// The body is built raw, since json.Marshal compacts a json.RawMessage.
+func postDiagnoseRespelled(t *testing.T, h http.Handler, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
+	t.Helper()
+	var specDoc bytes.Buffer
+	if err := json.Indent(&specDoc, marshalSystem(t, spec), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	suiteDoc, err := json.Marshal(cfsm.EncodeSuite(suite))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Appendf(nil, `{"spec":%s,"iut":%s,"suite":%s}`, specDoc.Bytes(), marshalSystem(t, iut), suiteDoc)
+	var o outcome
+	call(t, h, http.MethodPost, "/v1/diagnose", body, http.StatusOK, &o)
+	return o
+}
+
+// postDiagnoseByRef uploads the specification and the implementation under
+// test with POST /v1/models and diagnoses them by reference.
+func postDiagnoseByRef(t *testing.T, h http.Handler, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
+	t.Helper()
+	upload := func(sys *cfsm.System) string {
+		var model struct {
+			Hash string `json:"hash"`
+		}
+		call(t, h, http.MethodPost, "/v1/models", marshalSystem(t, sys), http.StatusOK, &model)
+		return model.Hash
+	}
+	body, err := json.Marshal(map[string]any{
+		"specRef": upload(spec),
+		"iutRef":  upload(iut),
+		"suite":   cfsm.EncodeSuite(suite),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o outcome
+	call(t, h, http.MethodPost, "/v1/diagnose", body, http.StatusOK, &o)
+	return o
+}
+
+func marshalSystem(t *testing.T, sys *cfsm.System) []byte {
+	t.Helper()
+	doc, err := sys.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 // call serves one in-process request and decodes the response body into v.
@@ -111,19 +155,11 @@ func call(t *testing.T, h http.Handler, method, path string, body []byte, wantSt
 // queue: submit, wait for the queue to drain, fetch the result.
 func submitDiagnoseJob(t *testing.T, svc *server.Service, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
 	t.Helper()
-	specDoc, err := spec.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	iutDoc, err := iut.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
 	body, err := json.Marshal(map[string]any{
 		"kind": "diagnose",
 		"request": map[string]any{
-			"spec":  json.RawMessage(specDoc),
-			"iut":   json.RawMessage(iutDoc),
+			"spec":  json.RawMessage(marshalSystem(t, spec)),
+			"iut":   json.RawMessage(marshalSystem(t, iut)),
 			"suite": cfsm.EncodeSuite(suite),
 		},
 	})
@@ -179,7 +215,9 @@ func replayDiagnosis(t *testing.T, spec, iut *cfsm.System, suite []cfsm.TestCase
 // TestSurfacesConform diagnoses every Figure 1 mutant and every mutant of the
 // randgen seed-1 system through each diagnosis surface — the library entry
 // point (compiled engine), the interpreted reference engine, in-process
-// POST /v1/diagnose with and without ?trace=1, a diagnose job through the
+// POST /v1/diagnose with and without ?trace=1, by reference to models
+// uploaded with POST /v1/models, and with the specification in a second
+// spelling, a diagnose job through the
 // /v1/jobs queue, a single-observer ports map, and an offline replay of a
 // traced run — and requires the same verdict, fault, remaining hypotheses
 // and total oracle tests and inputs from all of them.
@@ -220,6 +258,12 @@ func TestSurfacesConform(t *testing.T) {
 					},
 					"POST /v1/diagnose?trace=1": func() outcome {
 						return postDiagnose(t, h, "/v1/diagnose?trace=1", sys.spec, iut, sys.suite)
+					},
+					"POST /v1/diagnose by reference": func() outcome {
+						return postDiagnoseByRef(t, h, sys.spec, iut, sys.suite)
+					},
+					"POST /v1/diagnose respelled spec": func() outcome {
+						return postDiagnoseRespelled(t, h, sys.spec, iut, sys.suite)
 					},
 					"/v1/jobs diagnose": func() outcome {
 						return submitDiagnoseJob(t, svc, sys.spec, iut, sys.suite)

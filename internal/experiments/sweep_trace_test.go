@@ -22,10 +22,15 @@ func assertTraceValidates(t *testing.T, events []trace.Event) {
 	if err := trace.WriteJSONL(&buf, events); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	if n, err := trace.ValidateJSONL(&buf); err != nil {
-		t.Fatalf("ValidateJSONL: %v", err)
-	} else if n != len(events) {
-		t.Fatalf("ValidateJSONL counted %d events, wrote %d", n, len(events))
+	back, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatalf("ReadJSONL: %v", err)
+	}
+	if err := trace.Validate(back); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if len(back) != len(events) {
+		t.Fatalf("ReadJSONL read %d events, wrote %d", len(back), len(events))
 	}
 }
 

@@ -60,7 +60,7 @@ func TestPresetDSProperty(t *testing.T) {
 			continue
 		}
 		if !m.VerifyPresetDS(seq) {
-			t.Errorf("seed %d: invalid DS %v for machine %s", seed, seq, m.Name())
+			t.Errorf("seed %d: invalid DS %v for machine %s", seed, seq, m.name)
 		}
 	}
 }

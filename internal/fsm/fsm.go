@@ -70,11 +70,10 @@ type FSM struct {
 	initial State
 	states  []State // sorted, for deterministic iteration
 	inputs  []Symbol
-	outputs []Symbol
 	trans   map[Key]Transition
 	byName  map[string]Key
 	// sorted caches the transitions ordered by (From, Input); Transitions is
-	// called from hot loops (fault enumeration, minimization, DOT export) and
+	// called from hot loops (fault enumeration, minimization) and
 	// must not rebuild and re-sort on every call.
 	sorted []Transition
 }
@@ -113,7 +112,6 @@ func New(name string, initial State, states []State, transitions []Transition) (
 	sort.Slice(m.states, func(i, j int) bool { return m.states[i] < m.states[j] })
 
 	inputSet := make(map[Symbol]bool)
-	outputSet := make(map[Symbol]bool)
 	for _, t := range transitions {
 		if t.Name == "" {
 			return nil, fmt.Errorf("fsm %s: transition %v has no name", name, t)
@@ -141,10 +139,8 @@ func New(name string, initial State, states []State, transitions []Transition) (
 		m.trans[k] = t
 		m.byName[t.Name] = k
 		inputSet[t.Input] = true
-		outputSet[t.Output] = true
 	}
 	m.inputs = sortedSymbols(inputSet)
-	m.outputs = sortedSymbols(outputSet)
 	m.rebuildSorted()
 	return m, nil
 }
@@ -173,9 +169,6 @@ func sortedSymbols(set map[Symbol]bool) []Symbol {
 	return out
 }
 
-// Name returns the machine's display name, e.g. "M1".
-func (m *FSM) Name() string { return m.name }
-
 // Initial returns the initial state.
 func (m *FSM) Initial() State { return m.initial }
 
@@ -184,9 +177,6 @@ func (m *FSM) States() []State { return append([]State(nil), m.states...) }
 
 // Inputs returns the input alphabet actually used by transitions, sorted.
 func (m *FSM) Inputs() []Symbol { return append([]Symbol(nil), m.inputs...) }
-
-// Outputs returns the output alphabet actually used by transitions, sorted.
-func (m *FSM) Outputs() []Symbol { return append([]Symbol(nil), m.outputs...) }
 
 // HasState reports whether s is a declared state.
 func (m *FSM) HasState(s State) bool {
@@ -230,7 +220,6 @@ func (m *FSM) Clone() *FSM {
 		initial: m.initial,
 		states:  append([]State(nil), m.states...),
 		inputs:  append([]Symbol(nil), m.inputs...),
-		outputs: append([]Symbol(nil), m.outputs...),
 		trans:   make(map[Key]Transition, len(m.trans)),
 		byName:  make(map[string]Key, len(m.byName)),
 		sorted:  append([]Transition(nil), m.sorted...),
@@ -273,11 +262,5 @@ func (m *FSM) Rewire(name string, newOutput Symbol, newTo State) (*FSM, error) {
 			break
 		}
 	}
-	// Recompute the output alphabet, which may have changed.
-	outputSet := make(map[Symbol]bool, len(c.trans))
-	for _, tr := range c.trans {
-		outputSet[tr.Output] = true
-	}
-	c.outputs = sortedSymbols(outputSet)
 	return c, nil
 }

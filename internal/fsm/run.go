@@ -24,17 +24,3 @@ func (m *FSM) Run(from State, inputs []Symbol) (outs []Symbol, end State) {
 	}
 	return outs, end
 }
-
-// Trace applies a sequence of inputs from the given state and returns the
-// transitions taken. Undefined inputs contribute no transition.
-func (m *FSM) Trace(from State, inputs []Symbol) (trace []Transition, end State) {
-	end = from
-	for _, in := range inputs {
-		_, next, tr, ok := m.Step(end, in)
-		if ok {
-			trace = append(trace, tr)
-		}
-		end = next
-	}
-	return trace, end
-}

@@ -10,38 +10,6 @@ import "sort"
 // involve any candidate transition"; callers express that constraint here.
 type Avoid func(Transition) bool
 
-// Reachable returns the set of states reachable from the given state using
-// only non-avoided transitions, including the state itself.
-func (m *FSM) Reachable(from State, avoid Avoid) map[State]bool {
-	seen := map[State]bool{from: true}
-	frontier := []State{from}
-	for len(frontier) > 0 {
-		s := frontier[0]
-		frontier = frontier[1:]
-		for _, in := range m.inputs {
-			t, ok := m.Lookup(s, in)
-			if !ok || (avoid != nil && avoid(t)) {
-				continue
-			}
-			if !seen[t.To] {
-				seen[t.To] = true
-				frontier = append(frontier, t.To)
-			}
-		}
-	}
-	return seen
-}
-
-// StronglyConnected reports whether every state can reach every other state.
-func (m *FSM) StronglyConnected() bool {
-	for _, s := range m.states {
-		if len(m.Reachable(s, nil)) != len(m.states) {
-			return false
-		}
-	}
-	return true
-}
-
 // TransferSequence returns a shortest input sequence leading the machine from
 // one state to another while exercising only non-avoided transitions. The
 // empty sequence is returned when from == to. ok is false when no such
@@ -140,16 +108,6 @@ func (m *FSM) DistinguishingSequence(a, b State, avoid Avoid) (seq []Symbol, ok 
 		}
 	}
 	return nil, false
-}
-
-// Equivalent reports whether two states produce identical output sequences
-// for every input sequence.
-func (m *FSM) Equivalent(a, b State) bool {
-	if a == b {
-		return true
-	}
-	_, distinguishable := m.DistinguishingSequence(a, b, nil)
-	return !distinguishable
 }
 
 // CharacterizationSet returns a "limited characterization set" W for the

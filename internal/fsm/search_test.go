@@ -21,35 +21,6 @@ func ring(t *testing.T) *FSM {
 	return m
 }
 
-func TestReachable(t *testing.T) {
-	m := ring(t)
-	got := m.Reachable("r0", nil)
-	if len(got) != 3 {
-		t.Fatalf("Reachable(r0) = %v, want all 3 states", got)
-	}
-	// Avoiding t01 and t02 pins the machine in r0.
-	avoid := func(tr Transition) bool { return tr.From == "r0" }
-	got = m.Reachable("r0", avoid)
-	if len(got) != 1 || !got["r0"] {
-		t.Fatalf("Reachable(r0, avoid-from-r0) = %v, want {r0}", got)
-	}
-}
-
-func TestStronglyConnected(t *testing.T) {
-	if !ring(t).StronglyConnected() {
-		t.Error("ring should be strongly connected")
-	}
-	m, err := New("L", "s0", []State{"s0", "s1"}, []Transition{
-		{Name: "t", From: "s0", Input: "a", Output: "x", To: "s1"},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if m.StronglyConnected() {
-		t.Error("a one-way machine must not be strongly connected")
-	}
-}
-
 func TestTransferSequence(t *testing.T) {
 	m := ring(t)
 	tests := []struct {
@@ -135,9 +106,6 @@ func TestDistinguishingSequence(t *testing.T) {
 		if _, ok := m2.DistinguishingSequence("s0", "s1", nil); ok {
 			t.Fatal("s0 and s1 are equivalent; no distinguishing sequence should exist")
 		}
-		if !m2.Equivalent("s0", "s1") {
-			t.Fatal("Equivalent(s0,s1) should be true")
-		}
 	})
 	t.Run("avoidance can destroy distinguishability", func(t *testing.T) {
 		avoidAll := func(Transition) bool { return true }
@@ -147,15 +115,6 @@ func TestDistinguishingSequence(t *testing.T) {
 			t.Fatal("avoid-everything must make states indistinct")
 		}
 	})
-}
-
-func TestEquivalentReflexive(t *testing.T) {
-	m := ring(t)
-	for _, s := range m.States() {
-		if !m.Equivalent(s, s) {
-			t.Errorf("Equivalent(%v,%v) = false", s, s)
-		}
-	}
 }
 
 func TestCharacterizationSet(t *testing.T) {

@@ -7,9 +7,8 @@ import (
 
 // Logger is a nil-safe structured-logging facade over log/slog. A nil
 // *Logger discards every record, so libraries can log unconditionally and
-// callers opt in by supplying one. The facade intentionally exposes only the
-// leveled message calls plus With; anything fancier should take the
-// underlying *slog.Logger via Slog.
+// callers opt in by supplying one. The facade exposes only the leveled
+// message calls its callers make.
 type Logger struct {
 	s *slog.Logger
 }
@@ -24,29 +23,6 @@ func NewLogger(w io.Writer, level slog.Level, json bool) *Logger {
 		h = slog.NewTextHandler(w, opts)
 	}
 	return &Logger{s: slog.New(h)}
-}
-
-// Slog returns the underlying slog logger (nil on the no-op Logger).
-func (l *Logger) Slog() *slog.Logger {
-	if l == nil {
-		return nil
-	}
-	return l.s
-}
-
-// With returns a Logger with the given attributes bound.
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(args...)}
-}
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, args ...any) {
-	if l != nil {
-		l.s.Debug(msg, args...)
-	}
 }
 
 // Info logs at LevelInfo.

@@ -138,10 +138,8 @@ func TestNilSafety(t *testing.T) {
 
 	var l *Logger
 	l.Info("dropped", "k", "v")
+	l.Warn("dropped")
 	l.Error("dropped")
-	if l.With("k", "v") != nil || l.Slog() != nil {
-		t.Fatal("nil logger should stay nil")
-	}
 }
 
 func TestKindMismatchPanics(t *testing.T) {
@@ -196,14 +194,14 @@ func TestConcurrentRegistryUpdates(t *testing.T) {
 
 func TestLoggerOutput(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, slog.LevelInfo, false)
-	l.Debug("hidden")
-	l.With("request_id", "abc").Info("served", "route", "/v1/validate", "code", 200)
+	l := NewLogger(&buf, slog.LevelWarn, false)
+	l.Info("hidden")
+	l.Warn("served", "route", "/v1/validate", "code", 200)
 	out := buf.String()
 	if strings.Contains(out, "hidden") {
-		t.Errorf("debug leaked at info level: %s", out)
+		t.Errorf("info leaked at warn level: %s", out)
 	}
-	for _, want := range []string{"served", "request_id=abc", "route=/v1/validate", "code=200"} {
+	for _, want := range []string{"served", "level=WARN", "route=/v1/validate", "code=200"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("log line missing %q: %s", want, out)
 		}

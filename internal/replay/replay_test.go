@@ -41,12 +41,12 @@ func TestReplayReproducesFigure1Localization(t *testing.T) {
 	if err := trace.WriteJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("recorded trace does not validate: %v", err)
-	}
 	events, err := trace.ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := trace.Validate(events); err != nil {
+		t.Fatalf("recorded trace does not validate: %v", err)
 	}
 
 	run, err := replay.Load(events)
@@ -190,12 +190,12 @@ func TestReplayReproducesInconclusiveRun(t *testing.T) {
 	if err := trace.WriteJSONL(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("inconclusive trace fails validation: %v", err)
-	}
 	events, err := trace.ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := trace.Validate(events); err != nil {
+		t.Fatalf("inconclusive trace fails validation: %v", err)
 	}
 	rec, err := replay.Load(events)
 	if err != nil {

@@ -176,7 +176,9 @@ func TestChaosTraceValidatesAndRecordsOracleEvents(t *testing.T) {
 	if err := trace.WriteJSONL(&buf, tr.Events()); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	if _, err := trace.ValidateJSONL(bytes.NewReader(buf.Bytes())); err != nil {
+	if events, err := trace.ReadJSONL(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("exported chaos trace does not read: %v", err)
+	} else if err := trace.Validate(events); err != nil {
 		t.Fatalf("trace with oracle/chaos events fails validation: %v", err)
 	}
 	if injector.InjectedTotal() > 0 {

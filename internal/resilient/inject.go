@@ -67,12 +67,11 @@ type FaultInjector struct {
 	inner core.Oracle
 	cfg   InjectConfig
 
-	mu  sync.Mutex // guards rng
-	rng *rand.Rand
+	mu       sync.Mutex // guards rng and injected
+	rng      *rand.Rand
+	injected int
 
 	counters map[string]*obs.Counter
-	// Injected counts total injected faults, for tests and reports.
-	injected map[string]int
 }
 
 var (
@@ -97,26 +96,14 @@ func NewFaultInjector(inner core.Oracle, cfg InjectConfig) *FaultInjector {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		counters: counters,
-		injected: make(map[string]int, len(modes)),
 	}
-}
-
-// Injected returns how many faults of the given mode have been injected.
-func (f *FaultInjector) Injected(mode string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.injected[mode]
 }
 
 // InjectedTotal returns the total number of injected faults across modes.
 func (f *FaultInjector) InjectedTotal() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := 0
-	for _, c := range f.injected {
-		n += c
-	}
-	return n
+	return f.injected
 }
 
 // plan is the fault schedule drawn for one execution. Drawing everything up
@@ -148,7 +135,7 @@ func (f *FaultInjector) draw() plan {
 
 func (f *FaultInjector) note(mode string, tc cfsm.TestCase, detail ...trace.KV) {
 	f.mu.Lock()
-	f.injected[mode]++
+	f.injected++
 	f.mu.Unlock()
 	f.counters[mode].Inc()
 	attrs := append([]trace.KV{

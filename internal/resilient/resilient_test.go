@@ -257,8 +257,8 @@ func TestFaultInjectorModes(t *testing.T) {
 		if len(got) != len(testCase.Inputs)-1 {
 			t.Errorf("len = %d, want one observation dropped", len(got))
 		}
-		if f.Injected(ModeDrop) != 1 {
-			t.Errorf("Injected(drop) = %d", f.Injected(ModeDrop))
+		if f.InjectedTotal() != 1 {
+			t.Errorf("InjectedTotal() = %d, want the one drop", f.InjectedTotal())
 		}
 	})
 	t.Run("duplicate", func(t *testing.T) {

@@ -19,40 +19,42 @@ import (
 	"cfsmdiag/internal/testgen"
 )
 
-// The content-addressed model registry. Every endpoint that accepts a system
-// resolves it through the registry, so a model is decoded and validated once
-// per content: an entry holds the validated *cfsm.System and, each built on
-// first use, its canonical hash, its compiled program, its transition tour
-// and the compiled suites diagnoses of it run. All are immutable once built,
-// so one entry is shared across concurrent requests and job workers; each
-// diagnosis takes its own single-goroutine compiled.Engine over the shared
-// program from compiled.EngineFor and releases it when done, so requests
-// pay only for what differs between them: the implementation under test and
-// its observations.
+// The content-addressed model registry. Every endpoint that accepts a
+// specification resolves it through the registry, so a model is decoded and
+// validated once per content: an entry holds the validated *cfsm.System, its
+// canonical hash and, each built on first use, its compiled program, its
+// transition tour and the compiled suites diagnoses of it run. All are
+// immutable once built, so one entry is shared across concurrent requests
+// and job workers; each diagnosis takes its own single-goroutine
+// compiled.Engine over the shared program from compiled.EngineFor and
+// releases it when done, so requests pay only for what differs between
+// them: the implementation under test and its observations.
 //
 // A request suite, or the tour a suite-less request runs, is interned
 // (modelEntry.compiledSuite): a suite equal in names and inputs to the
 // entry's last one reuses that one's slice and compiled form, so the
 // engine's identity-keyed suite cache hits.
 //
-// Two key namespaces share the cache, both naming entries:
+// The registry holds one entry per canonical content hash, under two key
+// namespaces:
 //
-//   - "<hex hash>": the canonical content hash (compiled.ModelHash). An
-//     uploaded model is registered under it at once; an inline document
-//     only when it is first used as a specification (program), which is
-//     when its hash is computed. Requests reference it via the *Ref request
-//     fields and GET /v1/models/{hash}.
+//   - "<hex hash>": the canonical content hash (compiled.ModelHash), computed
+//     once when a model is first registered. Requests reference it via the
+//     *Ref request fields and GET /v1/models/{hash}.
 //   - "doc:<hex hash>": the SHA-256 of an inline document's raw bytes, so a
 //     repeated inline submission skips decoding and validation altogether.
-//     An inline document seen only as an implementation under test is
-//     reachable by this key alone and never pays for the canonical encoding.
-//     Byte-different spellings of one specification are separate entries
-//     that share the compiled program of whichever was hashed first.
+//     Byte-different spellings of one model are more keys of one entry, so
+//     they resolve to one system, program, tour and suite slot.
+//
+// An inline implementation under test is read and never registered: the
+// diagnosis runs it only as the black-box oracle, and clients seldom send
+// the same one twice within the registry's window. An iutRef still resolves
+// through the registry.
 //
 // The cache is bounded by key count and evicts the least recently used key.
-// An inline entry not registered under its canonical hash is charged for
-// that key all the same, so computing hashes lazily does not let the cap
-// hold more models than when every inline entry had both keys.
+// Every use of an entry marks its hash key most recently used last, so the
+// hash key outlives the entry's document keys and every entry held is
+// registered under its hash.
 
 // Model registry metric families.
 const (
@@ -65,15 +67,8 @@ const (
 
 // modelEntry is one registered model.
 type modelEntry struct {
-	reg *modelRegistry
-	sys *cfsm.System
-	// hash is compiled.ModelHash(sys), "" until the entry is uploaded or
-	// first used as a specification. Guarded by reg.mu.
-	hash string
-	// charged marks an entry whose document key is held but which is not
-	// registered under its canonical hash; the cap counts that key anyway.
-	// Guarded by reg.mu.
-	charged bool
+	sys  *cfsm.System
+	hash string // compiled.ModelHash(sys)
 
 	compileOnce sync.Once
 	prog        *compiled.Program
@@ -89,20 +84,9 @@ type modelEntry struct {
 	lastSuite *compiled.Suite
 }
 
-// program returns the entry's compiled program. On first use it computes the
-// canonical hash and registers the entry under it; when another entry
-// already holds the hash, that entry's program is shared instead of
-// compiling again. Only specifications call it, so IUT-only entries are
-// never hashed or compiled.
+// program returns the entry's compiled program, compiled on first use.
 func (e *modelEntry) program() *compiled.Program {
 	e.compileOnce.Do(func() {
-		// An entry waits here only on one that held the hash before this
-		// call; registration under a hash happens once per entry, on upload
-		// or in this very function, so the waits cannot form a cycle.
-		if held := e.reg.canonical(e); held != e {
-			e.prog = held.program()
-			return
-		}
 		// Compile fails only on a nil system, and a registered one never is.
 		e.prog, _ = compiled.Compile(e.sys)
 	})
@@ -172,7 +156,6 @@ type modelRegistry struct {
 	cap     int
 	entries map[string]*list.Element // key -> element of lru
 	lru     *list.List               // of keyedEntry, least recently used first
-	charged int                      // entries with charged set
 
 	hits    *obs.Counter
 	misses  *obs.Counter
@@ -200,8 +183,7 @@ func newModelRegistry(reg *obs.Registry, capEntries int) *modelRegistry {
 }
 
 // get looks a key up without touching the hit/miss counters. A hit marks
-// the key most recently used, and with it the entry's canonical hash, so a
-// model kept hot by its inline document stays resolvable by reference.
+// the key most recently used, and its entry's hash key after it.
 func (mr *modelRegistry) get(key string) (*modelEntry, bool) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
@@ -210,69 +192,34 @@ func (mr *modelRegistry) get(key string) (*modelEntry, bool) {
 		return nil, false
 	}
 	e := el.Value.(keyedEntry).entry
-	if h, ok := mr.entries[e.hash]; e.hash != "" && ok {
-		mr.lru.MoveToBack(h)
-	}
 	mr.lru.MoveToBack(el)
+	mr.lru.MoveToBack(mr.entries[e.hash])
 	return e, true
 }
 
-// add registers sys under key, with its canonical hash when known, unless
-// the key is taken; it returns the entry the key names and whether it was
-// already present.
-func (mr *modelRegistry) add(key string, sys *cfsm.System, hash string) (*modelEntry, bool) {
+// add registers sys under its canonical hash and, when docKey is not empty,
+// under that document key too. A system whose hash is already held joins
+// that entry, so every spelling of a model shares one entry. It returns the
+// entry and whether its hash was already held.
+func (mr *modelRegistry) add(sys *cfsm.System, docKey string) (*modelEntry, bool) {
+	hash := compiled.ModelHash(sys)
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
-	if el, ok := mr.entries[key]; ok {
-		mr.lru.MoveToBack(el)
-		return el.Value.(keyedEntry).entry, true
+	el, cached := mr.entries[hash]
+	if !cached {
+		el = mr.lru.PushBack(keyedEntry{key: hash, entry: &modelEntry{sys: sys, hash: hash}})
+		mr.entries[hash] = el
 	}
-	e := &modelEntry{reg: mr, sys: sys, hash: hash, charged: hash == ""}
-	if e.charged {
-		mr.charged++
+	e := el.Value.(keyedEntry).entry
+	if _, ok := mr.entries[docKey]; docKey != "" && !ok {
+		mr.entries[docKey] = mr.lru.PushBack(keyedEntry{key: docKey, entry: e})
 	}
-	mr.insert(key, e)
-	return e, false
-}
-
-// canonical computes e's canonical hash if it is not known yet and returns
-// the entry held under it, registering e there when no entry is.
-func (mr *modelRegistry) canonical(e *modelEntry) *modelEntry {
-	// After the entry's creation only this call, made once per entry, writes
-	// e.hash, so reading it here needs no lock.
-	hash := e.hash
-	if hash == "" {
-		hash = compiled.ModelHash(e.sys)
-	}
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	e.hash = hash
-	if el, ok := mr.entries[hash]; ok {
-		mr.lru.MoveToBack(el)
-		return el.Value.(keyedEntry).entry
-	}
-	if e.charged {
-		e.charged = false
-		mr.charged--
-	}
-	mr.insert(hash, e)
-	return e
-}
-
-// insert adds a key and evicts least recently used keys beyond the cap;
-// mr.mu is held.
-func (mr *modelRegistry) insert(key string, e *modelEntry) {
-	mr.entries[key] = mr.lru.PushBack(keyedEntry{key: key, entry: e})
-	for mr.lru.Len() > 0 && mr.lru.Len()+mr.charged > mr.cap {
-		oldest := mr.lru.Remove(mr.lru.Front()).(keyedEntry)
-		delete(mr.entries, oldest.key)
-		// A charged entry's only key is its document key.
-		if oldest.entry.charged {
-			oldest.entry.charged = false
-			mr.charged--
-		}
+	mr.lru.MoveToBack(el)
+	for mr.lru.Len() > mr.cap {
+		delete(mr.entries, mr.lru.Remove(mr.lru.Front()).(keyedEntry).key)
 	}
 	mr.size.Set(int64(len(mr.entries)))
+	return e, cached
 }
 
 // byHash returns the model stored under a content hash.
@@ -286,27 +233,37 @@ func (mr *modelRegistry) byHash(hash string) (*modelEntry, bool) {
 	return e, ok
 }
 
-// resolveInline resolves an inline JSON document, keyed by its raw bytes: a
-// hit skips decoding and validation, a miss decodes and validates the model
-// and registers it under its document key.
-func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error) {
+// readInline reads an inline JSON document, a registry miss.
+func (mr *modelRegistry) readInline(doc json.RawMessage) (*cfsm.System, error) {
+	mr.misses.Inc()
+	return cfsm.ReadSystem(orNull(doc))
+}
+
+// orNull reads an omitted document as an explicit null: the empty system,
+// which fails validation.
+func orNull(doc json.RawMessage) json.RawMessage {
 	if len(doc) == 0 {
-		// An omitted document reads as an explicit null: the empty system,
-		// which fails validation.
-		doc = json.RawMessage("null")
+		return json.RawMessage("null")
 	}
+	return doc
+}
+
+// resolveInline resolves an inline JSON document, keyed by its raw bytes: a
+// hit skips decoding and validation, a miss reads the model and registers
+// it under its document key and its hash.
+func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error) {
+	doc = orNull(doc)
 	sum := sha256.Sum256(doc)
 	docKey := "doc:" + hex.EncodeToString(sum[:])
 	if e, ok := mr.get(docKey); ok {
 		mr.hits.Inc()
 		return e, nil
 	}
-	mr.misses.Inc()
-	sys, err := cfsm.ReadSystem(doc)
+	sys, err := mr.readInline(doc)
 	if err != nil {
 		return nil, err
 	}
-	e, _ := mr.add(docKey, sys, "")
+	e, _ := mr.add(sys, docKey)
 	return e, nil
 }
 
@@ -321,6 +278,19 @@ func (s *api) resolveModel(doc json.RawMessage, ref string) (*modelEntry, error)
 		return nil, fmt.Errorf("model %s is not in the registry; upload it with POST /v1/models", ref)
 	}
 	return s.models.resolveInline(doc)
+}
+
+// resolveIUT resolves a diagnosis' implementation under test: a reference
+// through the registry, an inline document by reading it.
+func (s *api) resolveIUT(doc json.RawMessage, ref string) (*cfsm.System, error) {
+	if ref == "" {
+		return s.models.readInline(doc)
+	}
+	e, err := s.resolveModel(nil, ref)
+	if err != nil {
+		return nil, err
+	}
+	return e.sys, nil
 }
 
 // --- POST /v1/models and GET /v1/models/{hash} ---
@@ -379,11 +349,10 @@ func (s *api) handleModels(w http.ResponseWriter, r *http.Request) {
 		writePipelineErr(w, err)
 		return
 	}
-	hash := compiled.ModelHash(sys)
-	_, cached := s.models.add(hash, sys, hash)
+	e, cached := s.models.add(sys, "")
 	s.models.uploads.Inc()
 	writeJSON(w, http.StatusOK, modelResponse{
-		Hash:        hash,
+		Hash:        e.hash,
 		Machines:    sys.N(),
 		Transitions: sys.NumTransitions(),
 		Cached:      cached,

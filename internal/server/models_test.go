@@ -203,7 +203,7 @@ func TestModelUploadRejects(t *testing.T) {
 // TestModelRefMisses: an unknown reference fails with a clear message, both
 // on the HTTP path and on lookup.
 func TestModelRefMisses(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	resp, body := post(t, srv, "/v1/diagnose", diagnoseRequest{

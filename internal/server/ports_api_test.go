@@ -27,7 +27,7 @@ func errCode(t *testing.T, body []byte) string {
 }
 
 func TestDiagnoseWithPortMap(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	iut, err := paper.FaultyImplementation()
@@ -83,7 +83,7 @@ func TestDiagnoseWithPortMap(t *testing.T) {
 }
 
 func TestAnalyzeWithPortMap(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	spec := paper.MustFigure1()
@@ -127,7 +127,7 @@ func TestAnalyzeWithPortMap(t *testing.T) {
 }
 
 func TestInvalidPortMapRejected(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	iut, err := paper.FaultyImplementation()
@@ -169,7 +169,7 @@ func TestInvalidPortMapRejected(t *testing.T) {
 }
 
 func TestDuplicateTestCaseRejected(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	iut, err := paper.FaultyImplementation()

@@ -34,7 +34,7 @@ func unreachableSystem(t *testing.T) *cfsm.System {
 // comes back empty, the server must answer 422 with the generator's
 // explanation instead of silently diagnosing "no fault" on zero tests.
 func TestDiagnoseSuiteOmittedEmptyTour422(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	sys := unreachableSystem(t)

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -93,8 +94,8 @@ func TestInlineModelErrorContract(t *testing.T) {
 }
 
 // TestInlineSpellingsShareOneProgram: byte-different spellings of one model
-// are two registry entries, one per document key, that share one compiled
-// program once both are used as specifications.
+// are two document keys of one registry entry, so they share its system and
+// its compiled program.
 func TestInlineSpellingsShareOneProgram(t *testing.T) {
 	s := newTestAPI(Config{})
 	indented := readFixture(t, "figure1.json")
@@ -110,11 +111,14 @@ func TestInlineSpellingsShareOneProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.program() != b.program() {
-		t.Fatal("two spellings of Figure 1 resolved to different programs")
+	if a != b {
+		t.Fatal("two spellings of Figure 1 resolved to two entries")
 	}
 	if a.program() == nil || a.program().System() != a.sys {
 		t.Fatal("the entry's program is not compiled from its system")
+	}
+	if got := len(s.models.entries); got != 3 {
+		t.Errorf("%d keys, want 3 (the hash and two document keys)", got)
 	}
 	if got := s.models.misses.Value(); got != 2 {
 		t.Errorf("%d misses, want 2 (each spelling decoded once)", got)
@@ -127,11 +131,142 @@ func TestInlineSpellingsShareOneProgram(t *testing.T) {
 	}
 }
 
+// registryEntries returns the distinct entries the registry holds and fails
+// the test unless each is held under its own hash and no two share one.
+func registryEntries(t *testing.T, mr *modelRegistry) []*modelEntry {
+	t.Helper()
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	var entries []*modelEntry
+	byHash := map[string]*modelEntry{}
+	for el := mr.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(keyedEntry).entry
+		if held, ok := byHash[e.hash]; ok {
+			if held != e {
+				t.Fatalf("two entries share the hash %s", e.hash)
+			}
+			continue
+		}
+		byHash[e.hash] = e
+		entries = append(entries, e)
+		if el, ok := mr.entries[e.hash]; !ok || el.Value.(keyedEntry).entry != e {
+			t.Fatalf("an entry is not held under its hash %s", e.hash)
+		}
+	}
+	return entries
+}
+
+// TestDiagnoseSpellingsBindOneProgram posts two spellings, indented and
+// compact, of Figure 1 and of a randgen 4x4 specification to
+// /v1/diagnose. The bodies are built raw, because json.Marshal compacts a
+// json.RawMessage. Both spellings must resolve to one entry, and every entry
+// must hold the program compiled from its own system: core binds the engine
+// it is handed only when the program's system is the specification, and
+// compiles afresh otherwise.
+func TestDiagnoseSpellingsBindOneProgram(t *testing.T) {
+	s := newTestAPI(Config{})
+	h := s.post(s.handleDiagnose)
+	rand2 := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 2})
+	randIUT, err := fault.Enumerate(rand2)[0].Apply(rand2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indent := func(doc []byte) []byte {
+		var out bytes.Buffer
+		if err := json.Indent(&out, doc, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	models := []struct {
+		name      string
+		spec, iut []byte
+	}{
+		{"figure1", readFixture(t, "figure1.json"), readFixture(t, "figure1-faulty.json")},
+		{"randgen-4x4-seed2", indent(systemDoc(t, rand2)), systemDoc(t, randIUT)},
+	}
+	for _, m := range models {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, m.spec); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(compact.Bytes(), m.spec) {
+			t.Fatalf("%s: the indented spelling is already compact", m.name)
+		}
+		var first diagnoseResponse
+		for i, spelling := range [][]byte{m.spec, compact.Bytes()} {
+			body := slices.Concat([]byte(`{"spec":`), spelling, []byte(`,"iut":`), m.iut, []byte(`}`))
+			rr := httptest.NewRecorder()
+			h(rr, httptest.NewRequest(http.MethodPost, "/v1/diagnose", bytes.NewReader(body)))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s spelling %d: status %d: %s", m.name, i, rr.Code, rr.Body)
+			}
+			var got diagnoseResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = got
+			} else if !reflect.DeepEqual(got, first) {
+				t.Fatalf("%s: the spellings diagnose differently: %+v and %+v", m.name, first, got)
+			}
+		}
+		a, err := s.resolveModel(m.spec, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err := s.resolveModel(compact.Bytes(), ""); err != nil || a != b {
+			t.Fatalf("%s: the two spellings resolve to two entries (%v)", m.name, err)
+		}
+	}
+	entries := registryEntries(t, s.models)
+	if len(entries) != len(models) {
+		t.Fatalf("the registry holds %d entries, want %d: an implementation under test was registered", len(entries), len(models))
+	}
+	for _, e := range entries {
+		if e.program().System() != e.sys {
+			t.Fatalf("the entry for %s holds a program compiled from another system", e.hash)
+		}
+	}
+}
+
+// TestRegistryEvictsDocumentKeysFirst: under a tight cap the least recently
+// used keys go, but an entry's hash key outlives its document keys, whether
+// the entry was last registered or last hit, so every entry held stays
+// resolvable by reference and a later spelling of it joins it.
+func TestRegistryEvictsDocumentKeysFirst(t *testing.T) {
+	indented := readFixture(t, "figure1.json")
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	other := systemDoc(t, randgen.MustGenerate(randgen.Config{N: 2, States: 2, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 1}))
+	for name, docs := range map[string][][]byte{
+		"registered": {indented, compact.Bytes(), other},
+		"hit":        {indented, compact.Bytes(), indented, other},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newTestAPI(Config{ModelCacheEntries: 3})
+			for _, doc := range docs {
+				if _, err := s.resolveModel(doc, ""); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := len(s.models.entries); got != 3 {
+				t.Fatalf("%d keys under a cap of 3", got)
+			}
+			if entries := registryEntries(t, s.models); len(entries) != 2 {
+				t.Fatalf("%d entries, want Figure 1 and the other model", len(entries))
+			}
+		})
+	}
+}
+
 // TestDiagnoseSharesProgramAcrossRequests posts distinct mutants of one spec
 // from 8 goroutines, so every request runs on its own engine over the one
 // cached program (run it with -race). Each response must equal the library
 // diagnosis (core's TestLibraryMatchesReference pins that one to the
-// interpreted reference), and the IUT entries stay uncompiled.
+// interpreted reference), and the inline IUTs add no registry key.
 func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 	s := newTestAPI(Config{})
 	h := s.post(s.handleDiagnose)
@@ -201,19 +336,22 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 	if !ok || e.prog == nil {
 		t.Fatal("the spec's entry holds no compiled program")
 	}
+	if got := len(s.models.entries); got != 2 {
+		t.Fatalf("%d registry keys after %d distinct inline IUTs, want 2 (the spec's hash and document keys)", got, len(iutDocs))
+	}
 	for _, doc := range iutDocs {
 		sum := sha256.Sum256(doc)
-		if e, ok := s.models.get("doc:" + hex.EncodeToString(sum[:])); ok && e.prog != nil {
-			t.Error("an IUT-only entry was compiled")
+		if _, ok := s.models.get("doc:" + hex.EncodeToString(sum[:])); ok {
+			t.Fatal("an inline IUT was registered")
 		}
 	}
 }
 
 // FuzzResolveInline feeds arbitrary bytes as the inline spec of
 // /v1/validate: the handler never panics and answers only 200, 400 or 422,
-// and an accepted document is registered under its document key; once used
-// as a specification it is registered under the content hash of the system
-// cfsm.ParseSystem builds from the same bytes.
+// and an accepted document is registered at once under its document key and
+// under the content hash of the system cfsm.ParseSystem builds from the same
+// bytes, both keys naming one entry.
 func FuzzResolveInline(f *testing.F) {
 	seeds, err := filepath.Glob(filepath.Join("..", "..", "testdata", "figure1*.json"))
 	if err != nil || len(seeds) == 0 {
@@ -256,45 +394,11 @@ func FuzzResolveInline(f *testing.F) {
 			t.Fatal("accepted document is not registered")
 		}
 		want := compiled.ModelHash(sys)
-		if compiled.ModelHash(e.sys) != want {
-			t.Fatalf("registered system hashes to %s, ParseSystem's to %s", compiled.ModelHash(e.sys), want)
+		if e.hash != want || compiled.ModelHash(e.sys) != want {
+			t.Fatalf("registered system hashes to %s (entry hash %s), ParseSystem's to %s", compiled.ModelHash(e.sys), e.hash, want)
 		}
-		prog := e.program()
-		if held, ok := s.models.get(want); e.hash != want || !ok || held.program() != prog {
-			t.Fatalf("used as a specification, the entry has hash %q and the registry holds %s: %v", e.hash, want, ok)
+		if held, ok := s.models.get(want); !ok || held != e {
+			t.Fatalf("the content hash %s does not name the document's entry: %v", want, ok)
 		}
 	})
-}
-
-// TestRegistryCapChargesCanonicalKeys: an inline document resolved only as
-// an implementation under test holds one key, its document key, but the cap
-// charges it for its canonical key too, so the registry holds as many
-// models as when both keys were registered. Using it as a specification
-// moves the charge onto the real key.
-func TestRegistryCapChargesCanonicalKeys(t *testing.T) {
-	s := newTestAPI(Config{ModelCacheEntries: 4})
-	spec := randgen.MustGenerate(randgen.Config{N: 4, States: 4, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.7, Seed: 1})
-	var entries []*modelEntry
-	for _, f := range fault.Enumerate(spec)[:4] {
-		iut, err := f.Apply(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := s.resolveModel(systemDoc(t, iut), "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries = append(entries, e)
-	}
-	if got := len(s.models.entries); got != 2 || s.models.charged != 2 {
-		t.Fatalf("%d keys and %d charged entries under a cap of 4, want 2 and 2", got, s.models.charged)
-	}
-	last := entries[len(entries)-1]
-	last.program()
-	if got := len(s.models.entries); got != 3 || s.models.charged != 1 || last.charged {
-		t.Fatalf("after use as a specification: %d keys, %d charged, want 3 and 1", got, s.models.charged)
-	}
-	if _, ok := s.models.get(last.hash); !ok {
-		t.Fatal("the specification is not registered under its hash")
-	}
 }

@@ -22,12 +22,13 @@
 //	GET  /healthz                                               -> liveness probe
 //	GET  /metrics                                               -> Prometheus text exposition
 //
-// Every endpoint that takes a system resolves it through a content-addressed
-// model registry: an inline document is cached by the hash of its raw bytes
-// and never decoded or re-validated again; an uploaded model, and an inline
-// one once it is used as a specification, is also cached by the content hash
-// of its canonical binary encoding. A specification is compiled once and its
-// program shared by every diagnosis.
+// Every endpoint that takes a specification resolves it through a
+// content-addressed model registry that holds one entry per content hash of
+// the model's canonical binary encoding. An inline document is also keyed by
+// the hash of its raw bytes and never decoded or re-validated again, and
+// every spelling of one model resolves to its one entry. A specification is
+// compiled once and its program shared by every diagnosis. An inline
+// implementation under test is read and never registered.
 // Requests may replace an inline "spec"/"iut" document with a "specRef"/
 // "iutRef" content hash of a registered model. Registry traffic is measured
 // by the cfsmdiag_model_* metric families.
@@ -406,10 +407,6 @@ func NewService(cfg Config) (*Service, error) {
 	}))
 	return svc, nil
 }
-
-// Handler returns the service with the default configuration. It remains the
-// zero-configuration entry point used by earlier releases.
-func Handler() http.Handler { return New(Config{}) }
 
 // v1Paths lists the versioned JSON endpoints in display order; New mounts
 // them and RouteList renders them for startup logging.
@@ -851,9 +848,10 @@ func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, bo
 	return pm, true, nil
 }
 
-// prepareDiagnose resolves a diagnosis request's systems through the model
-// registry and its suite (explicit or generated tour). Shared by the HTTP
-// handler and the "diagnose" job executor.
+// prepareDiagnose resolves a diagnosis request's specification through the
+// model registry, its implementation under test (resolveIUT) and its suite
+// (explicit or generated tour). Shared by the HTTP handler and the
+// "diagnose" job executor.
 // Suite sizes are NOT checked here — the HTTP handler rejects them with
 // the suite_too_large code before calling in, and the job executors call
 // suiteSizeErr themselves.
@@ -862,11 +860,10 @@ func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("spec: %w", err)
 	}
-	iutEntry, err := s.resolveModel(req.IUT, req.IUTRef)
+	iut, err = s.resolveIUT(req.IUT, req.IUTRef)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("iut: %w", err)
 	}
-	iut = iutEntry.sys
 	if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
 		return nil, nil, nil, nil, err
 	}

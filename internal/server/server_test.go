@@ -41,7 +41,7 @@ func post(t *testing.T, srv *httptest.Server, path string, body any) (*http.Resp
 }
 
 func TestValidateEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	resp, body := post(t, srv, "/v1/validate", validateRequest{Spec: systemDoc(t, paper.MustFigure1())})
@@ -61,7 +61,7 @@ func TestValidateEndpoint(t *testing.T) {
 // configurations validates in one bounded reachability pass — the request
 // answers 200 instead of keeping a server core busy without bound.
 func TestValidateWideSpec(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	spec := randgen.MustGenerate(randgen.Config{N: 8, States: 16, ExtInputs: 2, Messages: 2, IntInputs: 2, Density: 0.5, Seed: 1})
@@ -79,7 +79,7 @@ func TestValidateWideSpec(t *testing.T) {
 }
 
 func TestDiagnoseEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	iut, err := paper.FaultyImplementation()
@@ -121,7 +121,7 @@ func TestDiagnoseEndpoint(t *testing.T) {
 }
 
 func TestAnalyzeEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	spec := paper.MustFigure1()
@@ -170,7 +170,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 }
 
 func TestSuiteEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	spec := systemDoc(t, paper.MustFigure1())
@@ -197,7 +197,7 @@ func TestSuiteEndpoint(t *testing.T) {
 }
 
 func TestEndpointErrors(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	// Wrong method.

@@ -18,7 +18,7 @@ import (
 // tracing is explicitly not implemented — not a 404 — and carries the
 // standard error envelope.
 func TestDiagnoseTraceDisabledAnswers501(t *testing.T) {
-	srv := httptest.NewServer(Handler()) // default config: tracing off
+	srv := httptest.NewServer(New(Config{})) // default config: tracing off
 	defer srv.Close()
 
 	iut, err := paper.FaultyImplementation()

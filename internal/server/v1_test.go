@@ -32,7 +32,7 @@ func decodeEnvelope(t *testing.T, body []byte) errorEnvelope {
 }
 
 func TestV1Validate(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	resp, body := post(t, srv, "/v1/validate", validateRequest{Spec: systemDoc(t, paper.MustFigure1())})
@@ -65,7 +65,7 @@ func TestLegacySunset(t *testing.T) {
 }
 
 func TestErrorEnvelopeShape(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	// 405: wrong method, with Allow header.
@@ -204,7 +204,7 @@ func TestSuiteSizeCap(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -308,7 +308,7 @@ func TestRequestTimeout(t *testing.T) {
 // TestRequestIDPropagation: a caller-supplied ID is echoed; absent one is
 // generated.
 func TestRequestIDPropagation(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	defer srv.Close()
 
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
@@ -356,7 +356,7 @@ func TestAccessLog(t *testing.T) {
 
 // TestPprofGate: /debug/pprof is 404 by default and mounted when enabled.
 func TestPprofGate(t *testing.T) {
-	srv := httptest.NewServer(Handler())
+	srv := httptest.NewServer(New(Config{}))
 	resp, err := http.Get(srv.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ func TestDSMethodSuite(t *testing.T) {
 		return false
 	}
 	for _, tr := range spec.Transitions() {
-		for _, o := range spec.Outputs() {
+		for _, o := range outputsOf(spec) {
 			if o == tr.Output {
 				continue
 			}

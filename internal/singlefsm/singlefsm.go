@@ -1,7 +1,7 @@
-// Package singlefsm implements the predecessor diagnosis algorithm for
-// systems modeled as a single deterministic FSM (Ghedamsi & Bochmann,
-// ICDCS 1992 — reference [6] of the paper). The CFSM paper generalizes it;
-// here it serves two roles:
+// Package singlefsm implements Steps 1–5 of the predecessor diagnosis
+// algorithm for systems modeled as a single deterministic FSM (Ghedamsi &
+// Bochmann, ICDCS 1992 — reference [6] of the paper). The CFSM paper
+// generalizes it; here it serves two roles:
 //
 //   - as the baseline the paper compares against, diagnosing the CFSM
 //     system's exponential product machine instead of the machines directly

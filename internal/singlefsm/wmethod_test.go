@@ -50,7 +50,7 @@ func TestWMethodDetectsAllSingleFaults(t *testing.T) {
 		return false
 	}
 	for _, tr := range spec.Transitions() {
-		for _, o := range spec.Outputs() {
+		for _, o := range outputsOf(spec) {
 			if o == tr.Output {
 				continue
 			}

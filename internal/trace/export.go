@@ -72,20 +72,6 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	return events, err
 }
 
-// ValidateJSONL is the exporter's own schema check on a JSONL trace: every
-// line must parse as an Event (ReadJSONL) and the events must pass Validate.
-// It returns the number of validated events.
-func ValidateJSONL(r io.Reader) (int, error) {
-	events, err := ReadJSONL(r)
-	if err != nil {
-		return 0, err
-	}
-	if err := Validate(events); err != nil {
-		return 0, err
-	}
-	return len(events), nil
-}
-
 // Validate checks decoded trace events against the exporter's schema: every
 // event has a known kind, sequence numbers are strictly increasing, phases
 // are ""/"B"/"E", span ids appear exactly on span edges, and every B is

@@ -164,16 +164,6 @@ func (t *Tracer) Tick() {
 	t.mu.Unlock()
 }
 
-// Clock returns the current step-clock value.
-func (t *Tracer) Clock() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clock
-}
-
 func attrMap(attrs []KV) map[string]string {
 	if len(attrs) == 0 {
 		return nil
@@ -230,9 +220,6 @@ func (s Span) End(attrs ...KV) {
 	}
 	s.t.record(s.kind, PhaseEnd, s.id, attrs)
 }
-
-// ID returns the span id (0 for the zero Span).
-func (s Span) ID() uint64 { return s.id }
 
 // Events returns a chronological snapshot of the recorded events.
 func (t *Tracer) Events() []Event {
