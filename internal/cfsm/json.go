@@ -76,7 +76,7 @@ func (e DocumentError) Unwrap() error { return e.Err }
 // accepts what json.Unmarshal accepts into SystemJSON: unknown fields are
 // ignored, and nothing but whitespace may follow the document.
 func ParseSystem(data []byte) (*System, error) {
-	sys, err := decodeSystem(data, false)
+	sys, _, err := decodeSystem(data, false, false)
 	if errors.As(err, new(DocumentError)) {
 		err = fmt.Errorf("cfsm: decode system: %w", err)
 	}
@@ -88,7 +88,45 @@ func ParseSystem(data []byte) (*System, error) {
 // DisallowUnknownFields accepts into SystemJSON, so an unknown field is a
 // DocumentError and bytes after the document are ignored.
 func ReadSystem(data []byte) (*System, error) {
-	return decodeSystem(data, true)
+	sys, _, err := decodeSystem(data, true, false)
+	return sys, err
+}
+
+// TransitionSpan locates one transition object of a system document:
+// data[Start:End] holds the object, possibly after some whitespace, and Ref
+// names the transition it declares.
+type TransitionSpan struct {
+	Start, End int
+	Ref        Ref
+}
+
+// ReadSystemSpans is ReadSystem that also returns the span of every
+// transition object of the document, in document order. The spans are nil
+// when the one-pass reader did not accept the document, and when its
+// machines key or one machine's transitions key appears twice: the reader
+// then reads the later array into the elements of the earlier one, so an
+// object's bytes alone do not say what it declares.
+func ReadSystemSpans(data []byte) (*System, []TransitionSpan, error) {
+	return decodeSystem(data, true, true)
+}
+
+// ReadTransition reads data as one transition object of a ReadSystem
+// document, with nothing but whitespace around it. It returns the
+// transition, whose Dest is left unset, and the name of the machine it
+// addresses ("" for the environment); ok is false for anything else, null
+// included.
+func ReadTransition(data []byte) (t Transition, dest string, ok bool) {
+	data = bytes.Trim(data, " \t\n\r")
+	if len(data) == 0 || data[0] != '{' {
+		return Transition{}, "", false
+	}
+	r := jsonread.New(data, true)
+	var td transitionDoc
+	td.read(r)
+	if !r.End() || r.Offset() != len(data) {
+		return Transition{}, "", false
+	}
+	return td.Transition, td.dest, true
 }
 
 // decodeSystem reads a system document in one pass with internal/jsonread
@@ -96,10 +134,15 @@ func ReadSystem(data []byte) (*System, error) {
 // of ReadSystem over those of ParseSystem. A document the reader rejects is
 // decoded again by encoding/json for its error. Should encoding/json accept
 // it, its result stands, so the reader can only be slower than the reference
-// on some input, never stricter.
-func decodeSystem(data []byte, strict bool) (*System, error) {
-	if doc, ok := readSystem(data, strict); ok {
-		return doc.build()
+// on some input, never stricter. With spans, the spans of the transition
+// objects are returned with a system the reader read (ReadSystemSpans).
+func decodeSystem(data []byte, strict, spans bool) (*System, []TransitionSpan, error) {
+	if doc, ok := readSystem(data, strict, spans); ok {
+		sys, err := doc.build()
+		if err != nil || !spans {
+			return sys, nil, err
+		}
+		return sys, doc.spans(), nil
 	}
 	var doc SystemJSON
 	var err error
@@ -111,9 +154,10 @@ func decodeSystem(data []byte, strict bool) (*System, error) {
 		err = json.Unmarshal(data, &doc)
 	}
 	if err != nil {
-		return nil, DocumentError{Err: err}
+		return nil, nil, DocumentError{Err: err}
 	}
-	return FromJSON(doc)
+	sys, err := FromJSON(doc)
+	return sys, nil, err
 }
 
 // systemDoc is a decoded system document before validation.
@@ -123,6 +167,12 @@ type machineDoc struct {
 	name, initial string
 	states        []State
 	trans         []transitionDoc
+	// spans holds the start and end offsets of each transition object,
+	// when the reader records them.
+	spans []int
+	// reread is set when the machine's transitions, or the document's
+	// machines, were read from more than one array.
+	reread bool
 }
 
 // transitionDoc is a transition whose destination is still a machine name.
@@ -131,23 +181,51 @@ type transitionDoc struct {
 	dest string
 }
 
+// spans returns the span of every transition object, or nil when an object
+// was read into an element an earlier array left behind.
+func (doc systemDoc) spans() []TransitionSpan {
+	n := 0
+	for _, m := range doc {
+		if m.reread {
+			return nil
+		}
+		n += len(m.trans)
+	}
+	out := make([]TransitionSpan, 0, n)
+	for i, m := range doc {
+		for k, t := range m.trans {
+			out = append(out, TransitionSpan{Start: m.spans[2*k], End: m.spans[2*k+1], Ref: Ref{Machine: i, Name: t.Name}})
+		}
+	}
+	return out
+}
+
 // readSystem reads a system document as encoding/json decodes it into
-// SystemJSON, and reports whether encoding/json would accept it. Keys arrive
-// folded, so the field names below are the lower-case forms of SystemJSON's.
-func readSystem(data []byte, strict bool) (systemDoc, bool) {
+// SystemJSON, and reports whether encoding/json would accept it; with spans
+// it records the span of each transition object. Keys arrive folded, so the
+// field names below are the lower-case forms of SystemJSON's.
+func readSystem(data []byte, strict, spans bool) (systemDoc, bool) {
 	r := jsonread.New(data, strict)
 	var doc systemDoc
+	arrays := 0
 	r.Struct(func(key []byte) bool {
 		if string(key) != "machines" {
 			return false
 		}
-		doc = jsonread.Slice(r, doc, func(m *machineDoc) { m.read(r) })
+		arrays++
+		doc = jsonread.Slice(r, doc, func(m *machineDoc) { m.read(r, spans) })
 		return true
 	})
+	if arrays > 1 {
+		for i := range doc {
+			doc[i].reread = true
+		}
+	}
 	return doc, r.End()
 }
 
-func (m *machineDoc) read(r *jsonread.Reader) {
+func (m *machineDoc) read(r *jsonread.Reader, spans bool) {
+	arrays := 0
 	r.Struct(func(key []byte) bool {
 		switch string(key) {
 		case "name":
@@ -157,12 +235,22 @@ func (m *machineDoc) read(r *jsonread.Reader) {
 		case "states":
 			m.states = jsonread.Slice(r, m.states, func(s *State) { jsonread.String(r, s) })
 		case "transitions":
-			m.trans = jsonread.Slice(r, m.trans, func(t *transitionDoc) { t.read(r) })
+			arrays++
+			m.trans = jsonread.Slice(r, m.trans, func(t *transitionDoc) {
+				start := r.Offset()
+				t.read(r)
+				if spans {
+					m.spans = append(m.spans, start, r.Offset())
+				}
+			})
 		default:
 			return false
 		}
 		return true
 	})
+	if arrays > 1 {
+		m.reread = true
+	}
 }
 
 func (t *transitionDoc) read(r *jsonread.Reader) {

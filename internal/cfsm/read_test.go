@@ -194,3 +194,74 @@ func BenchmarkDecodeSystem(b *testing.B) {
 		}
 	}
 }
+
+// TestReadSystemSpans: every span of the Figure 1 document, indented or
+// compact, holds an object ReadTransition reads as the transition its Ref
+// names; a document whose machines key or one machine's transitions key
+// repeats reads as before but has no spans.
+func TestReadSystemSpans(t *testing.T) {
+	indented, err := os.ReadFile(filepath.Join("..", "..", "testdata", "figure1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range [][]byte{indented, compact.Bytes()} {
+		sys, spans, err := cfsm.ReadSystemSpans(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(spans) != sys.NumTransitions() {
+			t.Fatalf("%d spans for %d transitions", len(spans), sys.NumTransitions())
+		}
+		for k, span := range spans {
+			if k > 0 && span.Start < spans[k-1].End {
+				t.Fatalf("span %d overlaps its predecessor", k)
+			}
+			want, ok := sys.Transition(span.Ref)
+			if !ok {
+				t.Fatalf("span %d names no transition: %v", k, span.Ref)
+			}
+			got, dest, ok := cfsm.ReadTransition(doc[span.Start:span.End])
+			wantDest := ""
+			if want.Internal() {
+				wantDest = sys.Machine(want.Dest).Name()
+			}
+			got.Dest = want.Dest
+			if !ok || got != want || dest != wantDest {
+				t.Fatalf("span %d reads %v to %q (%v), want %v to %q", k, got, dest, ok, want, wantDest)
+			}
+		}
+	}
+	const machine = `{"name":"M1","initial":"s0","states":["s0"],"transitions":[{"name":"t1","from":"s0","input":"a","output":"b","to":"s0"}]}`
+	for _, doc := range []string{
+		`{"machines":[` + machine + `],"machines":[` + machine + `]}`,
+		`{"machines":[` + machine[:len(machine)-1] + `,"transitions":[{"name":"t1"}]}]}`,
+	} {
+		sys, spans, err := cfsm.ReadSystemSpans([]byte(doc))
+		if err != nil || sys == nil || spans != nil {
+			t.Errorf("%s: read %v with spans %v (%v), want the system without spans", doc, sys != nil, spans, err)
+		}
+	}
+}
+
+// TestReadTransition: exactly one transition object, with whitespace around
+// it, reads under ReadSystem's rules; anything else is declined.
+func TestReadTransition(t *testing.T) {
+	const obj = `{"name":"t1","from":"s0","input":"a","output":"b","to":"s1","dest":"M2"}`
+	got, dest, ok := cfsm.ReadTransition([]byte(" \n\t" + obj + "\r\n "))
+	want := cfsm.Transition{Name: "t1", From: "s0", Input: "a", Output: "b", To: "s1"}
+	if !ok || got != want || dest != "M2" {
+		t.Fatalf("read %v to %q (%v), want %v to M2", got, dest, ok, want)
+	}
+	for _, data := range []string{
+		``, `null`, `"t1"`, `[` + obj + `]`, obj + `,` + obj, obj + ` x`, `{"bogus":1}`,
+		`{"name":1}`, `{"name":"t1"`,
+	} {
+		if _, _, ok := cfsm.ReadTransition([]byte(data)); ok {
+			t.Errorf("%q reads as a transition object", data)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package compiled
 
 import (
 	"fmt"
+	"slices"
 
 	"cfsmdiag/internal/cfsm"
 )
@@ -344,17 +345,11 @@ func (e *Engine) legalAltOutput(idx int32, o cfsm.Symbol) (int32, bool) {
 		return -1, false
 	}
 	p := e.p
-	t := p.trans[idx]
 	oid, ok := p.symID[o]
-	if !ok || oid == t.Output {
+	if !ok || oid == p.trans[idx].Output || !slices.Contains(p.alts(idx), oid) {
 		return -1, false
 	}
-	for _, alt := range t.altOuts {
-		if alt == oid {
-			return oid, true
-		}
-	}
-	return -1, false
+	return oid, true
 }
 
 // coOutputs computes outputs(T_k) for an internal-output candidate over its
@@ -364,7 +359,7 @@ func (e *Engine) coOutputs(ev *evidence, idx int32) []cfsm.Symbol {
 	p := e.p
 	t := p.trans[idx]
 	var out []cfsm.Symbol
-	for _, oid := range t.altOuts {
+	for _, oid := range p.alts(idx) {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}
@@ -381,7 +376,7 @@ func (e *Engine) coOutputs(ev *evidence, idx int32) []cfsm.Symbol {
 func (e *Engine) coStatOut(ev *evidence, idx int32) []StateOutput {
 	p := e.p
 	var out []StateOutput
-	for _, oid := range p.trans[idx].altOuts {
+	for _, oid := range p.alts(idx) {
 		if oid == p.epsID || p.syms[oid] == "" {
 			continue
 		}

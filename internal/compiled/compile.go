@@ -40,7 +40,9 @@ import (
 // Trans is one transition in compiled form. All fields are dense IDs:
 // From/To index the owning machine's sorted state list, Input/Output index
 // the program's global symbol table, Dest is the receiving machine index or
-// -1 for the environment (external output).
+// -1 for the environment (external output). What no step reads, the name
+// and the output-fault hypothesis space, lives in the Program's parallel
+// per-transition slices, so a cell is 24 bytes.
 type Trans struct {
 	Machine int32
 	From    int32
@@ -48,10 +50,6 @@ type Trans struct {
 	Output  int32
 	To      int32
 	Dest    int32
-	Name    string
-	// altOuts is the transition's output-fault hypothesis space
-	// (cfsm.System.AlternativeOutputs) as sorted symbol IDs.
-	altOuts []int32
 }
 
 // Internal reports whether the transition delivers its output to a peer.
@@ -87,8 +85,14 @@ type Program struct {
 	epsID    int32
 	machines []machineProg
 	trans    []Trans
-	refIdx   map[cfsm.Ref]int32
-	inputs   []stim // cfsm.System.AllInputs order
+	// names[i] is transition i's name, and altOuts[altOff[i]:altOff[i+1]]
+	// its output-fault hypothesis space (cfsm.System.AlternativeOutputs) as
+	// sorted symbol IDs.
+	names   []string
+	altOff  []int32
+	altOuts []int32
+	refIdx  map[cfsm.Ref]int32
+	inputs  []stim // cfsm.System.AllInputs order
 	// portInputs[k] is the index in inputs of port k's first input, with a
 	// final entry len(inputs): AllInputs is port-major, so port k's inputs
 	// are inputs[portInputs[k]:portInputs[k+1]].
@@ -112,10 +116,13 @@ func Compile(sys *cfsm.System) (*Program, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("compiled: nil system")
 	}
+	nt := sys.NumTransitions()
 	p := &Program{
 		src:    sys,
-		trans:  make([]Trans, 0, sys.NumTransitions()),
-		refIdx: make(map[cfsm.Ref]int32, sys.NumTransitions()),
+		trans:  make([]Trans, 0, nt),
+		names:  make([]string, 0, nt),
+		altOff: make([]int32, 1, nt+1),
+		refIdx: make(map[cfsm.Ref]int32, nt),
 	}
 
 	// Intern every symbol appearing in the system plus the reserved Null and
@@ -178,7 +185,6 @@ func Compile(sys *cfsm.System) (*Program, error) {
 				Output:  p.symID[t.Output],
 				To:      mp.stateID[t.To],
 				Dest:    int32(t.Dest),
-				Name:    t.Name,
 			}
 			pool := oeo
 			if t.Internal() {
@@ -188,14 +194,15 @@ func Compile(sys *cfsm.System) (*Program, error) {
 					oio[t.Dest] = pool
 				}
 			}
-			ct.altOuts = make([]int32, 0, len(pool))
 			for _, o := range pool {
 				if o != ct.Output {
-					ct.altOuts = append(ct.altOuts, o)
+					p.altOuts = append(p.altOuts, o)
 				}
 			}
 			idx := int32(len(p.trans))
 			p.trans = append(p.trans, ct)
+			p.names = append(p.names, t.Name)
+			p.altOff = append(p.altOff, int32(len(p.altOuts)))
 			p.refIdx[ref] = idx
 			mp.lookup[int(ct.From)*int(numSyms)+int(ct.Input)] = idx + 1
 		}
@@ -271,9 +278,12 @@ func (p *Program) Configs() (n uint64, ok bool) {
 	return n, true
 }
 
+// alts returns the output-fault hypothesis space of transition idx.
+func (p *Program) alts(idx int32) []int32 { return p.altOuts[p.altOff[idx]:p.altOff[idx+1]] }
+
 // Ref returns the compiled transition's global reference.
 func (p *Program) Ref(idx int32) cfsm.Ref {
-	return cfsm.Ref{Machine: int(p.trans[idx].Machine), Name: p.trans[idx].Name}
+	return cfsm.Ref{Machine: int(p.trans[idx].Machine), Name: p.names[idx]}
 }
 
 // Symbol decodes a symbol ID; out-of-range IDs decode to Epsilon, which only

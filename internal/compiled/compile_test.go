@@ -44,7 +44,7 @@ func TestCompileAltOutsMatchAlternativeOutputs(t *testing.T) {
 			for _, o := range sys.AlternativeOutputs(ref) {
 				want = append(want, p.symID[o])
 			}
-			got := p.trans[p.refIdx[ref]].altOuts
+			got := p.alts(p.refIdx[ref])
 			if !slices.Equal(got, want) {
 				t.Errorf("%s %s: altOuts %v, AlternativeOutputs interns to %v", name, sys.RefString(ref), got, want)
 			}

@@ -393,9 +393,9 @@ func (e *Engine) VariantOf(sys *cfsm.System) (Variant, error) {
 		}
 		for idx := off; idx < off+spec.NumTransitions(); idx++ {
 			ct := &p.trans[idx]
-			t, ok := m.ByName(ct.Name)
+			t, ok := m.ByName(p.names[idx])
 			if !ok || t.From != mp.states[ct.From] || t.Input != p.syms[ct.Input] {
-				return Variant{}, fmt.Errorf("compiled: transition %s.%s differs in shape from the specification's", m.Name(), ct.Name)
+				return Variant{}, fmt.Errorf("compiled: transition %s.%s differs in shape from the specification's", m.Name(), p.names[idx])
 			}
 			out, to := ct.Output, ct.To
 			if t.Output != p.syms[out] {

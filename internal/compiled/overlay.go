@@ -1,6 +1,8 @@
 package compiled
 
 import (
+	"slices"
+
 	"cfsmdiag/internal/cfsm"
 	"cfsmdiag/internal/fault"
 )
@@ -51,14 +53,7 @@ func (p *Program) overlayAt(idx int32, f fault.Fault) (Overlay, bool) {
 		if !ok || oid == t.Output {
 			return Overlay{}, false
 		}
-		legal := false
-		for _, alt := range t.altOuts {
-			if alt == oid {
-				legal = true
-				break
-			}
-		}
-		if !legal {
+		if !slices.Contains(p.alts(idx), oid) {
 			return Overlay{}, false
 		}
 		ov.output = oid

@@ -138,10 +138,9 @@ func (r *Runner) step(in cin) (obs cobs, e1, e2 int32, err error) {
 	}
 	o, e1, e2, ok := p.stepCfg(r.cfg, r.ov, stim{port: in.port, sym: in.sym})
 	if !ok {
-		t, t2 := p.trans[e1], p.trans[e2]
 		return cobs{}, -1, -1, fmt.Errorf("%w: %s.%s -> %s.%s",
 			cfsm.ErrChainedInternal,
-			p.machines[t.Machine].name, t.Name, p.machines[t2.Machine].name, t2.Name)
+			p.machines[p.trans[e1].Machine].name, p.names[e1], p.machines[p.trans[e2].Machine].name, p.names[e2])
 	}
 	return o, e1, e2, nil
 }

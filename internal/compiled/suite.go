@@ -191,7 +191,7 @@ func (e *Engine) RunTrace(suite []cfsm.TestCase, i int) ([]cfsm.Observation, [][
 		_, e1, e2, _ := p.stepCfg(cfg, None(), stim{port: in.port, sym: in.sym})
 		for _, idx := range [2]int32{e1, e2} {
 			if idx >= 0 {
-				t, _ := p.src.Machine(int(p.trans[idx].Machine)).ByName(p.trans[idx].Name)
+				t, _ := p.src.Machine(int(p.trans[idx].Machine)).ByName(p.names[idx])
 				steps[j] = append(steps[j], cfsm.Executed{Machine: int(p.trans[idx].Machine), Trans: t})
 			}
 		}

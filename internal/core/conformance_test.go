@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"cfsmdiag/internal/cfsm"
@@ -87,19 +88,25 @@ func postDiagnose(t *testing.T, h http.Handler, path string, spec, iut *cfsm.Sys
 }
 
 // postDiagnoseRespelled runs one in-process POST /v1/diagnose with the
-// specification indented, a spelling byte-different from postDiagnose's.
-// The body is built raw, since json.Marshal compacts a json.RawMessage.
-func postDiagnoseRespelled(t *testing.T, h http.Handler, spec, iut *cfsm.System, suite []cfsm.TestCase) outcome {
+// implementation under test indented, as MarshalJSON writes it, and the
+// specification indented too, a spelling byte-different from
+// postDiagnose's, or, with compactSpec, compact. The body is built raw,
+// since json.Marshal compacts a json.RawMessage.
+func postDiagnoseRespelled(t *testing.T, h http.Handler, spec, iut *cfsm.System, suite []cfsm.TestCase, compactSpec bool) outcome {
 	t.Helper()
-	var specDoc bytes.Buffer
-	if err := json.Indent(&specDoc, marshalSystem(t, spec), "", "  "); err != nil {
-		t.Fatal(err)
+	specDoc := marshalSystem(t, spec)
+	if compactSpec {
+		var b bytes.Buffer
+		if err := json.Compact(&b, specDoc); err != nil {
+			t.Fatal(err)
+		}
+		specDoc = b.Bytes()
 	}
 	suiteDoc, err := json.Marshal(cfsm.EncodeSuite(suite))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := fmt.Appendf(nil, `{"spec":%s,"iut":%s,"suite":%s}`, specDoc.Bytes(), marshalSystem(t, iut), suiteDoc)
+	body := fmt.Appendf(nil, `{"spec":%s,"iut":%s,"suite":%s}`, specDoc, marshalSystem(t, iut), suiteDoc)
 	var o outcome
 	call(t, h, http.MethodPost, "/v1/diagnose", body, http.StatusOK, &o)
 	return o
@@ -212,15 +219,18 @@ func replayDiagnosis(t *testing.T, spec, iut *cfsm.System, suite []cfsm.TestCase
 	return outcomeOf(run.Spec, loc, totals)
 }
 
-// TestSurfacesConform diagnoses every Figure 1 mutant and every mutant of the
-// randgen seed-1 system through each diagnosis surface — the library entry
-// point (compiled engine), the interpreted reference engine, in-process
-// POST /v1/diagnose with and without ?trace=1, by reference to models
-// uploaded with POST /v1/models, and with the specification in a second
-// spelling, a diagnose job through the
-// /v1/jobs queue, a single-observer ports map, and an offline replay of a
-// traced run — and requires the same verdict, fault, remaining hypotheses
-// and total oracle tests and inputs from all of them.
+// TestSurfacesConform diagnoses every single-transition and every
+// addressing mutant of Figure 1 and of the randgen seed-1 system through
+// each diagnosis surface — the library entry point (compiled engine), the
+// interpreted reference engine, in-process POST /v1/diagnose with and
+// without ?trace=1, by reference to models uploaded with POST /v1/models,
+// with the specification and with the implementation under test in a
+// second spelling, a diagnose job through the /v1/jobs queue, a
+// single-observer ports map, and an offline replay of a traced run — and
+// requires the same verdict, fault, remaining hypotheses and total oracle
+// tests and inputs from all of them. Through server.OnIUTResolved it also
+// requires that an IUT sent in its specification's spelling runs as a patch
+// over the specification's program, and a respelled IUT is read in full.
 func TestSurfacesConform(t *testing.T) {
 	h := server.New(server.Config{EnableTracing: true})
 	svc, err := server.NewService(server.Config{EnableJobs: true, JobsWorkers: 1})
@@ -228,10 +238,34 @@ func TestSurfacesConform(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close(context.Background())
+	var patched, read atomic.Int64
+	server.OnIUTResolved = func(p bool) {
+		if p {
+			patched.Add(1)
+		} else {
+			read.Add(1)
+		}
+	}
+	defer func() { server.OnIUTResolved = nil }()
+	// resolvedBy runs a surface that resolves one IUT, and fails unless it
+	// was patched (wantPatch) or read in full.
+	resolvedBy := func(t *testing.T, wantPatch bool, run func() outcome) outcome {
+		t.Helper()
+		p0, r0 := patched.Load(), read.Load()
+		o := run()
+		want := [2]int64{0, 1}
+		if wantPatch {
+			want = [2]int64{1, 0}
+		}
+		if got := [2]int64{patched.Load() - p0, read.Load() - r0}; got != want {
+			t.Errorf("%d IUTs patched and %d read in full, want %d and %d", got[0], got[1], want[0], want[1])
+		}
+		return o
+	}
 	for _, sys := range conformanceSystems(t, 1) {
 		t.Run(sys.name, func(t *testing.T) {
 			hub := ports.Default(sys.spec)
-			for _, f := range fault.Enumerate(sys.spec) {
+			for _, f := range append(fault.Enumerate(sys.spec), fault.EnumerateAddress(sys.spec)...) {
 				iut, err := f.Apply(sys.spec)
 				if err != nil {
 					t.Fatalf("apply %s: %v", f.Describe(sys.spec), err)
@@ -254,16 +288,27 @@ func TestSurfacesConform(t *testing.T) {
 						return outcomeOf(sys.spec, loc, oracle)
 					},
 					"POST /v1/diagnose": func() outcome {
-						return postDiagnose(t, h, "/v1/diagnose", sys.spec, iut, sys.suite)
+						return resolvedBy(t, true, func() outcome {
+							return postDiagnose(t, h, "/v1/diagnose", sys.spec, iut, sys.suite)
+						})
 					},
 					"POST /v1/diagnose?trace=1": func() outcome {
-						return postDiagnose(t, h, "/v1/diagnose?trace=1", sys.spec, iut, sys.suite)
+						return resolvedBy(t, true, func() outcome {
+							return postDiagnose(t, h, "/v1/diagnose?trace=1", sys.spec, iut, sys.suite)
+						})
 					},
 					"POST /v1/diagnose by reference": func() outcome {
 						return postDiagnoseByRef(t, h, sys.spec, iut, sys.suite)
 					},
 					"POST /v1/diagnose respelled spec": func() outcome {
-						return postDiagnoseRespelled(t, h, sys.spec, iut, sys.suite)
+						return resolvedBy(t, true, func() outcome {
+							return postDiagnoseRespelled(t, h, sys.spec, iut, sys.suite, false)
+						})
+					},
+					"POST /v1/diagnose respelled IUT": func() outcome {
+						return resolvedBy(t, false, func() outcome {
+							return postDiagnoseRespelled(t, h, sys.spec, iut, sys.suite, true)
+						})
 					},
 					"/v1/jobs diagnose": func() outcome {
 						return submitDiagnoseJob(t, svc, sys.spec, iut, sys.suite)

@@ -15,6 +15,7 @@ package jsonread
 
 import (
 	"bytes"
+	"math/bits"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -316,6 +317,11 @@ func (r *Reader) Int(dst *int) {
 	}
 }
 
+// Offset returns the reader's position: the offset in the input of the
+// first byte it has not read. Between two values of an array that may be
+// whitespace before the next value.
+func (r *Reader) Offset() int { return r.off }
+
 // Raw reads past the next value and returns its bytes, a sub-slice of the
 // input, as encoding/json fills a json.RawMessage.
 func (r *Reader) Raw() []byte {
@@ -359,10 +365,18 @@ func (r *Reader) skip() {
 	}
 }
 
-func (r *Reader) intern(b []byte) string { return r.strs.get(b) }
+func (r *Reader) intern(b []byte) string {
+	if len(b) > 0 && len(r.strs.slots) == 0 {
+		// A table of 256 slots suits a model document; a small input, such
+		// as one object of it, starts with one slot per 32 bytes.
+		r.strs.slots = make([]string, min(256, max(16, 1<<bits.Len(uint(len(r.data)/32)))))
+	}
+	return r.strs.get(b)
+}
 
 // interner hands out one string per distinct byte sequence: an
 // open-addressing table of FNV-1a hashes, cheaper per document than a Go map.
+// Its table is made on first use, with a power-of-two length.
 type interner struct {
 	slots []string // power-of-two length; "" marks a free slot
 	n     int
@@ -371,9 +385,6 @@ type interner struct {
 func (t *interner) get(b []byte) string {
 	if len(b) == 0 {
 		return ""
-	}
-	if len(t.slots) == 0 {
-		t.slots = make([]string, 256)
 	}
 	mask := uint32(len(t.slots) - 1)
 	for i := fnv(b) & mask; ; i = (i + 1) & mask {

@@ -46,10 +46,15 @@ import (
 //     Byte-different spellings of one model are more keys of one entry, so
 //     they resolve to one system, program, tour and suite slot.
 //
-// An inline implementation under test is read and never registered: the
-// diagnosis runs it only as the black-box oracle, and clients seldom send
-// the same one twice within the registry's window. An iutRef still resolves
-// through the registry.
+// An inline implementation under test is never registered: the diagnosis
+// runs it only as the black-box oracle, and clients seldom send the same one
+// twice within the registry's window. When the specification is inline too
+// and the IUT's document is the specification's with one transition object
+// rewritten, only that object is read, and the IUT runs as a one-cell
+// overlay over the specification's program (iutpatch.go). For that, a
+// document key keeps the byte span of every transition object of its
+// spelling: spans belong to a spelling, not to the model. Any other inline
+// IUT is read in full, and an iutRef still resolves through the registry.
 //
 // The cache is bounded by key count and evicts the least recently used key.
 // Every use of an entry marks its hash key most recently used last, so the
@@ -167,6 +172,9 @@ type modelRegistry struct {
 type keyedEntry struct {
 	key   string
 	entry *modelEntry
+	// spans locates the transition objects of the document a "doc:" key
+	// names (cfsm.ReadSystemSpans); nil under a hash key.
+	spans []cfsm.TransitionSpan
 }
 
 func newModelRegistry(reg *obs.Registry, capEntries int) *modelRegistry {
@@ -182,26 +190,33 @@ func newModelRegistry(reg *obs.Registry, capEntries int) *modelRegistry {
 	}
 }
 
-// get looks a key up without touching the hit/miss counters. A hit marks
-// the key most recently used, and its entry's hash key after it.
+// get looks a key up without touching the hit/miss counters.
 func (mr *modelRegistry) get(key string) (*modelEntry, bool) {
+	ke, ok := mr.lookup(key)
+	return ke.entry, ok
+}
+
+// lookup is get that returns the key's spans with its entry. A hit marks the
+// key most recently used, and its entry's hash key after it.
+func (mr *modelRegistry) lookup(key string) (keyedEntry, bool) {
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
 	el, ok := mr.entries[key]
 	if !ok {
-		return nil, false
+		return keyedEntry{}, false
 	}
-	e := el.Value.(keyedEntry).entry
+	ke := el.Value.(keyedEntry)
 	mr.lru.MoveToBack(el)
-	mr.lru.MoveToBack(mr.entries[e.hash])
-	return e, true
+	mr.lru.MoveToBack(mr.entries[ke.entry.hash])
+	return ke, true
 }
 
 // add registers sys under its canonical hash and, when docKey is not empty,
-// under that document key too. A system whose hash is already held joins
-// that entry, so every spelling of a model shares one entry. It returns the
-// entry and whether its hash was already held.
-func (mr *modelRegistry) add(sys *cfsm.System, docKey string) (*modelEntry, bool) {
+// under that document key too, with the spans of that document. A system
+// whose hash is already held joins that entry, so every spelling of a model
+// shares one entry. It returns the entry and whether its hash was already
+// held.
+func (mr *modelRegistry) add(sys *cfsm.System, docKey string, spans []cfsm.TransitionSpan) (*modelEntry, bool) {
 	hash := compiled.ModelHash(sys)
 	mr.mu.Lock()
 	defer mr.mu.Unlock()
@@ -212,7 +227,7 @@ func (mr *modelRegistry) add(sys *cfsm.System, docKey string) (*modelEntry, bool
 	}
 	e := el.Value.(keyedEntry).entry
 	if _, ok := mr.entries[docKey]; docKey != "" && !ok {
-		mr.entries[docKey] = mr.lru.PushBack(keyedEntry{key: docKey, entry: e})
+		mr.entries[docKey] = mr.lru.PushBack(keyedEntry{key: docKey, entry: e, spans: spans})
 	}
 	mr.lru.MoveToBack(el)
 	for mr.lru.Len() > mr.cap {
@@ -233,7 +248,7 @@ func (mr *modelRegistry) byHash(hash string) (*modelEntry, bool) {
 	return e, ok
 }
 
-// readInline reads an inline JSON document, a registry miss.
+// readInline reads an inline JSON document in full, a registry miss.
 func (mr *modelRegistry) readInline(doc json.RawMessage) (*cfsm.System, error) {
 	mr.misses.Inc()
 	return cfsm.ReadSystem(orNull(doc))
@@ -250,21 +265,23 @@ func orNull(doc json.RawMessage) json.RawMessage {
 
 // resolveInline resolves an inline JSON document, keyed by its raw bytes: a
 // hit skips decoding and validation, a miss reads the model and registers
-// it under its document key and its hash.
-func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, error) {
+// it under its document key and its hash. It returns the spans of the
+// document's transition objects with the entry.
+func (mr *modelRegistry) resolveInline(doc json.RawMessage) (*modelEntry, []cfsm.TransitionSpan, error) {
 	doc = orNull(doc)
 	sum := sha256.Sum256(doc)
 	docKey := "doc:" + hex.EncodeToString(sum[:])
-	if e, ok := mr.get(docKey); ok {
+	if ke, ok := mr.lookup(docKey); ok {
 		mr.hits.Inc()
-		return e, nil
+		return ke.entry, ke.spans, nil
 	}
-	sys, err := mr.readInline(doc)
+	mr.misses.Inc()
+	sys, spans, err := cfsm.ReadSystemSpans(doc)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e, _ := mr.add(sys, docKey)
-	return e, nil
+	e, _ := mr.add(sys, docKey, spans)
+	return e, spans, nil
 }
 
 // resolveModel resolves a request's (inline document, registry reference)
@@ -277,7 +294,8 @@ func (s *api) resolveModel(doc json.RawMessage, ref string) (*modelEntry, error)
 		}
 		return nil, fmt.Errorf("model %s is not in the registry; upload it with POST /v1/models", ref)
 	}
-	return s.models.resolveInline(doc)
+	e, _, err := s.models.resolveInline(doc)
+	return e, err
 }
 
 // resolveIUT resolves a diagnosis' implementation under test: a reference
@@ -349,7 +367,7 @@ func (s *api) handleModels(w http.ResponseWriter, r *http.Request) {
 		writePipelineErr(w, err)
 		return
 	}
-	e, cached := s.models.add(sys, "")
+	e, cached := s.models.add(sys, "", nil)
 	s.models.uploads.Inc()
 	writeJSON(w, http.StatusOK, modelResponse{
 		Hash:        e.hash,

@@ -64,9 +64,10 @@ func outcomeOf(t testing.TB, s *api, body []byte, reference bool) diagnoseOutcom
 			spec, iut, out.suite, err = referencePrepare(s, out.req)
 		} else {
 			var entry *modelEntry
-			entry, iut, out.suite, _, err = s.prepareDiagnose(out.req)
-			if entry != nil {
-				spec = entry.sys
+			var model iutModel
+			entry, model, out.suite, _, err = s.prepareDiagnose(out.req)
+			if err == nil {
+				spec, iut = entry.sys, model.system(t, entry.sys)
 			}
 		}
 		if err != nil {
@@ -258,13 +259,17 @@ func FuzzDiagnoseRequest(f *testing.F) {
 // workload. specs=1 diagnoses seed 2 alone; specs=4 rotates seeds 2, 3, 4
 // and 7 request by request, so a pooled engine is rebound to another
 // program for nearly every request, as under perfbench's sixteen specs.
+// Both send the IUT compact like the specification, so it runs as a patch
+// over the specification's program. iut=respelled is specs=1 with the IUT
+// indented: the patch declines it, and it is read in full.
 func BenchmarkDiagnoseInline(b *testing.B) {
 	for _, seeds := range [][]int64{{2}, {2, 3, 4, 7}} {
-		b.Run(fmt.Sprintf("specs=%d", len(seeds)), func(b *testing.B) { benchDiagnoseInline(b, seeds) })
+		b.Run(fmt.Sprintf("specs=%d", len(seeds)), func(b *testing.B) { benchDiagnoseInline(b, seeds, false) })
 	}
+	b.Run("iut=respelled", func(b *testing.B) { benchDiagnoseInline(b, []int64{2}, true) })
 }
 
-func benchDiagnoseInline(b *testing.B, seeds []int64) {
+func benchDiagnoseInline(b *testing.B, seeds []int64, indentIUT bool) {
 	compact := func(sys *cfsm.System) []byte {
 		doc, err := sys.MarshalJSON()
 		if err != nil {
@@ -290,7 +295,13 @@ func benchDiagnoseInline(b *testing.B, seeds []int64) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			body := append(append(append(bytes.Clone(prefix), `,"iut":`...), compact(iut)...), '}')
+			iutDoc := compact(iut)
+			if indentIUT {
+				if iutDoc, err = iut.MarshalJSON(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			body := append(append(append(bytes.Clone(prefix), `,"iut":`...), iutDoc...), '}')
 			bodies[k] = append(bodies[k], body)
 		}
 	}
@@ -353,7 +364,7 @@ func TestSuitelessRequestsShareOneTour(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if want := encodeLocalization(spec, tour, oracle, loc); !reflect.DeepEqual(got, want) {
+				if want := encodeLocalization(spec, tour, oracle.Tests, oracle.Inputs, loc); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s: server %+v, library %+v", faults[k].Describe(spec), got, want)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -90,6 +91,121 @@ func TestInlineModelErrorContract(t *testing.T) {
 				}
 			})
 		}
+	}
+	t.Run("one-object rewrites", func(t *testing.T) { checkRewritesFallBack(t, srv, []byte(spec)) })
+}
+
+// checkRewritesFallBack posts, as the IUT of the specification document
+// spec, rewrites of spec that the patch must decline: each takes the full
+// read, and answers exactly the full read's error, or, for an IUT the full
+// read accepts, the library's diagnosis of the system it builds.
+func checkRewritesFallBack(t *testing.T, srv *httptest.Server, spec []byte) {
+	sys, spans, err := cfsm.ReadSystemSpans(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := compiled.Compile(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rewrite replaces the objects at spans[k] for each k of edits, in
+	// order, by what the edit makes of the transition's JSON form.
+	type edit struct {
+		k  int
+		fn func(*cfsm.TransitionJSON) []byte
+	}
+	rewrite := func(edits ...edit) []byte {
+		var out []byte
+		at := 0
+		for _, e := range edits {
+			span := spans[e.k]
+			tr, _ := sys.Transition(span.Ref)
+			tj := cfsm.TransitionJSON{Name: tr.Name, From: string(tr.From), Input: string(tr.Input), Output: string(tr.Output), To: string(tr.To)}
+			if tr.Internal() {
+				tj.Dest = sys.Machine(tr.Dest).Name()
+			}
+			out = append(append(out, spec[at:span.Start]...), e.fn(&tj)...)
+			at = span.End
+		}
+		return append(out, spec[at:]...)
+	}
+	marshal := func(tj *cfsm.TransitionJSON) []byte {
+		b, err := json.Marshal(tj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	set := func(field func(*cfsm.TransitionJSON)) func(*cfsm.TransitionJSON) []byte {
+		return func(tj *cfsm.TransitionJSON) []byte {
+			field(tj)
+			return marshal(tj)
+		}
+	}
+	// An address rewire the model rules reject, found by RewireAddress.
+	rewireBreaking := func(rule string) edit {
+		for k, span := range spans {
+			for d := cfsm.DestEnv; d < sys.N(); d++ {
+				if _, err := sys.RewireAddress(span.Ref, d); err != nil && strings.Contains(err.Error(), rule) {
+					dest := ""
+					if d != cfsm.DestEnv {
+						dest = sys.Machine(d).Name()
+					}
+					return edit{k, set(func(tj *cfsm.TransitionJSON) { tj.Dest = dest })}
+				}
+			}
+		}
+		t.Fatalf("no address rewire breaks %q", rule)
+		return edit{}
+	}
+	t1, t3 := 0, 1 // M1's t1 (s0 -a/c'-> s1) and t3 (s0 -b/d'-> s0)
+	cases := []struct {
+		name   string
+		edits  []edit
+		status int
+	}{
+		{"undeclared to state", []edit{{t1, set(func(tj *cfsm.TransitionJSON) { tj.To = "s9" })}}, http.StatusUnprocessableEntity},
+		{"renamed to a sibling's name", []edit{{t1, set(func(tj *cfsm.TransitionJSON) { tj.Name = "t3" })}}, http.StatusUnprocessableEntity},
+		{"input collides with a sibling's key", []edit{{t1, set(func(tj *cfsm.TransitionJSON) { tj.Input = "b" })}}, http.StatusUnprocessableEntity},
+		{"from collides with a sibling's key", []edit{{t3, set(func(tj *cfsm.TransitionJSON) { tj.From = "s1" })}}, http.StatusUnprocessableEntity},
+		{"unknown field", []edit{{t1, func(tj *cfsm.TransitionJSON) []byte { return append([]byte(`{"bogus":1,`), marshal(tj)[1:]...) }}}, http.StatusBadRequest},
+		{"dest names its own machine", []edit{{t1, set(func(tj *cfsm.TransitionJSON) { tj.Dest = "M1" })}}, http.StatusUnprocessableEntity},
+		{"address rewire breaks IEO/IIO", []edit{rewireBreaking("IEO ∩ IIO")}, http.StatusUnprocessableEntity},
+		{"address rewire breaks the chain rule", []edit{rewireBreaking("internal chain")}, http.StatusUnprocessableEntity},
+		{"null object", []edit{{t1, func(*cfsm.TransitionJSON) []byte { return []byte("null") }}}, http.StatusUnprocessableEntity},
+		{"two objects rewritten", []edit{
+			{t1, set(func(tj *cfsm.TransitionJSON) { tj.Output = "d'" })},
+			{t3, set(func(tj *cfsm.TransitionJSON) { tj.To = "s1" })},
+		}, http.StatusOK},
+		{"output outside the fault domain", []edit{{t1, set(func(tj *cfsm.TransitionJSON) { tj.Output = "never-used" })}}, http.StatusOK},
+	}
+	tour, _ := testgen.Tour(sys, 0)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			iut := rewrite(c.edits...)
+			if _, patched := patchIUT(prog, spans, spec, iut); patched {
+				t.Fatal("the patch accepts the rewrite")
+			}
+			resp, out := postRaw(t, srv, "/v1/diagnose", "application/json",
+				slices.Concat([]byte(`{"spec":`), spec, []byte(`,"iut":`), iut, []byte(`}`)))
+			want := httptest.NewRecorder()
+			if full, err := cfsm.ReadSystem(iut); err != nil {
+				writePipelineErr(want, fmt.Errorf("iut: %w", err))
+			} else {
+				oracle := &core.SystemOracle{Sys: full}
+				loc, err := core.Diagnose(sys, tour, oracle)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeJSON(want, http.StatusOK, encodeLocalization(sys, tour, oracle.Tests, oracle.Inputs, loc))
+			}
+			if want.Code != c.status {
+				t.Fatalf("the full read answers %d, want %d: %s", want.Code, c.status, want.Body)
+			}
+			if resp.StatusCode != want.Code || !bytes.Equal(out, want.Body.Bytes()) {
+				t.Fatalf("answer %d %s\nfull read %d %s", resp.StatusCode, out, want.Code, want.Body)
+			}
+		})
 	}
 }
 
@@ -321,7 +437,7 @@ func TestDiagnoseSharesProgramAcrossRequests(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				want := encodeLocalization(spec, suite, oracle, loc)
+				want := encodeLocalization(spec, suite, oracle.Tests, oracle.Inputs, loc)
 				if got.Verdict != want.Verdict || got.Fault != want.Fault ||
 					!slices.Equal(got.Remaining, want.Remaining) ||
 					got.TotalTests != want.TotalTests || got.TotalInputs != want.TotalInputs {

@@ -119,7 +119,7 @@ func TestConcurrentRequestsMatchLibrary(t *testing.T) {
 		if err != nil {
 			return nil, nil, err
 		}
-		wantResp := encodeLocalization(s.spec, suite, oracle, loc)
+		wantResp := encodeLocalization(s.spec, suite, oracle.Tests, oracle.Inputs, loc)
 		if req.Ports != nil {
 			wantResp.Ports = &portsReportJSON{Observers: rep.Ports, Cases: rep.Cases,
 				AmbiguousCases: rep.AmbiguousCases, InterleavingsExplored: rep.InterleavingsExplored}

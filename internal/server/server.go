@@ -28,7 +28,11 @@
 // the hash of its raw bytes and never decoded or re-validated again, and
 // every spelling of one model resolves to its one entry. A specification is
 // compiled once and its program shared by every diagnosis. An inline
-// implementation under test is read and never registered.
+// implementation under test is never registered. When the specification is
+// inline too and the IUT's document is the specification's with one
+// transition object rewritten into a single-transition fault, only that
+// object is read and the IUT runs as a one-cell overlay over the
+// specification's program; any other IUT is read in full (iutpatch.go).
 // Requests may replace an inline "spec"/"iut" document with a "specRef"/
 // "iutRef" content hash of a registered model. Registry traffic is measured
 // by the cfsmdiag_model_* metric families.
@@ -849,45 +853,61 @@ func portMapFor(assignments map[string]string, spec *cfsm.System) (ports.Map, bo
 }
 
 // prepareDiagnose resolves a diagnosis request's specification through the
-// model registry, its implementation under test (resolveIUT) and its suite
-// (explicit or generated tour). Shared by the HTTP handler and the
-// "diagnose" job executor.
+// model registry, its implementation under test and its suite (explicit or
+// generated tour). An inline IUT of an inline specification is first
+// lowered to a patch over the specification's program (patchIUT); any other
+// IUT, or one the patch declines, is resolved by resolveIUT. Shared by the
+// HTTP handler and the "diagnose" job executor.
 // Suite sizes are NOT checked here — the HTTP handler rejects them with
 // the suite_too_large code before calling in, and the job executors call
 // suiteSizeErr themselves.
-func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut *cfsm.System, suite []cfsm.TestCase, cs *compiled.Suite, err error) {
-	spec, err = s.resolveModel(req.Spec, req.SpecRef)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("spec: %w", err)
+func (s *api) prepareDiagnose(req diagnoseRequest) (spec *modelEntry, iut iutModel, suite []cfsm.TestCase, cs *compiled.Suite, err error) {
+	var spans []cfsm.TransitionSpan
+	if req.SpecRef == "" {
+		spec, spans, err = s.models.resolveInline(req.Spec)
+	} else {
+		spec, err = s.resolveModel(nil, req.SpecRef)
 	}
-	iut, err = s.resolveIUT(req.IUT, req.IUTRef)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("iut: %w", err)
+		return nil, iutModel{}, nil, nil, fmt.Errorf("spec: %w", err)
+	}
+	patched := false
+	if req.SpecRef == "" && req.IUTRef == "" {
+		iut, patched = patchIUT(spec.program(), spans, orNull(req.Spec), orNull(req.IUT))
+	}
+	if patched {
+		// The patched IUT is resolved outside the registry, like a full read.
+		s.models.misses.Inc()
+	} else if iut.sys, err = s.resolveIUT(req.IUT, req.IUTRef); err != nil {
+		return nil, iutModel{}, nil, nil, fmt.Errorf("iut: %w", err)
+	}
+	if OnIUTResolved != nil {
+		OnIUTResolved(patched)
 	}
 	if suite, err = cfsm.DecodeSuite(req.Suite); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, iutModel{}, nil, nil, err
 	}
 	if suite, err = spec.suiteOrTour(suite); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, iutModel{}, nil, nil, err
 	}
 	suite, cs = spec.compiledSuite(suite)
 	return spec, iut, suite, cs, nil
 }
 
-// oracleFor wraps the IUT in the configured resilient retry layer. The
-// returned SystemOracle carries the raw test/input counters.
-func (s *api) oracleFor(iut *cfsm.System) (core.Oracle, *core.SystemOracle) {
-	base := &core.SystemOracle{Sys: iut}
-	var oracle core.Oracle = base
+// oracleFor wraps the IUT's oracle in the configured resilient retry layer.
+// The returned function reports the raw test and input counts of the IUT's
+// own oracle.
+func (s *api) oracleFor(spec *modelEntry, iut iutModel) (core.Oracle, func() (tests, inputs int)) {
+	oracle, counts := iut.oracle(spec.program())
 	if s.cfg.resilientEnabled() {
-		oracle = resilient.NewRetryOracle(base, resilient.RetryConfig{
+		oracle = resilient.NewRetryOracle(oracle, resilient.RetryConfig{
 			Timeout:  s.cfg.OracleTimeout,
 			Retries:  s.cfg.OracleRetries,
 			Votes:    s.cfg.OracleVotes,
 			Registry: s.cfg.Registry,
 		})
 	}
-	return oracle, base
+	return oracle, counts
 }
 
 // diagnoseOpts are the core options shared by every diagnosis entry point:
@@ -901,13 +921,14 @@ func (s *api) diagnoseOpts(eng *compiled.Engine, req diagnoseRequest) []core.Opt
 	return opts
 }
 
-// encodeLocalization renders a localization as the wire response.
-func encodeLocalization(spec *cfsm.System, suite []cfsm.TestCase, base *core.SystemOracle, loc *core.Localization) diagnoseResponse {
+// encodeLocalization renders a localization as the wire response; tests and
+// inputs are what the IUT's oracle ran.
+func encodeLocalization(spec *cfsm.System, suite []cfsm.TestCase, tests, inputs int, loc *core.Localization) diagnoseResponse {
 	resp := diagnoseResponse{
 		Verdict:     loc.Verdict.String(),
 		SuiteCases:  len(suite),
-		TotalTests:  base.Tests,
-		TotalInputs: base.Inputs,
+		TotalTests:  tests,
+		TotalInputs: inputs,
 	}
 	if loc.Fault != nil {
 		resp.Fault = loc.Fault.Describe(spec)
@@ -964,14 +985,15 @@ func (s *api) runDiagnose(ctx context.Context, req diagnoseRequest, tr *trace.Tr
 	if tr != nil {
 		opts = append(opts, core.WithTrace(tr))
 	}
-	oracle, base := s.oracleFor(iut)
+	oracle, counts := s.oracleFor(specEntry, iut)
 	loc, rep, err := ports.DiagnoseContext(ctx, spec, suite, oracle, pm,
 		ports.WithCoreOptions(opts...),
 		ports.WithRegistry(s.cfg.Registry))
 	if err != nil {
 		return nil, err
 	}
-	resp := encodeLocalization(spec, suite, base, loc)
+	tests, inputs := counts()
+	resp := encodeLocalization(spec, suite, tests, inputs, loc)
 	if hasPorts {
 		resp.Ports = &portsReportJSON{
 			Observers:             rep.Ports,
