@@ -66,7 +66,7 @@ func RunCost(label string, sys *cfsm.System, sampleStride int) (CostPoint, error
 	}
 	point.ProductSt = len(prod.States())
 	point.ProductTr = prod.NumTransitions()
-	point.ExhaustiveTests, point.ExhaustiveIn, _ = singlefsm.ExhaustiveCost(prod)
+	point.ExhaustiveTests, point.ExhaustiveIn = singlefsm.ExhaustiveCost(prod)
 
 	suite, _ := testgen.Tour(sys, 0)
 	faults := fault.Enumerate(sys)

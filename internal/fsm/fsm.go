@@ -175,9 +175,6 @@ func (m *FSM) Initial() State { return m.initial }
 // States returns the declared states in sorted order. The slice is a copy.
 func (m *FSM) States() []State { return append([]State(nil), m.states...) }
 
-// Inputs returns the input alphabet actually used by transitions, sorted.
-func (m *FSM) Inputs() []Symbol { return append([]Symbol(nil), m.inputs...) }
-
 // HasState reports whether s is a declared state.
 func (m *FSM) HasState(s State) bool {
 	for _, st := range m.states {

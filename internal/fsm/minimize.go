@@ -16,8 +16,7 @@ import (
 // by their one-step output signature and groups split until stable; each
 // final group is represented by its lexicographically smallest member.
 // Unreachable states are preserved (they keep their own groups), so the
-// result is a pure quotient; callers who also want to drop unreachable
-// states can filter with Reachable.
+// result is a pure quotient.
 func (m *FSM) Minimize() (*FSM, map[State]State) {
 	// Initial partition: by output signature over the full input alphabet.
 	signature := func(s State, class map[State]int) string {
@@ -122,79 +121,4 @@ func (m *FSM) Minimize() (*FSM, map[State]State) {
 func (m *FSM) IsMinimal() bool {
 	min, _ := m.Minimize()
 	return len(min.States()) == len(m.states)
-}
-
-// UIO returns a unique input/output sequence for the state: an input
-// sequence whose output from the given state differs from the outputs
-// produced from every other state of the machine. ok is false when the
-// state has no UIO (some other state is equivalent, or no single sequence
-// separates it from all others).
-//
-// The search walks pairs (current state of the candidate, set of states
-// still producing the same outputs); a sequence is a UIO when the set
-// empties.
-func (m *FSM) UIO(s State) (seq []Symbol, ok bool) {
-	type node struct {
-		cur  State
-		rest []State // still-matching shadows, sorted
-		path []Symbol
-	}
-	encode := func(cur State, rest []State) string {
-		parts := make([]string, 0, len(rest)+1)
-		parts = append(parts, string(cur))
-		for _, r := range rest {
-			parts = append(parts, string(r))
-		}
-		return strings.Join(parts, "|")
-	}
-	var initialRest []State
-	for _, o := range m.states {
-		if o != s {
-			initialRest = append(initialRest, o)
-		}
-	}
-	if len(initialRest) == 0 {
-		return nil, true // a one-state machine: the empty sequence is a UIO
-	}
-	start := node{cur: s, rest: initialRest}
-	visited := map[string]bool{encode(start.cur, start.rest): true}
-	frontier := []node{start}
-	const limit = 100_000
-	for len(frontier) > 0 && len(visited) < limit {
-		n := frontier[0]
-		frontier = frontier[1:]
-		for _, in := range m.inputs {
-			out, next, _, _ := m.Step(n.cur, in)
-			var rest []State
-			for _, o := range n.rest {
-				oOut, oNext, _, _ := m.Step(o, in)
-				if oOut == out {
-					rest = append(rest, oNext)
-				}
-			}
-			sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-			rest = dedupStates(rest)
-			path := append(append([]Symbol(nil), n.path...), in)
-			if len(rest) == 0 {
-				return path, true
-			}
-			k := encode(next, rest)
-			if visited[k] {
-				continue
-			}
-			visited[k] = true
-			frontier = append(frontier, node{cur: next, rest: rest, path: path})
-		}
-	}
-	return nil, false
-}
-
-func dedupStates(states []State) []State {
-	out := states[:0]
-	for i, s := range states {
-		if i == 0 || states[i-1] != s {
-			out = append(out, s)
-		}
-	}
-	return out
 }

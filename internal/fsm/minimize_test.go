@@ -48,7 +48,7 @@ func TestMinimizePreservesBehaviour(t *testing.T) {
 	m := redundant(t)
 	min, mapping := m.Minimize()
 	rng := rand.New(rand.NewSource(9))
-	inputs := m.Inputs()
+	inputs := inputsOf(m)
 	for trial := 0; trial < 200; trial++ {
 		seq := make([]Symbol, 1+rng.Intn(8))
 		for i := range seq {
@@ -83,7 +83,7 @@ func TestMinimizeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomMachine(rng)
 		min, _ := m.Minimize()
-		inputs := m.Inputs()
+		inputs := inputsOf(m)
 		if len(inputs) == 0 {
 			return true
 		}
@@ -136,55 +136,4 @@ func randomMachine(rng *rand.Rand) *FSM {
 		panic(err)
 	}
 	return m
-}
-
-func TestUIO(t *testing.T) {
-	m := threeState(t)
-	// In threeState: s0 on c is undefined, s2 on c defined with z.
-	for _, s := range m.States() {
-		seq, ok := m.UIO(s)
-		if !ok {
-			t.Errorf("no UIO for %v", s)
-			continue
-		}
-		// Verify uniqueness: the output from s differs from every other state.
-		out, _ := m.Run(s, seq)
-		for _, o := range m.States() {
-			if o == s {
-				continue
-			}
-			oOut, _ := m.Run(o, seq)
-			if symbolsEqual(out, oOut) {
-				t.Errorf("UIO(%v) = %v does not separate %v", s, seq, o)
-			}
-		}
-	}
-}
-
-func TestUIOEquivalentStates(t *testing.T) {
-	m := redundant(t)
-	// s1 and s2 are equivalent, so neither has a UIO.
-	if _, ok := m.UIO("s1"); ok {
-		t.Error("s1 has an equivalent twin and must have no UIO")
-	}
-	if _, ok := m.UIO("s2"); ok {
-		t.Error("s2 has an equivalent twin and must have no UIO")
-	}
-	// s0 is separated from both by input b (defined in s0 only).
-	if _, ok := m.UIO("s0"); !ok {
-		t.Error("s0 should have a UIO")
-	}
-}
-
-func TestUIOSingleState(t *testing.T) {
-	m, err := New("S", "s0", []State{"s0"}, []Transition{
-		{Name: "t", From: "s0", Input: "a", Output: "x", To: "s0"},
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	seq, ok := m.UIO("s0")
-	if !ok || len(seq) != 0 {
-		t.Errorf("UIO of the only state = %v/%v, want empty/true", seq, ok)
-	}
 }

@@ -1,13 +1,14 @@
 // Package singlefsm implements Steps 1–5 of the predecessor diagnosis
 // algorithm for systems modeled as a single deterministic FSM (Ghedamsi &
 // Bochmann, ICDCS 1992 — reference [6] of the paper). The CFSM paper
-// generalizes it; here it serves two roles:
+// generalizes it; here it serves two roles, both in experiment E6:
 //
-//   - as the baseline the paper compares against, diagnosing the CFSM
-//     system's exponential product machine instead of the machines directly
-//     (experiment E6);
-//   - as an exhaustive "verify every transition" cost baseline, quantifying
-//     the paper's claim that directed diagnosis needs shorter test suites.
+//   - Analyze is the baseline the paper compares against, diagnosing the
+//     CFSM system's exponential product machine instead of the machines
+//     directly;
+//   - ExhaustiveCost is the "verify every transition" cost baseline,
+//     quantifying the paper's claim that directed diagnosis needs shorter
+//     test suites than the W or DS methods.
 //
 // Test cases are input sequences applied from the initial state (an implicit
 // reset precedes every test case).
@@ -35,18 +36,6 @@ type Diagnosis struct {
 	Kind       fault.Kind
 	Output     fsm.Symbol
 	To         fsm.State
-}
-
-// String renders the diagnosis in the paper's style.
-func (d Diagnosis) String() string {
-	switch d.Kind {
-	case fault.KindOutput:
-		return fmt.Sprintf("%s has output fault %s", d.Transition, d.Output)
-	case fault.KindTransfer:
-		return fmt.Sprintf("%s transfers to %s", d.Transition, d.To)
-	default:
-		return fmt.Sprintf("%s has output fault %s and transfers to %s", d.Transition, d.Output, d.To)
-	}
 }
 
 // Analysis is the Steps 1–5 result for a single machine.
@@ -146,12 +135,20 @@ func (a *Analysis) findSymptoms() {
 }
 
 func (a *Analysis) buildCandidates() {
-	for caseIdx, stop := range a.FirstSymptom {
+	// Conflict sets in case order; the intersection across symptomatic
+	// cases keeps the order of the first.
+	counts := make(map[string]int)
+	var firstSet []string
+	for caseIdx, tc := range a.Suite {
+		stop, symptomatic := a.FirstSymptom[caseIdx]
+		if !symptomatic {
+			continue
+		}
 		var set []string
 		seen := make(map[string]bool)
 		state := a.Spec.Initial()
-		for j := 0; j <= stop; j++ {
-			tr, defined := a.Spec.Lookup(state, a.Suite[caseIdx][j])
+		for _, input := range tc[:stop+1] {
+			tr, defined := a.Spec.Lookup(state, input)
 			if defined {
 				if !seen[tr.Name] {
 					seen[tr.Name] = true
@@ -161,22 +158,15 @@ func (a *Analysis) buildCandidates() {
 			}
 		}
 		a.Conflicts[caseIdx] = set
-	}
-	// Intersection across symptomatic cases, preserving order of the first.
-	counts := make(map[string]int)
-	n := 0
-	var firstSet []string
-	for _, set := range a.Conflicts {
 		if firstSet == nil {
 			firstSet = set
 		}
-		n++
 		for _, name := range set {
 			counts[name]++
 		}
 	}
 	for _, name := range firstSet {
-		if counts[name] == n {
+		if counts[name] == len(a.Conflicts) {
 			a.Candidates = append(a.Candidates, name)
 		}
 	}
